@@ -1,6 +1,6 @@
 # Convenience targets for the HERD reproduction.
 
-.PHONY: install test bench figures figures-full examples metrics-smoke chaos-smoke ha-smoke lab-smoke elastic-smoke engine-smoke qos-smoke txn-smoke nemesis-smoke clean
+.PHONY: install test test-fast bench figures figures-full examples metrics-smoke chaos-smoke ha-smoke lab-smoke elastic-smoke engine-smoke qos-smoke txn-smoke nemesis-smoke clean
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop

@@ -11,6 +11,7 @@ retry machinery recovering every operation.
 Run:  python examples/fault_injection.py
 """
 
+from repro.faults import FaultPlan
 from repro.herd import HerdCluster, HerdConfig
 from repro.workloads import Workload
 
@@ -25,7 +26,7 @@ def run(loss_rate: float, retry_timeout_ns):
     )
     cluster.add_clients(4, Workload(get_fraction=0.5, value_size=32, n_keys=256))
     cluster.preload(range(256), 32)
-    cluster.fabric.loss_filter = lambda src, dst: loss_rate if dst == "server" else 0.0
+    cluster.install_faults(FaultPlan(seed=11).drop(dst="server", rate=loss_rate))
     result = cluster.run(warmup_ns=0, measure_ns=600_000)
     return cluster, result
 

@@ -27,13 +27,14 @@ from dataclasses import dataclass, replace
 from typing import Deque, Dict, Generator, List, Optional, Tuple
 
 from repro.bench.result import RunResult, collect
-from repro.hw import APT, Fabric, HardwareProfile, Machine
-from repro.sim import Event, LatencyRecorder, RateMeter, Simulator, Store
+from repro.hw import APT, HardwareProfile
+from repro.sim import Event, Store
 from repro.verbs import (
     CompletionQueue,
     QueuePair,
     RdmaDevice,
     RecvRequest,
+    Testbed,
     Transport,
     WorkRequest,
 )
@@ -363,7 +364,7 @@ class _EchoServerProcess:
             pass
 
 
-class EchoCluster:
+class EchoCluster(Testbed):
     """A complete ECHO deployment on one simulated fabric."""
 
     def __init__(
@@ -375,20 +376,11 @@ class EchoCluster:
         seed: int = 0,
     ) -> None:
         self.config = config
-        self.sim = Simulator()
-        self.fabric = Fabric(self.sim, profile)
-        self.server_device = RdmaDevice(
-            Machine(self.sim, self.fabric, "server", cache_seed=seed)
-        )
-        self.client_devices = [
-            RdmaDevice(Machine(self.sim, self.fabric, "cm%d" % i, cache_seed=seed + i + 1))
-            for i in range(n_client_machines)
-        ]
+        super().__init__(profile, n_client_machines, seed)
         self.servers = [
             _EchoServerProcess(s, self.server_device, config)
             for s in range(config.n_server_processes)
         ]
-        self.clients: List[_EchoClient] = []
         request_region_bytes = max(n_clients * config.window * 4096, 4096)
         self.request_mr = self.server_device.register_memory(request_region_bytes)
         self.request_mr.on_write = self._request_landed
@@ -397,22 +389,24 @@ class EchoCluster:
     def _wire(self, n_clients: int) -> None:
         cfg = self.config
         for cid in range(n_clients):
-            device = self.client_devices[cid % len(self.client_devices)]
+            device = self.client_device(cid)
             client = _EchoClient(cid, device, cfg)
             sproc = self.servers[cid % len(self.servers)]
-            local_index = len(sproc.clients)
+            # Clients are dealt to server processes in cid order, so a
+            # client's index at its process is plain arithmetic —
+            # _request_landed relies on it per arriving packet.
+            local_index = cid // len(self.servers)
+            assert local_index == len(sproc.clients)
 
             # connected QP pair (used by WRITE legs and connected SENDs)
-            server_qp = self.server_device.create_qp(
+            server_qp, client.conn_qp = self.connect(
+                self.server_device,
+                device,
                 cfg.write_transport if cfg.request == "WRITE" else cfg.send_transport
                 if cfg.send_transport is not Transport.UD
                 else cfg.write_transport,
-                recv_cq=sproc.recv_cq,
+                sproc.recv_cq,
             )
-            client_qp = device.create_qp(server_qp.transport)
-            server_qp.connect(device.machine.name, client_qp.qpn)
-            client_qp.connect("server", server_qp.qpn)
-            client.conn_qp = client_qp
             client.ud_qp = device.create_qp(Transport.UD)
             client.server_ah = ("server", sproc.ud_qp.qpn)
             client.request_rkey = self.request_mr.rkey
@@ -425,7 +419,6 @@ class EchoCluster:
                 "client_ah": (device.machine.name, client.ud_qp.qpn),
                 "resp_addr": client.resp_mr.addr,
                 "resp_rkey": client.resp_mr.rkey,
-                "cid": cid,
             }
             if cfg.request == "SEND":
                 # the server pre-posts RECVs for this client's requests
@@ -456,26 +449,11 @@ class EchoCluster:
         cid = offset // (cfg.window * 4096)
         slot = (offset % (cfg.window * 4096)) // 4096
         sproc = self.servers[cid % len(self.servers)]
-        local_index = next(
-            i for i, st in enumerate(sproc.clients) if st["cid"] == cid
-        )
-        sproc.arrivals.put((local_index, slot, offset))
+        sproc.arrivals.put((cid // len(self.servers), slot, offset))
 
     # ------------------------------------------------------------------
 
     def run(self, warmup_ns: float = 30_000.0, measure_ns: float = 150_000.0) -> RunResult:
-        window_end = warmup_ns + measure_ns
-        meter = RateMeter(warmup_ns, window_end)
-        latencies = LatencyRecorder(warmup_ns, window_end)
-        for client in self.clients:
-            def hook(now, latency, _m=meter, _l=latencies):
-                _m.record(now)
-                _l.record(now, latency)
-
-            client.completed_hook = hook
-            client.start()
-        for server in self.servers:
-            server.start()
-        self.sim.run(until=window_end)
+        meter, latencies = self.run_window(warmup_ns, measure_ns)
         bad = sum(c.echoed_bytes_bad for c in self.clients)
         return collect(meter, latencies, measure_ns, echo_mismatches=float(bad))

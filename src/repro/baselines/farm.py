@@ -26,10 +26,10 @@ from dataclasses import dataclass
 from typing import Generator, List, Optional
 
 from repro.bench.result import RunResult, collect
-from repro.hw import APT, Fabric, HardwareProfile, Machine
+from repro.hw import APT, HardwareProfile
 from repro.kv.hashing import hash_key
-from repro.sim import Event, LatencyRecorder, RateMeter, Simulator, Store
-from repro.verbs import QueuePair, RdmaDevice, Transport, WorkRequest
+from repro.sim import Event, Store
+from repro.verbs import QueuePair, RdmaDevice, Testbed, Transport, WorkRequest
 from repro.workloads.ycsb import Workload, WorkloadStream
 
 NEIGHBORHOOD = 6
@@ -193,7 +193,7 @@ class _FarmServerProcess:
             self.puts_handled += 1
 
 
-class FarmCluster:
+class FarmCluster(Testbed):
     """An emulated FaRM-KV deployment (FaRM-em / FaRM-em-VAR)."""
 
     TABLE_BYTES = 1 << 21
@@ -212,22 +212,12 @@ class FarmCluster:
         self.workload = workload if workload is not None else Workload(
             get_fraction=0.95, value_size=self.config.value_bytes
         )
-        self.sim = Simulator()
-        self.fabric = Fabric(self.sim, profile)
-        self.server_device = RdmaDevice(
-            Machine(self.sim, self.fabric, "server", cache_seed=seed)
-        )
+        super().__init__(profile, n_client_machines, seed)
         self.table = self.server_device.register_memory(self.TABLE_BYTES)
         self.servers = [
             _FarmServerProcess(s, self.server_device)
             for s in range(self.config.n_server_processes)
         ]
-        self.client_devices = [
-            RdmaDevice(Machine(self.sim, self.fabric, "cm%d" % i, cache_seed=seed + i + 1))
-            for i in range(n_client_machines)
-        ]
-        self.clients: List[_FarmClientProcess] = []
-        self._n_clients = n_clients
         lanes = n_clients * self.config.window
         self.put_buffers = self.server_device.register_memory(
             max(lanes, 1) * self.PUT_SLOT
@@ -238,22 +228,20 @@ class FarmCluster:
     def _wire(self, n_clients: int, seed: int) -> None:
         cfg = self.config
         for cid in range(n_clients):
-            device = self.client_devices[cid % len(self.client_devices)]
+            device = self.client_device(cid)
             stream = self.workload.stream(seed=seed * 104_729 + cid)
             client = _FarmClientProcess(cid, device, cfg, stream)
             sproc = self.servers[cid % len(self.servers)]
+            # _put_landed turns a cid back into this index arithmetically
+            assert len(sproc.clients) == cid // len(self.servers)
             # RC pair for READs.
-            s_read = self.server_device.create_qp(Transport.RC)
-            c_read = device.create_qp(Transport.RC)
-            s_read.connect(device.machine.name, c_read.qpn)
-            c_read.connect("server", s_read.qpn)
-            client.read_qp = c_read
+            _s_read, client.read_qp = self.connect(
+                self.server_device, device, Transport.RC
+            )
             # UC pair for the PUT path (both directions).
-            s_put = self.server_device.create_qp(Transport.UC)
-            c_put = device.create_qp(Transport.UC)
-            s_put.connect(device.machine.name, c_put.qpn)
-            c_put.connect("server", s_put.qpn)
-            client.put_qp = c_put
+            s_put, client.put_qp = self.connect(
+                self.server_device, device, Transport.UC
+            )
             client.table_addr = self.table.addr
             client.table_rkey = self.table.rkey
             client.table_bytes = self.TABLE_BYTES
@@ -265,7 +253,6 @@ class FarmCluster:
                     "qp": s_put,
                     "ack_addr": client.ack_mr.addr,
                     "ack_rkey": client.ack_mr.rkey,
-                    "cid": cid,
                 }
             )
             self.clients.append(client)
@@ -274,27 +261,12 @@ class FarmCluster:
         lane_global, cfg = offset // self.PUT_SLOT, self.config
         cid, lane = divmod(lane_global, cfg.window)
         sproc = self.servers[cid % len(self.servers)]
-        client_index = next(
-            i for i, st in enumerate(sproc.clients) if st["cid"] == cid
-        )
-        sproc.arrivals.put((client_index, lane))
+        sproc.arrivals.put((cid // len(self.servers), lane))
 
     # ------------------------------------------------------------------
 
     def run(self, warmup_ns: float = 30_000.0, measure_ns: float = 150_000.0) -> RunResult:
-        window_end = warmup_ns + measure_ns
-        meter = RateMeter(warmup_ns, window_end)
-        latencies = LatencyRecorder(warmup_ns, window_end)
-        for client in self.clients:
-            def hook(now, latency, _m=meter, _l=latencies):
-                _m.record(now)
-                _l.record(now, latency)
-
-            client.completed_hook = hook
-            client.start()
-        for server in self.servers:
-            server.start()
-        self.sim.run(until=window_end)
+        meter, latencies = self.run_window(warmup_ns, measure_ns)
         return collect(
             meter,
             latencies,

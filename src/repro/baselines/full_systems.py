@@ -19,14 +19,14 @@ from dataclasses import dataclass
 from typing import Generator, List, Optional
 
 from repro.bench.result import RunResult, collect
-from repro.hw import APT, Fabric, HardwareProfile, Machine
+from repro.hw import APT, HardwareProfile
 from repro.kv.cuckoo import BUCKET_BYTES, CuckooFullError, CuckooTable
 from repro.kv.hopscotch import HopscotchTable
-from repro.sim import Event, LatencyRecorder, RateMeter, Simulator, Store
+from repro.sim import Event, Store
 from repro.verbs import (
     CompletionQueue,
-    RdmaDevice,
     RecvRequest,
+    Testbed,
     Transport,
     WorkRequest,
 )
@@ -211,7 +211,7 @@ class _PilafFullServerProcess:
             self.puts_handled += 1
 
 
-class PilafFullCluster:
+class PilafFullCluster(Testbed):
     """Pilaf with its real cuckoo table resident in server memory."""
 
     def __init__(
@@ -227,11 +227,7 @@ class PilafFullCluster:
         self.workload = workload if workload is not None else Workload(
             get_fraction=0.95, value_size=self.config.value_bytes
         )
-        self.sim = Simulator()
-        self.fabric = Fabric(self.sim, profile)
-        self.server_device = RdmaDevice(
-            Machine(self.sim, self.fabric, "server", cache_seed=seed)
-        )
+        super().__init__(profile, n_client_machines, seed)
         n_buckets = 1 << (self.config.n_buckets - 1).bit_length()
         self.table_mr = self.server_device.register_memory(n_buckets * BUCKET_BYTES)
         self.extents_mr = self.server_device.register_memory(self.config.extent_bytes)
@@ -242,29 +238,22 @@ class PilafFullCluster:
             extent_buffer=self.extents_mr.buf,
             seed=seed,
         )
-        self.client_devices = [
-            RdmaDevice(Machine(self.sim, self.fabric, "cm%d" % i, cache_seed=seed + i + 1))
-            for i in range(n_client_machines)
-        ]
         self.servers = [
             _PilafFullServerProcess(s, self.server_device, self.table)
             for s in range(self.config.n_server_processes)
         ]
-        self.clients: List[_PilafFullClient] = []
         self._wire(n_clients, seed)
 
     def _wire(self, n_clients: int, seed: int) -> None:
         cfg = self.config
         for cid in range(n_clients):
-            device = self.client_devices[cid % len(self.client_devices)]
+            device = self.client_device(cid)
             stream = self.workload.stream(seed=seed * 6_700_417 + cid)
             client = _PilafFullClient(cid, device, cfg, stream, self.table)
             sproc = self.servers[cid % len(self.servers)]
-            server_qp = self.server_device.create_qp(Transport.RC, recv_cq=sproc.recv_cq)
-            client_qp = device.create_qp(Transport.RC)
-            server_qp.connect(device.machine.name, client_qp.qpn)
-            client_qp.connect("server", server_qp.qpn)
-            client.qp = client_qp
+            server_qp, client.qp = self.connect(
+                self.server_device, device, Transport.RC, sproc.recv_cq
+            )
             client.table_addr = self.table_mr.addr
             client.table_rkey = self.table_mr.rkey
             client.extents_addr = self.extents_mr.addr
@@ -287,19 +276,7 @@ class PilafFullCluster:
             self.table.put(keyhash(item), value_for(item, self.config.value_bytes))
 
     def run(self, warmup_ns: float = 30_000.0, measure_ns: float = 150_000.0) -> RunResult:
-        window_end = warmup_ns + measure_ns
-        meter = RateMeter(warmup_ns, window_end)
-        latencies = LatencyRecorder(warmup_ns, window_end)
-        for client in self.clients:
-            def hook(now, latency, _m=meter, _l=latencies):
-                _m.record(now)
-                _l.record(now, latency)
-
-            client.completed_hook = hook
-            client.start()
-        for server in self.servers:
-            server.start()
-        self.sim.run(until=window_end)
+        meter, latencies = self.run_window(warmup_ns, measure_ns)
         gets = sum(c.gets for c in self.clients)
         probes = sum(c.probes_issued for c in self.clients)
         return collect(
@@ -494,7 +471,7 @@ class _FarmFullServerProcess:
             self.puts_handled += 1
 
 
-class FarmFullCluster:
+class FarmFullCluster(Testbed):
     """FaRM-KV with its real hopscotch table resident in server memory."""
 
     PUT_SLOT = 2048
@@ -512,11 +489,7 @@ class FarmFullCluster:
         self.workload = workload if workload is not None else Workload(
             get_fraction=0.95, value_size=self.config.value_bytes
         )
-        self.sim = Simulator()
-        self.fabric = Fabric(self.sim, profile)
-        self.server_device = RdmaDevice(
-            Machine(self.sim, self.fabric, "server", cache_seed=seed)
-        )
+        super().__init__(profile, n_client_machines, seed)
         n_slots = 1 << (self.config.n_slots - 1).bit_length()
         inline = self.config.inline_values
         slot_bytes = (20 + self.config.value_bytes) if inline else 24
@@ -535,15 +508,10 @@ class FarmFullCluster:
             table_buffer=self.table_mr.buf,
             extent_buffer=extent_buffer,
         )
-        self.client_devices = [
-            RdmaDevice(Machine(self.sim, self.fabric, "cm%d" % i, cache_seed=seed + i + 1))
-            for i in range(n_client_machines)
-        ]
         self.servers = [
             _FarmFullServerProcess(s, self.server_device, self.table)
             for s in range(self.config.n_server_processes)
         ]
-        self.clients: List[_FarmFullClient] = []
         lanes = n_clients * self.config.window
         self.put_buffers = self.server_device.register_memory(lanes * self.PUT_SLOT)
         self.put_buffers.on_write = self._put_landed
@@ -552,20 +520,18 @@ class FarmFullCluster:
     def _wire(self, n_clients: int, seed: int) -> None:
         cfg = self.config
         for cid in range(n_clients):
-            device = self.client_devices[cid % len(self.client_devices)]
+            device = self.client_device(cid)
             stream = self.workload.stream(seed=seed * 15_485_863 + cid)
             client = _FarmFullClient(cid, device, cfg, stream, self.table)
             sproc = self.servers[cid % len(self.servers)]
-            s_read = self.server_device.create_qp(Transport.RC)
-            c_read = device.create_qp(Transport.RC)
-            s_read.connect(device.machine.name, c_read.qpn)
-            c_read.connect("server", s_read.qpn)
-            client.read_qp = c_read
-            s_put = self.server_device.create_qp(Transport.UC)
-            c_put = device.create_qp(Transport.UC)
-            s_put.connect(device.machine.name, c_put.qpn)
-            c_put.connect("server", s_put.qpn)
-            client.put_qp = c_put
+            # _put_landed turns a cid back into this index arithmetically
+            assert len(sproc.clients) == cid // len(self.servers)
+            _s_read, client.read_qp = self.connect(
+                self.server_device, device, Transport.RC
+            )
+            s_put, client.put_qp = self.connect(
+                self.server_device, device, Transport.UC
+            )
             client.table_addr = self.table_mr.addr
             client.table_rkey = self.table_mr.rkey
             if self.extents_mr is not None:
@@ -575,7 +541,7 @@ class FarmFullCluster:
             client.put_rkey = self.put_buffers.rkey
             client.put_slot_bytes = self.PUT_SLOT
             sproc.clients.append(
-                {"qp": s_put, "ack_addr": client.ack_mr.addr, "ack_rkey": client.ack_mr.rkey, "cid": cid}
+                {"qp": s_put, "ack_addr": client.ack_mr.addr, "ack_rkey": client.ack_mr.rkey}
             )
             self.clients.append(client)
 
@@ -583,30 +549,15 @@ class FarmFullCluster:
         lane_global = offset // self.PUT_SLOT
         cid, lane = divmod(lane_global, self.config.window)
         sproc = self.servers[cid % len(self.servers)]
-        client_index = next(
-            i for i, st in enumerate(sproc.clients) if st["cid"] == cid
-        )
         data = self.put_buffers.read(offset, length)
-        sproc.arrivals.put((client_index, lane, data))
+        sproc.arrivals.put((cid // len(self.servers), lane, data))
 
     def preload(self, items: range) -> None:
         for item in items:
             self.table.put(keyhash(item), value_for(item, self.config.value_bytes))
 
     def run(self, warmup_ns: float = 30_000.0, measure_ns: float = 150_000.0) -> RunResult:
-        window_end = warmup_ns + measure_ns
-        meter = RateMeter(warmup_ns, window_end)
-        latencies = LatencyRecorder(warmup_ns, window_end)
-        for client in self.clients:
-            def hook(now, latency, _m=meter, _l=latencies):
-                _m.record(now)
-                _l.record(now, latency)
-
-            client.completed_hook = hook
-            client.start()
-        for server in self.servers:
-            server.start()
-        self.sim.run(until=window_end)
+        meter, latencies = self.run_window(warmup_ns, measure_ns)
         return collect(
             meter,
             latencies,

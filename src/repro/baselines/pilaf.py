@@ -29,14 +29,15 @@ from dataclasses import dataclass
 from typing import Generator, List, Optional
 
 from repro.bench.result import RunResult, collect
-from repro.hw import APT, Fabric, HardwareProfile, Machine
+from repro.hw import APT, HardwareProfile
 from repro.kv.hashing import hash_key
-from repro.sim import Event, LatencyRecorder, RateMeter, Simulator, Store
+from repro.sim import Event, Store
 from repro.verbs import (
     CompletionQueue,
     QueuePair,
     RdmaDevice,
     RecvRequest,
+    Testbed,
     Transport,
     WorkRequest,
 )
@@ -214,7 +215,7 @@ class _PilafServerProcess:
             self.puts_handled += 1
 
 
-class PilafCluster:
+class PilafCluster(Testbed):
     """An emulated Pilaf deployment (Pilaf-em-OPT)."""
 
     #: hash-table and extent sizes (addresses only; contents are dummy)
@@ -234,36 +235,25 @@ class PilafCluster:
         self.workload = workload if workload is not None else Workload(
             get_fraction=0.95, value_size=self.config.value_bytes
         )
-        self.sim = Simulator()
-        self.fabric = Fabric(self.sim, profile)
-        self.server_device = RdmaDevice(
-            Machine(self.sim, self.fabric, "server", cache_seed=seed)
-        )
+        super().__init__(profile, n_client_machines, seed)
         self.table = self.server_device.register_memory(self.TABLE_BYTES)
         self.extents = self.server_device.register_memory(self.EXTENT_BYTES)
-        self.client_devices = [
-            RdmaDevice(Machine(self.sim, self.fabric, "cm%d" % i, cache_seed=seed + i + 1))
-            for i in range(n_client_machines)
-        ]
         self.servers = [
             _PilafServerProcess(s, self.server_device)
             for s in range(self.config.n_server_processes)
         ]
-        self.clients: List[_PilafClientProcess] = []
         self._wire(n_clients, seed)
 
     def _wire(self, n_clients: int, seed: int) -> None:
         cfg = self.config
         for cid in range(n_clients):
-            device = self.client_devices[cid % len(self.client_devices)]
+            device = self.client_device(cid)
             stream = self.workload.stream(seed=seed * 7_919 + cid)
             client = _PilafClientProcess(cid, device, cfg, stream, seed=cid + 13)
             sproc = self.servers[cid % len(self.servers)]
-            server_qp = self.server_device.create_qp(Transport.RC, recv_cq=sproc.recv_cq)
-            client_qp = device.create_qp(Transport.RC)
-            server_qp.connect(device.machine.name, client_qp.qpn)
-            client_qp.connect("server", server_qp.qpn)
-            client.qp = client_qp
+            server_qp, client.qp = self.connect(
+                self.server_device, device, Transport.RC, sproc.recv_cq
+            )
             client.table_addr = self.table.addr
             client.table_rkey = self.table.rkey
             client.table_bytes = self.TABLE_BYTES
@@ -286,19 +276,7 @@ class PilafCluster:
     # ------------------------------------------------------------------
 
     def run(self, warmup_ns: float = 30_000.0, measure_ns: float = 150_000.0) -> RunResult:
-        window_end = warmup_ns + measure_ns
-        meter = RateMeter(warmup_ns, window_end)
-        latencies = LatencyRecorder(warmup_ns, window_end)
-        for client in self.clients:
-            def hook(now, latency, _m=meter, _l=latencies):
-                _m.record(now)
-                _l.record(now, latency)
-
-            client.completed_hook = hook
-            client.start()
-        for server in self.servers:
-            server.start()
-        self.sim.run(until=window_end)
+        meter, latencies = self.run_window(warmup_ns, measure_ns)
         gets = sum(c.gets for c in self.clients)
         probes = sum(c.probes_issued for c in self.clients)
         return collect(

@@ -654,26 +654,12 @@ def run_chaos(
         client.response_hook = make_response_hook(client.client_id)
         client.stop_after = horizon_ns
         client.start()
-    for server in cluster.servers:
-        server.start()
-    if cluster.ha is not None:
-        for servers in cluster.ha.replica_servers[1:]:
-            for server in servers:
-                server.start()
-        for node in cluster.ha.nodes:
-            node.start()
-        cluster.ha.monitor.start()
-    if cluster.elastic is not None:
-        cluster.elastic.coordinator.start()
-        if elastic_mode:
-            # membership: the spare partitions join a quarter in, while
-            # traffic (and, at 0.4h, the pinned crash) is live
-            for spare in range(
-                config.n_active_partitions, config.n_server_processes
-            ):
-                cluster.elastic.coordinator.schedule_join(
-                    spare, at_ns=0.25 * horizon_ns
-                )
+    cluster.start_servers()
+    if cluster.elastic is not None and elastic_mode:
+        # membership: the spare partitions join a quarter in, while
+        # traffic (and, at 0.4h, the pinned crash) is live
+        for spare in range(config.n_active_partitions, config.n_server_processes):
+            cluster.elastic.coordinator.schedule_join(spare, at_ns=0.25 * horizon_ns)
     sim.call_in(horizon_ns, injector.deactivate)
 
     sim.run(until=horizon_ns)

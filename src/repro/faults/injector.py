@@ -14,7 +14,7 @@ export.  Recovery actions (QP re-arm, server restart) are counted too.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Sequence
 
 from repro.faults.plan import (
     CORRUPT,
@@ -35,37 +35,25 @@ class FaultInjector:
     def __init__(
         self,
         plan: FaultPlan,
-        target: Any,
+        fabric: Fabric,
         devices: Optional[Dict[str, Any]] = None,
+        servers: Optional[Sequence[Any]] = None,
     ) -> None:
-        """Install ``plan`` onto ``target``.
+        """Install ``plan`` onto ``fabric``.
 
-        ``target`` is either a ``HerdCluster`` (recognised by its
-        ``fabric`` attribute; devices and server processes are found
-        automatically) or a bare :class:`~repro.hw.link.Fabric` (pass
-        ``devices`` — a machine-name map — if the plan carries
-        device-level rules).
+        ``devices`` maps machine names to their
+        :class:`~repro.verbs.RdmaDevice` (needed when the plan carries
+        device-level rules) and ``servers`` lists the crashable server
+        processes (needed for crash rules); a
+        :class:`~repro.verbs.Testbed` passes its own registry of both
+        from ``install_faults``.
         """
         self.plan = plan
         self.active = True
         self.counts: Dict[str, int] = {}
-        if isinstance(target, Fabric):
-            self.fabric = target
-            self.cluster = None
-            self.devices = dict(devices or {})
-        else:  # duck-typed HerdCluster
-            self.cluster = target
-            self.fabric = target.fabric
-            self.devices = {"server": target.server_device}
-            for device in target.client_devices:
-                self.devices[device.machine.name] = device
-            ha = getattr(target, "ha", None)
-            if ha is not None:
-                for device in ha.devices[1:]:
-                    self.devices[device.machine.name] = device
-                self.devices["monitor"] = ha.monitor.device
-            if devices:
-                self.devices.update(devices)
+        self.fabric = fabric
+        self.devices = devices if devices is not None else {}
+        self.servers = servers
         self.sim = self.fabric.sim
         #: per-server (and per-QP) earliest allowed recovery time: when
         #: crash/error windows overlap, the union of the windows wins —
@@ -113,13 +101,13 @@ class FaultInjector:
                     qpe.at_ns + qpe.recover_after_ns,
                     lambda q=qpe: self._fire_qp_recover(q),
                 )
-        if self.plan.crashes and self.cluster is None:
+        if self.plan.crashes and self.servers is None:
             raise RuntimeError("crash rules require installing onto a cluster")
         for crash in self.plan.crashes:
-            if not 0 <= crash.server_index < len(self.cluster.servers):
+            if not 0 <= crash.server_index < len(self.servers):
                 raise ValueError(
                     "crash rule targets server %d; cluster has %d"
-                    % (crash.server_index, len(self.cluster.servers))
+                    % (crash.server_index, len(self.servers))
                 )
             self._schedule(crash.at_ns, lambda c=crash: self._fire_crash(c))
             self._schedule(
@@ -272,13 +260,13 @@ class FaultInjector:
         # window union decides when recovery is legal, not whichever
         # window happened to fire first.
         self._hold_down(rule.server_index, self.sim.now + rule.down_ns)
-        server = self.cluster.servers[rule.server_index]
+        server = self.servers[rule.server_index]
         if server.crash():
             self.count("server_crash")
 
     def _fire_recover(self, rule) -> None:
         if not self._may_recover(rule.server_index):
             return  # a later overlapping crash window still holds it
-        server = self.cluster.servers[rule.server_index]
+        server = self.servers[rule.server_index]
         if server.recover():
             self.count("server_recovery")

@@ -12,9 +12,10 @@ A plan is a declarative list of fault rules built with chained calls::
         .crash_server(0, at_ns=100_000, down_ns=60_000)
         .flap_link("cm1", at_ns=200_000, down_ns=10_000)
     )
-    injector = plan.install(cluster)
+    injector = cluster.install_faults(plan)
 
-Nothing happens until :meth:`FaultPlan.install` hands the plan to a
+Nothing happens until a testbed's ``install_faults`` (or, on a bare
+fabric, :meth:`FaultPlan.install`) hands the plan to a
 :class:`~repro.faults.injector.FaultInjector`, which attaches hooks to
 the fabric / devices / server processes and schedules the timed faults.
 All randomness (which packet a ``rate`` rule hits) comes from named
@@ -202,8 +203,8 @@ class FaultPlan:
         return self
 
     def uniform_loss(self, rate: float) -> "FaultPlan":
-        """Every packet, any direction: the plan-level equivalent of
-        the legacy ``Fabric.bit_error_rate`` knob."""
+        """Every packet, any direction: the paper's one loss source, a
+        flat bit-error rate (Section 2.2.3)."""
         return self.drop(rate=rate)
 
     def corrupt(
@@ -478,16 +479,17 @@ class FaultPlan:
             or self.flaps
         )
 
-    def install(self, target):
-        """Attach this plan to a ``HerdCluster`` or a bare ``Fabric``.
+    def install(self, fabric):
+        """Attach this plan to a bare ``Fabric`` (verbs-level
+        experiments; a cluster takes it through ``install_faults``,
+        which also resolves device and crash rules).
 
         Returns the :class:`~repro.faults.injector.FaultInjector` doing
-        the work.  Installing onto a bare fabric supports verbs-level
-        experiments; crash rules then require a cluster.
+        the work.
         """
         from repro.faults.injector import FaultInjector
 
-        return FaultInjector(self, target)
+        return FaultInjector(self, fabric)
 
     def describe(self) -> str:
         """A human-readable one-line-per-rule summary.

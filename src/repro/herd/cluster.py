@@ -13,9 +13,9 @@ from typing import List, Optional
 from repro.bench.result import RunResult, collect
 from repro.obs.report import RunReport
 from repro.faults.rng import child_rng, derive_seed
-from repro.hw import APT, Fabric, HardwareProfile, Machine
-from repro.sim import LatencyRecorder, RateMeter, Simulator
-from repro.verbs import RdmaDevice, Transport
+from repro.hw import APT, HardwareProfile
+from repro.sim import RateMeter
+from repro.verbs import Testbed, Transport
 from repro.workloads.ycsb import Workload, value_for
 from repro.herd.client import HerdClientProcess
 from repro.herd.config import HerdConfig, route_key
@@ -45,7 +45,7 @@ class HaRuntime:
         self.monitor = None  # LeaseMonitor
 
 
-class HerdCluster:
+class HerdCluster(Testbed):
     """A complete HERD system on one simulated fabric."""
 
     def __init__(
@@ -57,25 +57,8 @@ class HerdCluster:
     ) -> None:
         self.config = config if config is not None else HerdConfig()
         self.profile = profile
-        self.seed = seed
-        self.sim = Simulator()
-        # Every randomness source gets its own named child stream of the
-        # cluster seed (repro.faults.rng): enabling loss or fault
-        # injection must not perturb workload or cache draws.
-        self.fabric = Fabric(
-            self.sim, profile, loss_seed=derive_seed(seed, "fabric.loss")
-        )
-        self.server_device = RdmaDevice(
-            Machine(self.sim, self.fabric, "server", cache_seed=seed)
-        )
-        self.client_devices = [
-            RdmaDevice(Machine(self.sim, self.fabric, "cm%d" % i, cache_seed=seed + i + 1))
-            for i in range(n_client_machines)
-        ]
-        self.clients: List[HerdClientProcess] = []
-        self.servers: List[HerdServerProcess] = []
+        super().__init__(profile, n_client_machines, seed)
         self.region: Optional[RequestRegion] = None
-        self.injector = None  # set by install_faults()
         #: ElasticRuntime (repro.elastic) when n_active_partitions is
         #: set; None keeps the classic static sharding
         self.elastic = None
@@ -91,23 +74,11 @@ class HerdCluster:
         rf = self.config.replication_factor
         if rf > 1:
             self._ha_devices = [
-                RdmaDevice(
-                    Machine(
-                        self.sim,
-                        self.fabric,
-                        "rep%d" % r,
-                        cache_seed=derive_seed(seed, "ha.rep%d" % r),
-                    )
-                )
+                self.add_machine("rep%d" % r, derive_seed(seed, "ha.rep%d" % r))
                 for r in range(1, rf)
             ]
-            self._monitor_device = RdmaDevice(
-                Machine(
-                    self.sim,
-                    self.fabric,
-                    "monitor",
-                    cache_seed=derive_seed(seed, "ha.monitor"),
-                )
+            self._monitor_device = self.add_machine(
+                "monitor", derive_seed(seed, "ha.monitor")
             )
 
     # ------------------------------------------------------------------
@@ -125,11 +96,10 @@ class HerdCluster:
             raise RuntimeError("cannot add clients after wiring")
         for i in range(n):
             cid = len(self.clients)
-            device = self.client_devices[cid % len(self.client_devices)]
             stream = workload.stream(seed=self.seed * 1_000_003 + cid)
             client = HerdClientProcess(
                 cid,
-                device,
+                self.client_device(cid),
                 self.config,
                 stream,
                 retry_rng=child_rng(self.seed, "client%d.retry" % cid),
@@ -171,28 +141,23 @@ class HerdCluster:
                     self.server_device.create_qp(Transport.UC)
                     for _ in range(qos.qp_pool)
                 ]
-                connected = [False] * len(pool)
                 for client in self.clients:
-                    index = client.client_id % len(pool)
-                    server_qp = pool[index]
+                    server_qp = pool[client.client_id % len(pool)]
                     client_qp = client.device.create_qp(Transport.UC)
                     client_qp.connect("server", server_qp.qpn)
-                    if not connected[index]:
+                    if server_qp.peer is None:
                         # the pool QP's peer is inert (the server never
                         # sends on it); aim it at its first client so
                         # the QP reaches RTS like any connected QP
                         server_qp.connect(client.device.machine.name, client_qp.qpn)
-                        connected[index] = True
                     client.uc_qp = client_qp
                     client.region = self.region
             else:
                 # The initializer's UC connections: one per client process.
                 for client in self.clients:
-                    server_qp = self.server_device.create_qp(Transport.UC)
-                    client_qp = client.device.create_qp(Transport.UC)
-                    server_qp.connect(client.device.machine.name, client_qp.qpn)
-                    client_qp.connect("server", server_qp.qpn)
-                    client.uc_qp = client_qp
+                    _server_qp, client.uc_qp = self.connect(
+                        self.server_device, client.device, Transport.UC
+                    )
                     client.region = self.region
         # Server processes, each with the response AH table.
         for s in range(self.config.n_server_processes):
@@ -260,10 +225,9 @@ class HerdCluster:
             client.ha_regions = ha.regions
             client.ha_uc_qps = [client.uc_qp]
             for r in range(1, rf):
-                server_qp = ha.devices[r].create_qp(Transport.UC)
-                client_qp = client.device.create_qp(Transport.UC)
-                server_qp.connect(client.device.machine.name, client_qp.qpn)
-                client_qp.connect(ha.devices[r].machine.name, server_qp.qpn)
+                _server_qp, client_qp = self.connect(
+                    ha.devices[r], client.device, Transport.UC
+                )
                 client.ha_uc_qps.append(client_qp)
         # Roles: one per (partition, replica), grouped per partition.
         roles_by_replica: List[List[ReplicaRole]] = [[] for _ in range(rf)]
@@ -282,14 +246,13 @@ class HerdCluster:
         # The RC replication mesh: one connected QP pair per machine pair.
         for a in range(rf):
             for b in range(a + 1, rf):
-                qp_a = ha.devices[a].create_qp(
-                    Transport.RC, recv_cq=ha.nodes[a].mesh_cq
+                qp_a, qp_b = self.connect(
+                    ha.devices[a],
+                    ha.devices[b],
+                    Transport.RC,
+                    ha.nodes[a].mesh_cq,
+                    ha.nodes[b].mesh_cq,
                 )
-                qp_b = ha.devices[b].create_qp(
-                    Transport.RC, recv_cq=ha.nodes[b].mesh_cq
-                )
-                qp_a.connect(ha.devices[b].machine.name, qp_b.qpn)
-                qp_b.connect(ha.devices[a].machine.name, qp_a.qpn)
                 ha.nodes[a].add_peer(b, qp_a)
                 ha.nodes[b].add_peer(a, qp_b)
         # The lease monitor, with control paths to every replica and
@@ -337,19 +300,10 @@ class HerdCluster:
             coordinator.map_listeners.append(client.elastic_on_map)
         self.elastic = ElasticRuntime(coordinator, agents)
 
-    def install_faults(self, plan) -> "object":
-        """Install a :class:`repro.faults.FaultPlan` onto this cluster.
-
-        Wires the cluster first if needed (crash rules must resolve
-        server processes).  Returns the live injector, also kept as
-        ``self.injector`` for counter inspection after the run.
-        """
-        from repro.faults import FaultInjector
-
-        if not self._wired:
-            self.wire()
-        self.injector = FaultInjector(plan, self)
-        return self.injector
+    def install_faults(self, plan):
+        """Wire first: crash rules must resolve server processes."""
+        self.wire()
+        return super().install_faults(plan)
 
     # ------------------------------------------------------------------
 
@@ -358,8 +312,7 @@ class HerdCluster:
         start, like running a load phase before the measurement)."""
         from repro.workloads.ycsb import keyhash
 
-        if not self._wired:
-            self.wire()
+        self.wire()
         ns = self.config.n_server_processes
         shard_map = self.elastic.shard_map if self.elastic is not None else None
         replica_servers = (
@@ -373,32 +326,16 @@ class HerdCluster:
 
     # ------------------------------------------------------------------
 
-    def run(self, warmup_ns: float = 50_000.0, measure_ns: float = 200_000.0) -> RunResult:
-        """Start every process and measure one window."""
-        if not self._wired:
-            self.wire()
-        window_end = warmup_ns + measure_ns
-        meter = RateMeter(warmup_ns, window_end)
-        latencies = LatencyRecorder(warmup_ns, window_end)
-        per_server = [RateMeter(warmup_ns, window_end) for _ in self.servers]
+    def attach_meter(self, client, record) -> None:
+        def hook(op, latency, success, now, _prev=client.response_hook):
+            record(now, latency)
+            if _prev is not None:
+                _prev(op, latency, success, now)
 
-        for client in self.clients:
-            def hook(op, latency, success, now, _m=meter, _l=latencies, _prev=client.response_hook):
-                _m.record(now)
-                _l.record(now, latency)
-                if _prev is not None:
-                    _prev(op, latency, success, now)
+        client.response_hook = hook
 
-            client.response_hook = hook
-            client.start()
-        for server in self.servers:
-            def shook(client_id, op, now, _m=per_server[server.index], _prev=server.completion_hook):
-                _m.record(now)
-                if _prev is not None:
-                    _prev(client_id, op, now)
-
-            server.completion_hook = shook
-            server.start()
+    def start_servers(self) -> None:
+        super().start_servers()
         if self.ha is not None:
             for servers in self.ha.replica_servers[1:]:
                 for server in servers:
@@ -409,7 +346,19 @@ class HerdCluster:
             if self.elastic is not None:
                 self.elastic.coordinator.start()
 
-        self.sim.run(until=window_end)
+    def run(self, warmup_ns: float = 50_000.0, measure_ns: float = 200_000.0) -> RunResult:
+        """Start every process and measure one window."""
+        self.wire()
+        window_end = warmup_ns + measure_ns
+        per_server = [RateMeter(warmup_ns, window_end) for _ in self.servers]
+        for server in self.servers:
+            def shook(client_id, op, now, _m=per_server[server.index], _prev=server.completion_hook):
+                _m.record(now)
+                if _prev is not None:
+                    _prev(client_id, op, now)
+
+            server.completion_hook = shook
+        meter, latencies = self.run_window(warmup_ns, measure_ns)
         machine = self.server_device.machine
         elapsed = self.sim.now
         qos_extras = {}

@@ -23,14 +23,15 @@ from dataclasses import dataclass
 from typing import Deque, Generator, List, Optional, Tuple
 
 from repro.bench.result import RunResult, collect
-from repro.hw import APT, Fabric, HardwareProfile, Machine
+from repro.hw import APT, HardwareProfile
 from repro.kv.mica import MicaCache
-from repro.sim import Event, LatencyRecorder, RateMeter, Simulator
+from repro.sim import Event, Simulator
 from repro.verbs import (
     CompletionQueue,
     QueuePair,
     RdmaDevice,
     RecvRequest,
+    Testbed,
     Transport,
     WorkRequest,
 )
@@ -246,7 +247,7 @@ class _UdClientProcess:
         return self.recv_mr.read(slot * _RECV_SLOT + _GRH, cqe.byte_len)
 
 
-class SendSendHerdCluster:
+class SendSendHerdCluster(Testbed):
     """HERD with SEND/SEND request-response over UD (Section 5.5)."""
 
     def __init__(
@@ -257,29 +258,18 @@ class SendSendHerdCluster:
         seed: int = 0,
     ) -> None:
         self.config = config if config is not None else HerdConfig()
-        self.sim = Simulator()
-        self.fabric = Fabric(self.sim, profile)
-        self.server_device = RdmaDevice(
-            Machine(self.sim, self.fabric, "server", cache_seed=seed)
-        )
-        self.client_devices = [
-            RdmaDevice(Machine(self.sim, self.fabric, "cm%d" % i, cache_seed=seed + i + 1))
-            for i in range(n_client_machines)
-        ]
+        super().__init__(profile, n_client_machines, seed)
         self.servers = [
             _UdServerProcess(s, self.server_device, self.config)
             for s in range(self.config.n_server_processes)
         ]
-        self.clients: List[_UdClientProcess] = []
-        self.seed = seed
 
     def add_clients(self, n: int, workload: Workload) -> None:
         ahs = [("server", s.qp.qpn) for s in self.servers]
         for i in range(n):
             cid = len(self.clients)
-            device = self.client_devices[cid % len(self.client_devices)]
             stream = workload.stream(seed=self.seed * 1_000_003 + cid)
-            client = _UdClientProcess(cid, device, self.config, stream)
+            client = _UdClientProcess(cid, self.client_device(cid), self.config, stream)
             client.server_ahs = ahs
             self.clients.append(client)
 
@@ -291,20 +281,11 @@ class SendSendHerdCluster:
             server = self.servers[partition_of(kh, len(self.servers))]
             server.store.put(kh, value_for(item, value_size))
 
-    def run(self, warmup_ns: float = 50_000.0, measure_ns: float = 200_000.0) -> RunResult:
-        window_end = warmup_ns + measure_ns
-        meter = RateMeter(warmup_ns, window_end)
-        latencies = LatencyRecorder(warmup_ns, window_end)
-        for client in self.clients:
-            def hook(op, latency, success, now, _m=meter, _l=latencies):
-                _m.record(now)
-                _l.record(now, latency)
+    def attach_meter(self, client, record) -> None:
+        client.response_hook = lambda op, latency, success, now: record(now, latency)
 
-            client.response_hook = hook
-            client.start()
-        for server in self.servers:
-            server.start()
-        self.sim.run(until=window_end)
+    def run(self, warmup_ns: float = 50_000.0, measure_ns: float = 200_000.0) -> RunResult:
+        meter, latencies = self.run_window(warmup_ns, measure_ns)
         cache = self.server_device.machine.qp_cache
         return collect(
             meter,

@@ -11,16 +11,13 @@ hook* — ``fn(src, dst, packet, wire_bytes) -> Optional[LinkVerdict]`` —
 installed by :mod:`repro.faults`; it can drop a packet before the wire,
 corrupt it (the receiving NIC's ICRC check discards it after it has
 burned wire and ingress capacity), duplicate it, or add extra delivery
-delay (reordering).  The legacy knobs ``bit_error_rate`` and
-``loss_filter`` are kept as thin wrappers over the same decision point:
-they are consulted only when no fault hook is installed, and express
-the paper's only loss source (bit errors; affected messages are simply
-dropped and it is the application's job to retry).
+delay (reordering).  The paper's only loss source — bit errors, whose
+affected messages are simply dropped for the application to retry — is
+a plan with one drop rule (``FaultPlan.uniform_loss``).
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional
 
@@ -84,21 +81,13 @@ class Fabric:
     port is shared by all of its traffic).
     """
 
-    def __init__(self, sim: Simulator, profile: HardwareProfile, loss_seed: int = 1) -> None:
+    def __init__(self, sim: Simulator, profile: HardwareProfile) -> None:
         self.sim = sim
         self.profile = profile
         self.ports: Dict[str, Port] = {}
-        #: probability that any one packet is corrupted on the wire
-        #: (legacy knob: a thin wrapper over the fault layer's drop
-        #: verdict, used when no fault hook is installed)
-        self.bit_error_rate = 0.0
-        #: optional fn(src, dst) -> loss rate, overriding the flat rate
-        #: (lets failure-injection tests target one direction)
-        self.loss_filter: Optional[Callable[[str, str], float]] = None
-        #: the systematic fault layer (repro.faults installs this);
-        #: takes precedence over the legacy knobs above
+        #: the fault layer (repro.faults installs this): the one
+        #: decision point for every loss source
         self.fault_hook: Optional[FaultHook] = None
-        self._rng = random.Random(loss_seed)
         self.dropped = 0
         self.corrupted = 0
         self.duplicated = 0
@@ -110,11 +99,7 @@ class Fabric:
         Reliable transports arm their retransmission timers off this —
         in a lossless run the timers would only slow the simulator.
         """
-        return (
-            self.bit_error_rate > 0
-            or self.loss_filter is not None
-            or self.fault_hook is not None
-        )
+        return self.fault_hook is not None
 
     def attach(self, name: str, deliver: DeliverFn) -> Port:
         """Register machine ``name`` and its packet-delivery handler."""
@@ -124,24 +109,6 @@ class Fabric:
         port.deliver = deliver
         self.ports[name] = port
         return port
-
-    def _judge(self, src: str, dst: str, packet: Any, wire_bytes: int) -> Optional[LinkVerdict]:
-        """One decision point for every loss source.
-
-        The fault hook wins when installed; otherwise the legacy knobs
-        (a flat bit-error rate, or a per-direction loss filter) roll
-        against the fabric's private RNG.
-        """
-        if self.fault_hook is not None:
-            return self.fault_hook(src, dst, packet, wire_bytes)
-        rate = (
-            self.loss_filter(src, dst)
-            if self.loss_filter is not None
-            else self.bit_error_rate
-        )
-        if rate and self._rng.random() < rate:
-            return LinkVerdict(drop=True)
-        return None
 
     def transmit(self, src: str, dst: str, packet: Any, wire_bytes: int) -> None:
         """Send ``packet`` from ``src`` to ``dst``.
@@ -154,7 +121,8 @@ class Fabric:
         port = self.ports[src]
         port.tx_packets += 1
         port.tx_bytes += wire_bytes
-        verdict = self._judge(src, dst, packet, wire_bytes)
+        hook = self.fault_hook
+        verdict = hook(src, dst, packet, wire_bytes) if hook is not None else None
         if verdict is not None and verdict.drop:
             self.dropped += 1
             return

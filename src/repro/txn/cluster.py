@@ -34,12 +34,12 @@ from typing import Dict, List, Optional, Tuple
 from repro.bench.result import RunResult, collect
 from repro.faults.rng import child_rng
 from repro.ha.checker import TxnRecord, check_serializable
-from repro.hw import APT, Fabric, HardwareProfile, Machine
-from repro.sim import LatencyRecorder, RateMeter, Simulator
+from repro.hw import APT, HardwareProfile
+from repro.sim import LatencyRecorder, RateMeter
 from repro.txn.client import TxnClientProcess, parse_value
 from repro.txn.server import TxnServerProcess
 from repro.txn.store import TxnPartitionStore
-from repro.verbs import RdmaDevice, Transport
+from repro.verbs import Testbed, Transport
 
 DATAPLANES = ("rpc", "onesided")
 
@@ -132,7 +132,7 @@ class TxnReport:
         )
 
 
-class TxnCluster:
+class TxnCluster(Testbed):
     """A transaction deployment on either commit dataplane."""
 
     def __init__(
@@ -144,12 +144,7 @@ class TxnCluster:
         seed: int = 0,
     ) -> None:
         self.config = config if config is not None else TxnConfig()
-        self.seed = seed
-        self.sim = Simulator()
-        self.fabric = Fabric(self.sim, profile)
-        self.server_device = RdmaDevice(
-            Machine(self.sim, self.fabric, "server", cache_seed=seed)
-        )
+        super().__init__(profile, n_client_machines, seed)
         cfg = self.config
         self.stores = [
             TxnPartitionStore(
@@ -161,12 +156,6 @@ class TxnCluster:
             TxnServerProcess(p, self.server_device, self.stores[p], cfg.value_bytes)
             for p in range(cfg.n_partitions)
         ]
-        self.client_devices = [
-            RdmaDevice(Machine(self.sim, self.fabric, "cm%d" % i, cache_seed=seed + i + 1))
-            for i in range(n_client_machines)
-        ]
-        self.clients: List[TxnClientProcess] = []
-        self._n_clients = n_clients
         if cfg.dataplane == "rpc":
             self._regions = []
             for p, server in enumerate(self.servers):
@@ -181,8 +170,6 @@ class TxnCluster:
         self._wire(n_clients, seed)
         #: commit ack timestamps, for the crash-window count
         self._commit_times: List[float] = []
-        #: fault injector, when install_faults() was called
-        self._injector = None
 
     def _request_landed(self, server: TxnServerProcess):
         slot = self.config.req_slot_bytes
@@ -195,15 +182,13 @@ class TxnCluster:
     def _wire(self, n_clients: int, seed: int) -> None:
         cfg = self.config
         for cid in range(n_clients):
-            device = self.client_devices[cid % len(self.client_devices)]
+            device = self.client_device(cid)
             rng = child_rng(seed, "txn.client.%d" % cid)
             client = TxnClientProcess(cid, device, cfg, rng)
             if cfg.dataplane == "rpc":
-                s_uc = self.server_device.create_qp(Transport.UC)
-                c_uc = device.create_qp(Transport.UC)
-                s_uc.connect(device.machine.name, c_uc.qpn)
-                c_uc.connect("server", s_uc.qpn)
-                client.rpc.uc_qp = c_uc
+                _s_uc, client.rpc.uc_qp = self.connect(
+                    self.server_device, device, Transport.UC
+                )
                 for p, region in enumerate(self._regions):
                     client.rpc.req_slots[p] = (
                         region.addr + cid * cfg.req_slot_bytes,
@@ -215,11 +200,9 @@ class TxnCluster:
                         (device.machine.name, client.rpc.ud_qp.qpn)
                     )
             else:
-                s_rc = self.server_device.create_qp(Transport.RC)
-                c_rc = device.create_qp(Transport.RC)
-                s_rc.connect(device.machine.name, c_rc.qpn)
-                c_rc.connect("server", s_rc.qpn)
-                client.rc_qp = c_rc
+                _s_rc, client.rc_qp = self.connect(
+                    self.server_device, device, Transport.RC
+                )
                 for p, store in enumerate(self.stores):
                     client.store_slots[p] = (store.mr.addr, store.mr.rkey)
             self.clients.append(client)
@@ -237,17 +220,12 @@ class TxnCluster:
         :meth:`run`, so the drain (and therefore the audited history's
         tail) is fault-free, mirroring the chaos harness.
         """
-        from repro.faults.injector import FaultInjector
-
         if plan.crashes:
             raise ValueError(
                 "crash rules must be mapped onto TxnConfig.crash; "
                 "the txn fabric injector cannot crash HERD servers"
             )
-        devices = {"server": self.server_device}
-        for device in self.client_devices:
-            devices[device.machine.name] = device
-        for device in devices.values():
+        for device in self.devices.values():
             # The one-sided commit protocol pipelines WRITEs on RC and
             # relies on the transport's in-order exactly-once contract
             # (there is no CPU on the path to re-sequence at the app
@@ -255,14 +233,16 @@ class TxnCluster:
             # hardware, so model the PSN machinery whenever faults are
             # installed here; without faults the flag is moot.
             device.enforce_rc_ordering = True
-        self._injector = FaultInjector(plan, self.fabric, devices=devices)
-        return self._injector
+        return super().install_faults(plan)
+
+    def start_servers(self) -> None:
+        # the one-sided dataplane never involves a server CPU
+        if self.config.dataplane == "rpc":
+            super().start_servers()
 
     def run(self, warmup_ns: float = 20_000.0, measure_ns: float = 150_000.0) -> TxnReport:
         cfg = self.config
         window_end = warmup_ns + measure_ns
-        meter = RateMeter(warmup_ns, window_end)
-        latencies = LatencyRecorder(warmup_ns, window_end)
         metrics = getattr(self.sim, "metrics", None)
 
         def commit_hook(now: float) -> None:
@@ -275,25 +255,17 @@ class TxnCluster:
                 metrics.counter("txn.aborts").inc()
 
         for client in self.clients:
-            def hook(now, latency, _m=meter, _l=latencies):
-                _m.record(now)
-                _l.record(now, latency)
-
-            client.completed_hook = hook
             client.commit_hook = commit_hook
             client.abort_hook = abort_hook
             client.stop_at = window_end
-            client.start()
-        if cfg.dataplane == "rpc":
-            for server in self.servers:
-                server.start()
+        meter, latencies = self.open_window(warmup_ns, measure_ns)
         if cfg.crash is not None:
             partition, at_ns, down_ns = cfg.crash
             server = self.servers[partition]
             self.sim.call_in(at_ns, server.crash)
             self.sim.call_in(at_ns + down_ns, server.recover)
-        if self._injector is not None:
-            self.sim.call_in(window_end, self._injector.deactivate)
+        if self.injector is not None:
+            self.sim.call_in(window_end, self.injector.deactivate)
         self.sim.run(until=window_end)
         # Drain: clients stop starting transactions at the horizon but
         # in-flight ones complete, so the audited history has no

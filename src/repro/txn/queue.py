@@ -33,14 +33,14 @@ from typing import Dict, Generator, List, Optional, Tuple
 
 from repro.bench.result import RunResult, collect
 from repro.faults.rng import child_rng
-from repro.hw import APT, Fabric, HardwareProfile, Machine
-from repro.sim import Event, LatencyRecorder, RateMeter, Simulator, Store
+from repro.hw import APT, HardwareProfile
+from repro.sim import Event, LatencyRecorder, RateMeter, Store
 from repro.txn import wire
 from repro.txn.cluster import DATAPLANES
 from repro.txn.client import RpcChannel
 from repro.txn.server import TxnServerProcess
 from repro.txn.store import TxnPartitionStore
-from repro.verbs import QueuePair, RdmaDevice, Transport, WorkRequest
+from repro.verbs import QueuePair, RdmaDevice, Testbed, Transport, WorkRequest
 
 _U64 = struct.Struct("<Q")
 _SLOT = struct.Struct("<QQ")
@@ -279,7 +279,7 @@ class _QueueClient:
                 )
 
 
-class TxnQueueCluster:
+class TxnQueueCluster(Testbed):
     """A remote FIFO queue deployment, one-sided or RPC."""
 
     def __init__(
@@ -292,11 +292,7 @@ class TxnQueueCluster:
     ) -> None:
         self.config = config if config is not None else QueueConfig()
         cfg = self.config
-        self.sim = Simulator()
-        self.fabric = Fabric(self.sim, profile)
-        self.server_device = RdmaDevice(
-            Machine(self.sim, self.fabric, "server", cache_seed=seed)
-        )
+        super().__init__(profile, n_client_machines, seed)
         self.ring = self.server_device.register_memory(
             RING_OFF + cfg.capacity * SLOT_BYTES
         )
@@ -311,57 +307,46 @@ class TxnQueueCluster:
             self.server.region = self._region
             self.server.req_slot_bytes = 64
             self.server.ud_qp = self.server_device.create_qp(Transport.UD)
-        self.client_devices = [
-            RdmaDevice(Machine(self.sim, self.fabric, "cm%d" % i, cache_seed=seed + i + 1))
-            for i in range(n_client_machines)
-        ]
-        self.clients: List[_QueueClient] = []
+            self.servers = [self.server]
+        #: time of the last completion (the workload is a fixed op count)
+        self._finish = 0.0
         for cid in range(n_clients):
-            device = self.client_devices[cid % len(self.client_devices)]
+            device = self.client_device(cid)
             client = _QueueClient(cid, device, cfg, child_rng(seed, "q.client.%d" % cid))
             if cfg.dataplane == "rpc":
                 client.rpc = RpcChannel(
                     device, "q-c%d" % cid, cfg.rpc_timeout_ns, recv_bytes=64
                 )
-                s_uc = self.server_device.create_qp(Transport.UC)
-                c_uc = device.create_qp(Transport.UC)
-                s_uc.connect(device.machine.name, c_uc.qpn)
-                c_uc.connect("server", s_uc.qpn)
-                client.rpc.uc_qp = c_uc
+                _s_uc, client.rpc.uc_qp = self.connect(
+                    self.server_device, device, Transport.UC
+                )
                 client.rpc.req_slots[0] = (self._region.addr + cid * 64, self._region.rkey)
                 self.server.client_ahs.append(
                     (device.machine.name, client.rpc.ud_qp.qpn)
                 )
             else:
-                s_rc = self.server_device.create_qp(Transport.RC)
-                c_rc = device.create_qp(Transport.RC)
-                s_rc.connect(device.machine.name, c_rc.qpn)
-                c_rc.connect("server", s_rc.qpn)
-                client.rc_qp = c_rc
+                _s_rc, client.rc_qp = self.connect(
+                    self.server_device, device, Transport.RC
+                )
                 client.ring_addr = self.ring.addr
                 client.ring_rkey = self.ring.rkey
             self.clients.append(client)
 
-    def run(self, warmup_ns: float = 0.0, horizon_ns: float = 2_000_000.0) -> QueueReport:
-        meter = RateMeter(warmup_ns, float("inf"))
-        latencies = LatencyRecorder(warmup_ns, float("inf"))
-        finish = [0.0]
-        for client in self.clients:
-            def hook(now, latency, _m=meter, _l=latencies, _f=finish):
-                _m.record(now)
-                _l.record(now, latency)
-                _f[0] = max(_f[0], now)
+    def attach_meter(self, client, record) -> None:
+        def hook(now, latency):
+            record(now, latency)
+            self._finish = max(self._finish, now)
 
-            client.completed_hook = hook
-            client.start()
-        if self.server is not None:
-            self.server.start()
+        client.completed_hook = hook
+
+    def run(self, warmup_ns: float = 0.0, horizon_ns: float = 2_000_000.0) -> QueueReport:
+        meter, latencies = self.open_window(warmup_ns, float("inf"))
         self.sim.run(until=horizon_ns)
         self.sim.run_until_idle()
         # The workload is a fixed op count, not a fixed window: close
         # the meters at the last completion (sim.now is pinned to the
         # horizon by run(), long after the ops finished).
-        meter.window_end = max(1.0, finish[0])
+        meter.window_end = max(1.0, self._finish)
         latencies.window_end = meter.window_end
         return self._report(meter, latencies)
 

@@ -857,14 +857,22 @@ def connect_pair(
     dev_a: RdmaDevice,
     dev_b: RdmaDevice,
     transport: Transport,
+    recv_cq_a: Optional[CompletionQueue] = None,
+    recv_cq_b: Optional[CompletionQueue] = None,
 ) -> Tuple[QueuePair, QueuePair]:
-    """Create and bind a connected QP on each device (RC or UC)."""
+    """Create and bind a connected QP on each device (RC or UC).
+
+    ``dev_a``'s QP is created first — QPNs, and with them the QP-cache
+    keys, follow creation order.  ``recv_cq_a``/``recv_cq_b`` share an
+    existing receive CQ (a server core polling one CQ for all of its
+    clients) instead of a fresh per-QP one.
+    """
     if not transport.connected:
         raise VerbError(
             "%s queue pairs are not connected; create them directly" % transport.value
         )
-    qp_a = dev_a.create_qp(transport)
-    qp_b = dev_b.create_qp(transport)
+    qp_a = dev_a.create_qp(transport, recv_cq=recv_cq_a)
+    qp_b = dev_b.create_qp(transport, recv_cq=recv_cq_b)
     qp_a.connect(dev_b.machine.name, qp_b.qpn)
     qp_b.connect(dev_a.machine.name, qp_a.qpn)
     return qp_a, qp_b

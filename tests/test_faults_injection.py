@@ -112,9 +112,9 @@ def test_windowed_rule_stops_matching_after_end():
     assert mr.read(0, 5) == b"hello"
 
 
-def test_legacy_knobs_still_work_without_a_hook():
+def test_uniform_loss_drops_every_packet():
     sim, fabric, server, (client,) = make_world()
-    fabric.bit_error_rate = 1.0
+    FaultPlan(seed=1).uniform_loss(1.0).install(fabric)
     mr = server.register_memory(4096)
     _sqp, cqp = connect_pair(server, client, Transport.UC)
     client.post_send(cqp, write_wr(mr))

@@ -9,6 +9,7 @@ These tests inject bit errors and exercise that recovery path.
 
 import pytest
 
+from repro.faults import FaultPlan
 from repro.herd import HerdCluster, HerdConfig
 from repro.workloads import Workload
 
@@ -22,12 +23,12 @@ def lossy_cluster(retry_timeout_ns, loss_rate, toward_server_only=True):
     cluster.add_clients(4, Workload(get_fraction=0.5, value_size=32, n_keys=256))
     cluster.preload(range(256), 32)
 
+    plan = FaultPlan(seed=11)
     if toward_server_only:
-        cluster.fabric.loss_filter = (
-            lambda src, dst: loss_rate if dst == "server" else 0.0
-        )
+        plan.drop(dst="server", rate=loss_rate)
     else:
-        cluster.fabric.bit_error_rate = loss_rate
+        plan.uniform_loss(loss_rate)
+    cluster.install_faults(plan)
     return cluster
 
 
@@ -70,9 +71,7 @@ def test_retries_recover_lost_responses_too():
     )
     cluster.add_clients(4, Workload(get_fraction=0.5, value_size=32, n_keys=256))
     cluster.preload(range(256), 32)
-    cluster.fabric.loss_filter = (
-        lambda src, dst: 0.05 if src == "server" else 0.0
-    )
+    cluster.install_faults(FaultPlan(seed=13).drop(src="server", rate=0.05))
     result = cluster.run(warmup_ns=0, measure_ns=600_000)
     assert sum(c.retries for c in cluster.clients) > 0
     assert result.ops > 300

@@ -3,6 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.faults import FaultPlan
 from repro.herd import HerdCluster, HerdConfig
 from repro.hw import APT, SUSITNA
 from repro.workloads import Workload
@@ -84,10 +85,12 @@ def test_loss_recovery_never_corrupts(
     )
     cluster.preload(range(128), 32)
     rate = loss_permille / 1000.0
+    plan = FaultPlan(seed=loss_permille)
     if toward_server:
-        cluster.fabric.loss_filter = lambda src, dst: rate if dst == "server" else 0.0
+        plan.drop(dst="server", rate=rate)
     else:
-        cluster.fabric.loss_filter = lambda src, dst: rate if src == "server" else 0.0
+        plan.drop(src="server", rate=rate)
+    cluster.install_faults(plan)
     result = cluster.run(warmup_ns=0, measure_ns=400_000)
     assert result.ops > 0
     assert result.extra["get_misses"] == 0

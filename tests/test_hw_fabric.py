@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.faults import FaultPlan
 from repro.hw import APT, Fabric, Machine, MemorySystem
 from repro.sim import Simulator
 
@@ -68,7 +69,7 @@ def test_bit_errors_drop_packets():
     sim, fabric, a, b = make_pair()
     got = []
     b.attach_packet_handler(lambda pkt: got.append(pkt))
-    fabric.bit_error_rate = 1.0
+    FaultPlan(seed=1).uniform_loss(1.0).install(fabric)
     a.transmit("b", "p", wire_bytes=70)
     sim.run_until_idle()
     assert got == []

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.faults import FaultPlan
 from repro.hw import APT, Fabric, Machine
 from repro.sim import Simulator
 from repro.verbs import (
@@ -445,7 +446,7 @@ def test_ah_on_connected_transport_rejected():
 
 def test_rc_retransmits_through_bit_errors():
     sim, fabric, server, (client,) = make_world()
-    fabric.bit_error_rate = 0.5
+    FaultPlan(seed=1).uniform_loss(0.5).install(fabric)
     mr = server.register_memory(4096)
     _sqp, cqp = connect_pair(server, client, Transport.RC)
     client.post_send(
@@ -454,12 +455,13 @@ def test_rc_retransmits_through_bit_errors():
     )
     sim.run_until_idle(limit=50_000_000)
     assert mr.read(0, 7) == b"durable"
+    assert client.retransmits >= 1  # the first copy was lost
 
 
 def test_uc_loss_is_silent():
     """UC sacrifices transport-level retransmission (Section 2.2.3)."""
     sim, fabric, server, (client,) = make_world()
-    fabric.bit_error_rate = 1.0
+    FaultPlan(seed=1).uniform_loss(1.0).install(fabric)
     mr = server.register_memory(4096)
     _sqp, cqp = connect_pair(server, client, Transport.UC)
     client.post_send(

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.faults import FaultPlan
 from repro.hw import APT, Fabric, Machine
 from repro.sim import Simulator
 from repro.verbs import (
@@ -118,7 +119,7 @@ def test_dc_read_roundtrip():
 
 def test_dc_retransmits_through_bit_errors():
     sim, fabric, (a, b) = make_world()
-    fabric.bit_error_rate = 0.5
+    FaultPlan(seed=1).uniform_loss(0.5).install(fabric)
     qp = a.create_qp(Transport.DC)
     dct = b.create_qp(Transport.DC)
     mr = b.register_memory(128)
@@ -131,6 +132,7 @@ def test_dc_retransmits_through_bit_errors():
     )
     sim.run_until_idle(limit=50_000_000)
     assert mr.read(0, 7) == b"durable"
+    assert a.retransmits >= 1  # the first copy was lost
 
 
 def test_herd_over_dc_matches_uc_at_moderate_scale():
