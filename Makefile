@@ -1,6 +1,6 @@
 # Convenience targets for the HERD reproduction.
 
-.PHONY: install test test-fast bench figures figures-full examples metrics-smoke chaos-smoke ha-smoke lab-smoke elastic-smoke engine-smoke qos-smoke txn-smoke nemesis-smoke clean
+.PHONY: install test test-fast bench figures figures-full examples metrics-smoke chaos-smoke ha-smoke lab-smoke elastic-smoke engine-smoke qos-smoke txn-smoke nemesis-smoke perf-pairs clean
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -19,6 +19,13 @@ figures:
 
 figures-full:
 	python -m repro.bench.cli all --scale full
+
+# Interleaved host-time pairs of BASE against this tree on one workload
+# of BENCHMARK.json: the before/after row a performance change owes
+# docs/PERF.md.  make perf-pairs BASE=<git-ref> WORKLOAD=<name> [PAIRS=10]
+PAIRS ?= 10
+perf-pairs:
+	python3 benchmarks/perf_pairs.py $(BASE) $(WORKLOAD) $(PAIRS)
 
 examples:
 	for f in examples/*.py; do echo "== $$f"; python $$f || exit 1; done

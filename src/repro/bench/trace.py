@@ -1,11 +1,13 @@
 """Event tracing: reproduces Figure 1 (steps involved in posting verbs).
 
-Attach a :class:`Tracer` to a simulator (``sim.tracer = Tracer(sim)``)
-and every hardware station records its busy spans: PIO writes, NIC
-engine processing, DMA transactions, wire flights, plus semantic
-markers from the verbs layer (postings, completions, ACKs).  The
-:func:`fig1` experiment runs one of each verb on an otherwise idle
-fabric and renders the timeline — the paper's Figure 1 as text.
+Attach a :class:`Tracer` to a simulator (``sim.tracer = Tracer(sim)``,
+before building the fabric and machines on it — they look the tracer up
+once, at construction) and every hardware station records its busy
+spans: PIO writes, NIC engine processing, DMA transactions, wire
+flights, plus semantic markers from the verbs layer (postings,
+completions, ACKs).  The :func:`fig1` experiment runs one of each verb
+on an otherwise idle fabric and renders the timeline — the paper's
+Figure 1 as text.
 """
 
 from __future__ import annotations
@@ -75,7 +77,17 @@ def _traced_world(profile: HardwareProfile = APT):
     return sim, requester, responder
 
 
-def _run_one(kind: str) -> str:
+#: the four single-verb flows of Figure 1, in the order it shows them
+FIG1_VERBS = (
+    "WRITE, inlined, unreliable, unsignaled",
+    "WRITE (signaled, RC)",
+    "READ",
+    "SEND/RECV (UD)",
+)
+
+
+def run_verb(kind: str) -> Simulator:
+    """Post one verb of ``kind`` on an idle traced fabric; run to idle."""
     sim, requester, responder = _traced_world()
     remote = responder.register_memory(4096)
     remote.write(0, b"R" * 64)
@@ -115,17 +127,16 @@ def _run_one(kind: str) -> str:
     else:
         raise ValueError(kind)
     sim.run_until_idle()
-    return sim.tracer.render("--- %s ---" % kind)
+    return sim
+
+
+def _run_one(kind: str) -> str:
+    return run_verb(kind).tracer.render("--- %s ---" % kind)
 
 
 def fig1() -> str:
     """Figure 1: the DMA / PIO / wire steps of each verb, as timelines."""
-    sections = [
-        _run_one("WRITE, inlined, unreliable, unsignaled"),
-        _run_one("WRITE (signaled, RC)"),
-        _run_one("READ"),
-        _run_one("SEND/RECV (UD)"),
-    ]
+    sections = [_run_one(kind) for kind in FIG1_VERBS]
     header = (
         "fig1 — Steps involved in posting verbs\n"
         "(PIO spans are the CPU writing WQEs; dma spans are NIC-initiated\n"

@@ -4,7 +4,9 @@ InfiniBand/RoCE links are lossless (credit-based / priority flow
 control, Section 2.2.3), so the fabric never drops packets on its own.
 Each machine has one full-duplex port: a transmit-side
 :class:`~repro.sim.FifoServer` models serialisation onto the wire, and a
-fixed propagation + switch delay follows.
+fixed propagation + switch delay follows.  The port is a deterministic
+FIFO and the fault verdict is taken at transmit time, so the arrival
+instant is known at admission: one packet hop is one calendar entry.
 
 Failure injection happens here.  The general mechanism is a *fault
 hook* — ``fn(src, dst, packet, wire_bytes) -> Optional[LinkVerdict]`` —
@@ -21,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional
 
-from repro.sim import FifoServer, Simulator
+from repro.sim import Event, FifoServer, Simulator
 from repro.hw.params import HardwareProfile
 
 #: A delivery callback: receives the packet object.
@@ -66,6 +68,10 @@ class Port:
         self.tx_packets = 0
         self.tx_bytes = 0
 
+    def arrive(self, flight: Event) -> None:
+        """A packet's wire flight ended here (the flight event carries it)."""
+        self.deliver(flight.value)
+
 
 def _unattached(packet: Any) -> None:
     raise RuntimeError("port has no delivery handler attached")
@@ -79,11 +85,18 @@ class Fabric:
     at the *server's* NIC and PCIe bus, so a crossbar with per-port
     serialisation captures the relevant contention (the server's own
     port is shared by all of its traffic).
+
+    A transmission books the source port for the serialisation time and
+    schedules the delivery at ``serialisation end + wire delay`` in the
+    same calendar entry; a duplicated packet books one more per copy.
     """
 
     def __init__(self, sim: Simulator, profile: HardwareProfile) -> None:
         self.sim = sim
         self.profile = profile
+        # Cached once, like FifoServer's: observability attaches in
+        # Simulator.__init__, before any fabric exists.
+        self.tracer = getattr(sim, "tracer", None)
         self.ports: Dict[str, Port] = {}
         #: the fault layer (repro.faults installs this): the one
         #: decision point for every loss source
@@ -138,7 +151,7 @@ class Fabric:
         if verdict is not None and verdict.tx_mult != 1.0:
             tx_time *= max(1.0, verdict.tx_mult)
         dst_port = self.ports[dst]
-        tracer = getattr(self.sim, "tracer", None)
+        tracer = self.tracer
         if tracer is not None:
             tracer.span(
                 "wire %s->%s" % (src, dst),
@@ -147,18 +160,12 @@ class Fabric:
                 "%d bytes" % wire_bytes,
             )
         delay = self.profile.wire_delay_ns + extra_delay
-        served = port.tx.serve(tx_time)
-        served.add_callback(
-            lambda _e: self.sim.call_in(delay, lambda: dst_port.deliver(packet))
-        )
+        port.tx.serve(tx_time, packet, delay).callbacks.append(dst_port.arrive)
         if verdict is not None and verdict.duplicate > 0:
             # Duplicates consume wire capacity like any other packet.
             for copy in range(verdict.duplicate):
                 self.duplicated += 1
                 dup_delay = delay + (copy + 1) * verdict.dup_delay_ns
-                dup_served = port.tx.serve(tx_time)
-                dup_served.add_callback(
-                    lambda _e, _d=dup_delay: self.sim.call_in(
-                        _d, lambda: dst_port.deliver(packet)
-                    )
+                port.tx.serve(tx_time, packet, dup_delay).callbacks.append(
+                    dst_port.arrive
                 )

@@ -15,12 +15,17 @@ on their asymmetry (Section 3.2.2):
 
 Each path separates *occupancy* (which limits throughput) from
 *pipeline latency* (which delays an individual transaction but is
-overlapped across transactions).
+overlapped across transactions).  The DMA engine is a deterministic
+FIFO, so a transaction's finish time — occupancy end plus the fixed
+latency — is known the moment it is admitted: a DMA read or write is one
+calendar entry (``FifoServer.serve(occupancy, latency=...)``), an atomic
+two (its memory mutation runs at the occupancy end, its result is ready
+one latency later).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 from repro.sim import Event, FifoServer, Simulator
 from repro.hw.params import HardwareProfile
@@ -51,32 +56,24 @@ class PcieBus:
 
     # -- DMA --------------------------------------------------------------
 
-    def dma_read(self, payload_bytes: int, transactions: int = 1) -> Event:
+    def dma_read(
+        self, payload_bytes: int, transactions: int = 1, value: Any = None
+    ) -> Event:
         """NIC-initiated read of host memory (non-posted).
 
         ``transactions`` counts the round trips the engine must issue;
         occupancy scales with transactions and payload, while the
-        pipeline latency is paid once.
+        pipeline latency is paid once.  The event fires with ``value``.
         """
         p = self.profile
         occupancy = p.dma_read_ns * transactions + payload_bytes / p.pcie_bw
-        done = self.sim.event()
-        served = self.dma.serve(occupancy)
-        served.add_callback(
-            lambda _e: self.sim.call_in(p.dma_read_latency_ns, done.succeed)
-        )
-        return done
+        return self.dma.serve(occupancy, value, p.dma_read_latency_ns)
 
     def dma_write(self, payload_bytes: int) -> Event:
         """NIC-initiated write into host memory (posted)."""
         p = self.profile
         occupancy = p.dma_write_ns + payload_bytes / p.pcie_bw
-        done = self.sim.event()
-        served = self.dma.serve(occupancy)
-        served.add_callback(
-            lambda _e: self.sim.call_in(p.dma_write_latency_ns, done.succeed)
-        )
-        return done
+        return self.dma.serve(occupancy, latency=p.dma_write_latency_ns)
 
     def dma_atomic(self, on_locked: Optional[Callable[[], None]] = None) -> Event:
         """A locked read-modify-write for a remote atomic (CmpSwap/FetchAdd).
@@ -103,12 +100,11 @@ class PcieBus:
             + 16 / p.pcie_bw  # one quadword each way
         )
         done = self.sim.event()
-        served = self.dma.serve(occupancy)
 
         def _unlocked(_e: Event) -> None:
             if on_locked is not None:
                 on_locked()
-            self.sim.call_in(p.dma_read_latency_ns, done.succeed)
+            done.succeed(delay=p.dma_read_latency_ns)
 
-        served.add_callback(_unlocked)
+        self.dma.serve(occupancy).callbacks.append(_unlocked)
         return done

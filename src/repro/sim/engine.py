@@ -84,13 +84,20 @@ class Event:
         """The value passed to :meth:`succeed` (``None`` until then)."""
         return self._value
 
-    def succeed(self, value: Any = None) -> "Event":
-        """Trigger the event, delivering ``value`` to all waiters."""
+    def succeed(self, value: Any = None, delay: float = 0.0) -> "Event":
+        """Trigger the event, delivering ``value`` to all waiters.
+
+        With a ``delay`` the waiters run that many ns from now, on the
+        event's own calendar entry (no intermediate timeout).
+        """
         if self.triggered:
             raise RuntimeError("event already triggered")
+        if delay < 0:
+            raise ValueError("negative delay: %r" % delay)
         self.triggered = True
         self._value = value
-        self.sim._schedule(0.0, self)
+        sim = self.sim
+        sim._schedule(sim.now + delay, self)
         self._scheduled = True
         return self
 
@@ -126,7 +133,7 @@ class Event:
             flush._value = None
             flush.triggered = True
             flush._scheduled = True
-            sim._schedule(0.0, flush)
+            sim._schedule(sim.now, flush)
             sim._late_flush = flush
             sim._late_seq = sim._seq
         else:
@@ -166,7 +173,7 @@ class Timeout(Event):
         self._value = value
         self.triggered = True
         self._scheduled = True
-        sim._schedule(delay, self)
+        sim._schedule(sim.now + delay, self)
 
 
 _new_timeout = Timeout.__new__
@@ -296,18 +303,25 @@ class Simulator:
 
     # -- scheduling -----------------------------------------------------
 
-    def _schedule(self, delay: float, event: Event) -> None:
-        now = self.now
-        time = now + delay
+    def _schedule(self, time: float, event: Event) -> None:
+        """Book ``event`` at the absolute instant ``time`` (>= now).
+
+        The one scheduling primitive.  Absolute, so that a caller that
+        knows *when* something finishes (a :class:`FifoServer` admission
+        plus a fixed trailing latency) books the final instant directly
+        instead of hopping through an intermediate entry.  The sequence
+        number is taken here: among the entries of one instant, an
+        event fires in the order it was *booked*.
+        """
         self._seq += 1
         if time > self._run_max:
             # Beyond the open run window (or no window open): sorted
             # in bulk when the dispatcher gets there.
             self._pt_append(time)
             self._pe_append(event)
-        elif time <= now:
-            # Zero delay (or a positive delay that collapses into the
-            # current instant in float arithmetic): all immediate
+        elif time <= self.now:
+            # The current instant (zero delay, or a positive delay that
+            # collapses into it in float arithmetic): all immediate
             # entries share the current timestamp, so FIFO order is
             # (time, seq) order.
             self._imm_append(event)
@@ -581,9 +595,9 @@ class HeapSimulator(Simulator):
         super().__init__()
         self._heap: List[Tuple[float, int, Event]] = []
 
-    def _schedule(self, delay: float, event: Event) -> None:
+    def _schedule(self, time: float, event: Event) -> None:
         self._seq += 1
-        _heappush(self._heap, (self.now + delay, self._seq, event))
+        _heappush(self._heap, (time, self._seq, event))
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         # Simulator.timeout inlines the sorted-run _schedule; the oracle

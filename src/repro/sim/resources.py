@@ -7,7 +7,9 @@ deterministic service times.  Because service is deterministic and FIFO,
 a server does not need to be simulated with per-customer processes: its
 state is just the time at which each of its ``capacity`` service slots
 next becomes free, so admitting one customer is O(log capacity) and adds
-a single calendar entry.
+a single calendar entry.  The same fact makes a job's completion time
+known at admission, so a *fixed* delay that follows the service (a PCIe
+pipeline latency, a wire flight) rides in that one entry too.
 """
 
 from __future__ import annotations
@@ -25,9 +27,12 @@ class FifoServer:
     """A FIFO queueing station with deterministic per-job service times.
 
     ``serve(service)`` enqueues a job requiring ``service`` ns of work
-    and returns an :class:`Event` that fires when the job completes.
-    With ``capacity`` > 1 the station behaves like ``capacity`` parallel
-    servers fed from a single FIFO queue.
+    and returns an :class:`Event` that fires when the job completes —
+    or, with a trailing ``latency``, that many ns after it completes,
+    still as one calendar entry (the latency occupies nothing: the next
+    job starts when the service ends).  With ``capacity`` > 1 the
+    station behaves like ``capacity`` parallel servers fed from a
+    single FIFO queue.
     """
 
     __slots__ = (
@@ -56,28 +61,31 @@ class FifoServer:
         # attribute costs more than the rest of a serve() admission.
         self.tracer = getattr(sim, "tracer", None)
 
-    def serve(self, service: float, value: Any = None) -> Event:
-        """Enqueue a job; the returned event fires at completion."""
-        if service < 0:
-            raise ValueError("negative service time: %r" % service)
+    def serve(self, service: float, value: Any = None, latency: float = 0.0) -> Event:
+        """Enqueue a job; the event fires ``latency`` ns after completion."""
+        if service < 0 or latency < 0:
+            raise ValueError(
+                "negative service time or latency: %r, %r" % (service, latency)
+            )
         sim = self.sim
+        now = sim.now
         free_at = self._free_at
         # Single-slot stations (the common case: every PCIe/NIC path)
         # skip the heap; larger stations pay one pop + push.
         if len(free_at) == 1:
             start = free_at[0]
-            if start < sim.now:
-                start = sim.now
+            if start < now:
+                start = now
             done_at = start + service
             free_at[0] = done_at
         else:
             start = heapq.heappop(free_at)
-            if start < sim.now:
-                start = sim.now
+            if start < now:
+                start = now
             done_at = start + service
             heapq.heappush(free_at, done_at)
         if self.obs is not None:
-            self.obs.observe(start - sim.now)
+            self.obs.observe(start - now)
         self.busy_time += service
         self.jobs += 1
         tracer = self.tracer
@@ -92,7 +100,10 @@ class FifoServer:
         event._value = value
         event.triggered = True
         event._scheduled = True
-        sim._schedule(done_at - sim.now, event)
+        # Keep this exact float expression: every pinned simulated
+        # result carries the roundings of a completion booked as a delay
+        # (``now + (done_at - now)``) with the latency added from there.
+        sim._schedule((now + (done_at - now)) + latency, event)
         return event
 
     def delay_until_free(self) -> float:
@@ -159,7 +170,8 @@ class Store:
             event.triggered = True
             event._value = item
             event._scheduled = True
-            self.sim._schedule(0.0, event)
+            sim = self.sim
+            sim._schedule(sim.now, event)
         else:
             self._items.append(item)
             if self.obs is not None:
@@ -178,7 +190,7 @@ class Store:
             event._value = items.popleft()
             event.triggered = True
             event._scheduled = True
-            sim._schedule(0.0, event)
+            sim._schedule(sim.now, event)
             return event
         event = _new_event(Event)
         event.sim = self.sim

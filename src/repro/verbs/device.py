@@ -26,7 +26,6 @@ from typing import Callable, Dict, Generator, Optional, Tuple
 
 from repro.hw.machine import Machine
 from repro.sim import Event
-from repro.sim.engine import all_of
 from repro.verbs.cq import CompletionQueue
 from repro.verbs.mr import MemoryRegion, MrTable
 from repro.verbs.packets import Packet, PacketKind
@@ -50,29 +49,27 @@ Hook = Callable[[Packet], None]
 #: Retransmission timeout used only when the fabric injects faults.
 RC_RTO_NS = 100_000.0
 
-#: Requester-side opcode -> wire packet kind (built once; the egress
-#: path previously rebuilt this dict literal per transmitted WQE).
-_EGRESS_KIND = {
-    Opcode.WRITE: PacketKind.WRITE,
-    Opcode.SEND: PacketKind.SEND,
-    Opcode.READ: PacketKind.READ_REQ,
-    Opcode.ATOMIC_CS: PacketKind.ATOMIC_REQ,
-    Opcode.ATOMIC_FA: PacketKind.ATOMIC_REQ,
-}
 
-#: Packet kinds processed with the *requester* QP-context role at
-#: ingress (responses and ACKs come back to the original requester).
-_REQUESTER_KINDS = frozenset(
-    {PacketKind.READ_RESP, PacketKind.ACK, PacketKind.ATOMIC_RESP}
+def _by_index(members, table: dict) -> tuple:
+    """``table`` as a tuple indexed by ``member.index``.
+
+    The per-packet lookups use these instead of enum-keyed dicts:
+    hashing an Enum member is a Python-level call.
+    """
+    return tuple(table.get(member) for member in members)
+
+
+#: Requester-side opcode -> wire packet kind, by ``Opcode.index``.
+_EGRESS_KIND = _by_index(
+    Opcode,
+    {
+        Opcode.WRITE: PacketKind.WRITE,
+        Opcode.SEND: PacketKind.SEND,
+        Opcode.READ: PacketKind.READ_REQ,
+        Opcode.ATOMIC_CS: PacketKind.ATOMIC_REQ,
+        Opcode.ATOMIC_FA: PacketKind.ATOMIC_REQ,
+    },
 )
-
-#: the remote read-modify-write opcodes
-_ATOMIC_OPS = frozenset({Opcode.ATOMIC_CS, Opcode.ATOMIC_FA})
-
-#: opcodes that are requests without a payload DMA fetch (the request
-#: packet carries only addressing/operands) and that consume an
-#: outstanding-read credit — the NIC holds non-posted state for them
-_FETCHLESS = frozenset({Opcode.READ}) | _ATOMIC_OPS
 
 #: atomic request wire operands: op tag, compare/add, swap
 _ATOMIC_WIRE = struct.Struct("<BQQ")
@@ -140,31 +137,40 @@ class RdmaDevice:
         #: None marks a request still in the locked-execution window.
         self._atomic_replay: Dict[Tuple[str, int], Dict[int, Optional[int]]] = {}
         # Observability (repro.obs): semantic verbs counters, None when
-        # the simulator carries no metrics registry.
+        # the simulator carries no metrics registry.  Both are cached
+        # for the reason FifoServer gives: they attach in
+        # Simulator.__init__, before any device exists.
         self.metrics = getattr(self.sim, "metrics", None)
-        # Ingress dispatch tables, built once per device: the profile's
-        # per-kind service times and the bound handler methods.  The
-        # ingress path runs once per wire packet and used to rebuild
-        # both dicts per call.
+        self.tracer = getattr(self.sim, "tracer", None)
+        # Ingress dispatch tables by PacketKind.index, built once per
+        # device: the profile's per-kind service times and the bound
+        # handler methods (each takes the NIC engine's completion event,
+        # which carries the packet).
         p = self.profile
-        self._ingress_service = {
-            PacketKind.WRITE: p.nic_ingress_write_ns,
-            PacketKind.SEND: p.nic_ingress_send_ns,
-            PacketKind.READ_REQ: p.nic_ingress_read_ns,
-            PacketKind.READ_RESP: p.nic_ingress_resp_ns,
-            PacketKind.ACK: p.nic_ingress_ack_ns,
-            PacketKind.ATOMIC_REQ: p.nic_ingress_atomic_ns,
-            PacketKind.ATOMIC_RESP: p.nic_ingress_resp_ns,
-        }
-        self._ingress_handler = {
-            PacketKind.WRITE: self._handle_write,
-            PacketKind.SEND: self._handle_send,
-            PacketKind.READ_REQ: self._handle_read_req,
-            PacketKind.READ_RESP: self._handle_read_resp,
-            PacketKind.ACK: self._handle_ack,
-            PacketKind.ATOMIC_REQ: self._handle_atomic_req,
-            PacketKind.ATOMIC_RESP: self._handle_atomic_resp,
-        }
+        self._ingress_service = _by_index(
+            PacketKind,
+            {
+                PacketKind.WRITE: p.nic_ingress_write_ns,
+                PacketKind.SEND: p.nic_ingress_send_ns,
+                PacketKind.READ_REQ: p.nic_ingress_read_ns,
+                PacketKind.READ_RESP: p.nic_ingress_resp_ns,
+                PacketKind.ACK: p.nic_ingress_ack_ns,
+                PacketKind.ATOMIC_REQ: p.nic_ingress_atomic_ns,
+                PacketKind.ATOMIC_RESP: p.nic_ingress_resp_ns,
+            },
+        )
+        self._ingress_handler = _by_index(
+            PacketKind,
+            {
+                PacketKind.WRITE: self._handle_write,
+                PacketKind.SEND: self._handle_send,
+                PacketKind.READ_REQ: self._handle_read_req,
+                PacketKind.READ_RESP: self._handle_read_resp,
+                PacketKind.ACK: self._handle_ack,
+                PacketKind.ATOMIC_REQ: self._handle_atomic_req,
+                PacketKind.ATOMIC_RESP: self._handle_atomic_resp,
+            },
+        )
 
     # ------------------------------------------------------------------
     # Setup
@@ -226,7 +232,7 @@ class RdmaDevice:
                     Cqe(wr.wr_id, wr.opcode, status=CqeStatus.FLUSH_ERROR),
                 )
             return self.sim.timeout(0.0)
-        tracer = getattr(self.sim, "tracer", None)
+        tracer = self.tracer
         if tracer is not None:
             tracer.mark(
                 "%s.cpu" % self.machine.name,
@@ -239,7 +245,7 @@ class RdmaDevice:
                     "signaled" if wr.signaled else "unsignaled",
                 ),
             )
-        if wr.opcode in _FETCHLESS and not qp.take_read_credit():
+        if wr.opcode.fetchless and not qp.take_read_credit():
             # ConnectX-3 services at most 16 outstanding READs per QP
             # (atomics share the same non-posted slots); excess
             # requests wait in the driver.
@@ -251,7 +257,7 @@ class RdmaDevice:
             self.metrics.counter(
                 prefix + "wqe.%s.%s" % (wr.opcode.value, qp.transport.value)
             ).inc()
-            if wr.opcode not in _FETCHLESS:
+            if not wr.opcode.fetchless:
                 self.metrics.counter(
                     prefix + ("payload.inline" if wr.inline else "payload.dma")
                 ).inc()
@@ -309,7 +315,7 @@ class RdmaDevice:
             raise VerbError("UD messages are limited to one MTU")
         if wr.opcode is Opcode.READ and wr.local is None:
             raise VerbError("READ requires a local sink buffer")
-        if wr.opcode in _ATOMIC_OPS:
+        if wr.opcode.atomic:
             if wr.inline:
                 raise VerbError("atomics cannot be inlined")
             # re-check here so hand-built WorkRequests are caught too
@@ -325,7 +331,7 @@ class RdmaDevice:
         size = p.wqe_ctrl_bytes
         if wr.opcode.memory_semantics:
             size += p.wqe_raddr_bytes
-        if wr.opcode in _ATOMIC_OPS:
+        if wr.opcode.atomic:
             size += p.wqe_atomic_bytes
         if qp.transport is Transport.UD:
             size += p.wqe_av_bytes
@@ -338,32 +344,26 @@ class RdmaDevice:
     def _egress(self, qp: QueuePair, wr: WorkRequest) -> None:
         p = self.profile
         hit = self.machine.qp_cache.access(("s", qp.qpn), requester=True)
-        service = p.nic_egress_read_ns if wr.opcode in _FETCHLESS else p.nic_egress_ns
+        fetchless = wr.opcode.fetchless
+        service = p.nic_egress_read_ns if fetchless else p.nic_egress_ns
         service += self.machine.qp_cache.miss_penalty_ns(hit, requester=True)
-        done = self.machine.nic_egress.serve(service)
-        if wr.opcode not in _FETCHLESS and not wr.inline:
-            # Fetch the payload from host memory with non-posted DMA.
-            ready = self.sim.event()
-            done.add_callback(lambda _e: self._fetch(qp, wr, ready))
-        else:
-            ready = done
         # A QP's WQEs reach the wire in post order: even though a DMA
         # fetch delays this WQE, later (e.g. inlined) WQEs must not
-        # overtake it.  Chain each transmit behind its predecessor's.
-        predecessor = qp.send_gate
-        gate = self.sim.event()
-        qp.send_gate = gate
-
-        def fire(_e: Event) -> None:
-            self._transmit_wr(qp, wr)
-            gate.succeed()
-
-        if predecessor is None:
-            ready.add_callback(fire)
+        # overtake it.  Each WQE queues here as [qp, wr, ready?] and is
+        # released by _wqe_ready, in the callback that makes it and all
+        # of its predecessors ready.
+        wqe = [qp, wr, False]
+        qp.egress_queue.append(wqe)
+        done = self.machine.nic_egress.serve(service, wqe)
+        if fetchless or wr.inline:
+            done.callbacks.append(self._wqe_ready)
         else:
-            all_of(self.sim, [ready, predecessor]).add_callback(fire)
+            done.callbacks.append(self._fetch)
 
-    def _fetch(self, qp: QueuePair, wr: WorkRequest, ready: Event) -> None:
+    def _fetch(self, processed: Event) -> None:
+        """Fetch the payload from host memory with non-posted DMA."""
+        wqe = processed.value
+        qp, wr, _ready = wqe
         transactions = self.profile.non_inline_fetch_transactions
         if qp.transport is Transport.RC:
             # Reliable transport retains WQE state for retransmission:
@@ -371,15 +371,24 @@ class RdmaDevice:
             # "writes require less state maintenance ... at the PCIe
             # level" argument, applied to RC vs UC).
             transactions += 1
-        fetched = self.machine.pcie.dma_read(wr.length, transactions=transactions)
-        fetched.add_callback(lambda _e: ready.succeed())
+        fetched = self.machine.pcie.dma_read(wr.length, transactions, wqe)
+        fetched.callbacks.append(self._wqe_ready)
+
+    def _wqe_ready(self, stage: Event) -> None:
+        """A WQE finished its last egress stage: release what is in order."""
+        wqe = stage.value
+        wqe[2] = True
+        queue = wqe[0].egress_queue
+        while queue and queue[0][2]:
+            qp, wr, _ready = queue.popleft()
+            self._transmit_wr(qp, wr)
 
     def _transmit_wr(self, qp: QueuePair, wr: WorkRequest) -> None:
         dst_machine, dst_qpn = qp.destination_for(wr)
         psn = 0
         if wr.inline or wr.opcode is Opcode.READ:
             payload = wr.payload
-        elif wr.opcode in _ATOMIC_OPS:
+        elif wr.opcode.atomic:
             # The request packet carries the operands (the AtomicETH);
             # the PSN identifies it in the responder's replay cache.
             tag = _ATOMIC_CS_TAG if wr.opcode is Opcode.ATOMIC_CS else _ATOMIC_FA_TAG
@@ -394,7 +403,7 @@ class RdmaDevice:
             payload = mr.read(offset, length)
             if wr.on_fetched is not None:
                 wr.on_fetched()
-        kind = _EGRESS_KIND[wr.opcode]
+        kind = _EGRESS_KIND[wr.opcode.index]
         if (
             self.enforce_rc_ordering
             and qp.transport.reliable
@@ -444,6 +453,14 @@ class RdmaDevice:
         ud = packet.transport is Transport.UD
         wire = self._segmented_wire_bytes(payload_len, ud)
         self.machine.transmit(packet.dst_machine, packet, wire)
+
+    def _egress_response(self, packet: Packet, service: float) -> None:
+        """Responder-generated packets (responses, ACKs): engine, then wire."""
+        processed = self.machine.nic_egress.serve(service, packet)
+        processed.callbacks.append(self._transmit_processed)
+
+    def _transmit_processed(self, processed: Event) -> None:
+        self._transmit(processed.value)
 
     def _segmented_wire_bytes(self, payload_len: int, ud: bool) -> int:
         """Wire bytes including one header per MTU segment."""
@@ -505,15 +522,14 @@ class RdmaDevice:
             return
         cache = self.machine.qp_cache
         kind = packet.kind
-        requester = kind in _REQUESTER_KINDS
+        requester = kind.to_requester
         role_key = ("s", packet.dst_qpn) if requester else ("r", packet.dst_qpn)
         hit = cache.access(role_key, requester=requester)
-        service = self._ingress_service[kind] + cache.miss_penalty_ns(
+        service = self._ingress_service[kind.index] + cache.miss_penalty_ns(
             hit, requester=requester
         )
-        done = self.machine.nic_ingress.serve(service)
-        handler = self._ingress_handler[kind]
-        done.add_callback(lambda _e: handler(packet))
+        done = self.machine.nic_ingress.serve(service, packet)
+        done.callbacks.append(self._ingress_handler[kind.index])
 
     # -- RC ordering enforcement (enforce_rc_ordering only) ------------
 
@@ -560,7 +576,8 @@ class RdmaDevice:
     def _psn_advance(self, packet: Packet) -> None:
         self._expected_psn[self._psn_key(packet)] = packet.psn + 1
 
-    def _handle_write(self, packet: Packet) -> None:
+    def _handle_write(self, processed: Event) -> None:
+        packet: Packet = processed.value
         if self._rc_ordered(packet):
             verdict = self._psn_check(packet)
             if verdict != 0:
@@ -584,7 +601,8 @@ class RdmaDevice:
         if packet.transport.reliable:
             self._send_ack(packet)
 
-    def _handle_send(self, packet: Packet) -> None:
+    def _handle_send(self, processed: Event) -> None:
+        packet: Packet = processed.value
         qp = self.qps.get(packet.dst_qpn)
         if qp is None:
             raise VerbError("SEND to unknown QP %d" % packet.dst_qpn)
@@ -641,7 +659,8 @@ class RdmaDevice:
         if packet.transport.reliable:
             self._send_ack(packet)
 
-    def _handle_read_req(self, packet: Packet) -> None:
+    def _handle_read_req(self, processed: Event) -> None:
+        packet: Packet = processed.value
         mr = self.mr_table.resolve(packet.raddr, packet.rkey, packet.length)
         offset = mr.offset_of(packet.raddr)
         fetched = self.machine.pcie.dma_read(packet.length, transactions=1)
@@ -662,12 +681,12 @@ class RdmaDevice:
                 length=packet.length,
                 wr=packet.wr,
             )
-            served = self.machine.nic_egress.serve(self.profile.nic_egress_ns)
-            served.add_callback(lambda _e2: self._transmit(response))
+            self._egress_response(response, self.profile.nic_egress_ns)
 
         fetched.add_callback(on_fetched)
 
-    def _handle_read_resp(self, packet: Packet) -> None:
+    def _handle_read_resp(self, processed: Event) -> None:
+        packet: Packet = processed.value
         qp = self.qps.get(packet.dst_qpn)
         wr = packet.wr
         if qp is None or wr is None:
@@ -694,7 +713,7 @@ class RdmaDevice:
 
         landed.add_callback(on_landed)
 
-    def _handle_atomic_req(self, packet: Packet) -> None:
+    def _handle_atomic_req(self, processed: Event) -> None:
         """Execute a remote read-modify-write as the responder.
 
         The mutation happens inside the PCIe bus's locked occupancy
@@ -705,6 +724,7 @@ class RdmaDevice:
         """
         from repro.verbs.types import ATOMIC_BYTES
 
+        packet: Packet = processed.value
         mr = self.mr_table.resolve(packet.raddr, packet.rkey, ATOMIC_BYTES)
         offset = mr.offset_of(packet.raddr)
         tag, compare_add, swap = _ATOMIC_WIRE.unpack(packet.payload)
@@ -761,10 +781,10 @@ class RdmaDevice:
             psn=packet.psn,
             wr=packet.wr,
         )
-        served = self.machine.nic_egress.serve(self.profile.nic_egress_ns)
-        served.add_callback(lambda _e: self._transmit(response))
+        self._egress_response(response, self.profile.nic_egress_ns)
 
-    def _handle_atomic_resp(self, packet: Packet) -> None:
+    def _handle_atomic_resp(self, processed: Event) -> None:
+        packet: Packet = processed.value
         qp = self.qps.get(packet.dst_qpn)
         wr = packet.wr
         if qp is None or wr is None:
@@ -800,10 +820,10 @@ class RdmaDevice:
             psn=packet.psn if psn is None else psn,
             wr=packet.wr,
         )
-        served = self.machine.nic_egress.serve(self.profile.nic_ingress_ack_ns)
-        served.add_callback(lambda _e: self._transmit(ack))
+        self._egress_response(ack, self.profile.nic_ingress_ack_ns)
 
-    def _handle_ack(self, packet: Packet) -> None:
+    def _handle_ack(self, processed: Event) -> None:
+        packet: Packet = processed.value
         self.acks_received += 1
         qp = self.qps.get(packet.dst_qpn)
         if qp is None or not qp.unacked:
@@ -842,7 +862,7 @@ class RdmaDevice:
             # selective signaling avoids; count them so that shows up.
             self.metrics.counter("verbs.%s.cqe_dma" % self.machine.name).inc()
         landed = self.machine.pcie.dma_write(32)
-        tracer = getattr(self.sim, "tracer", None)
+        tracer = self.tracer
         if tracer is not None:
             landed.add_callback(
                 lambda _e: tracer.mark(

@@ -23,6 +23,15 @@ class PacketKind(enum.Enum):
     ATOMIC_REQ = "ATOMIC_REQ"    # CmpSwap / FetchAdd request (operands)
     ATOMIC_RESP = "ATOMIC_RESP"  # atomic response (original value)
 
+    def __init__(self, label: str) -> None:
+        # Per-member attributes, as on Transport/Opcode: the ingress path
+        # asks once per packet and Enum members hash at Python level.
+        #: position in definition order: the key of tuple-indexed tables
+        self.index: int = len(self.__class__.__members__)
+        #: responses and ACKs return to the original requester, whose
+        #: NIC processes them with the *requester* QP-context role
+        self.to_requester: bool = label in ("READ_RESP", "ACK", "ATOMIC_RESP")
+
 
 class Packet:
     """One message on the fabric (segmentation is priced, not split)."""

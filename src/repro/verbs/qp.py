@@ -55,10 +55,12 @@ class QueuePair:
         #: expected-PSN check and the requester's cumulative ACKs key
         #: off it
         self.send_psn = 0
-        #: transmit-ordering gate: RDMA executes a QP's WQEs in post
+        #: in-order release queue: RDMA executes a QP's WQEs in post
         #: order, so a payload DMA fetch must not let later (e.g.
-        #: inlined) WQEs overtake this one onto the wire
-        self.send_gate = None
+        #: inlined) WQEs overtake this one onto the wire.  The device
+        #: queues each WQE here as ``[qp, wr, ready]`` when the NIC
+        #: takes it and transmits from the head while the head is ready.
+        self.egress_queue: Deque[list] = deque()
         #: RTS normally; ERROR after a fault until :meth:`recover`
         self.state = QpState.RTS
         # statistics

@@ -21,13 +21,14 @@ class Transport(enum.Enum):
     UD = "UD"  # Unreliable Datagram: unconnected, one-to-many
     DC = "DC"  # Dynamically Connected: reliable, unconnected (Connect-IB)
 
-    @property
-    def connected(self) -> bool:
-        return self in (Transport.RC, Transport.UC)
-
-    @property
-    def reliable(self) -> bool:
-        return self in (Transport.RC, Transport.DC)
+    def __init__(self, label: str) -> None:
+        # Plain attributes set once per member, not properties or set
+        # lookups: the datapath asks these several times per packet, and
+        # hashing an Enum member is a Python-level ``__hash__`` call.
+        #: bound to exactly one peer QP (RC, UC)
+        self.connected: bool = label in ("RC", "UC")
+        #: acknowledged and retransmitted (RC, DC)
+        self.reliable: bool = label in ("RC", "DC")
 
 
 class Opcode(enum.Enum):
@@ -47,20 +48,20 @@ class Opcode(enum.Enum):
     ATOMIC_CS = "ATOMIC_CMP_AND_SWP"
     ATOMIC_FA = "ATOMIC_FETCH_ADD"
 
-    @property
-    def memory_semantics(self) -> bool:
-        """True for the one-sided RDMA verbs (READ, WRITE, atomics)."""
-        return self not in (Opcode.SEND, Opcode.RECV)
-
-    @property
-    def channel_semantics(self) -> bool:
-        """True for the two-sided messaging verbs (SEND and RECV)."""
-        return self in (Opcode.SEND, Opcode.RECV)
-
-    @property
-    def atomic(self) -> bool:
-        """True for the remote read-modify-write verbs."""
-        return self in (Opcode.ATOMIC_CS, Opcode.ATOMIC_FA)
+    def __init__(self, label: str) -> None:
+        # Per-member attributes for the same reason as Transport's.
+        #: position in definition order: the key of tuple-indexed tables
+        self.index: int = len(self.__class__.__members__)
+        #: the remote read-modify-write verbs
+        self.atomic: bool = label.startswith("ATOMIC_")
+        #: the two-sided messaging verbs (SEND and RECV)
+        self.channel_semantics: bool = label in ("SEND", "RECV")
+        #: the one-sided RDMA verbs (READ, WRITE, atomics)
+        self.memory_semantics: bool = not self.channel_semantics
+        #: requests whose packet carries only addressing/operands — no
+        #: payload DMA fetch — and that hold an outstanding-read credit
+        #: (the NIC keeps non-posted state for them): READ and atomics
+        self.fetchless: bool = label == "READ" or self.atomic
 
 
 #: atomics always operate on one quadword
@@ -96,9 +97,15 @@ TRANSPORT_CAPABILITIES = {
 }
 
 
+#: ``Transport.supports``: the member's Table 1 row as a tuple indexed
+#: by :attr:`Opcode.index` (what :func:`transport_supports` reads)
+for _transport, _opcodes in TRANSPORT_CAPABILITIES.items():
+    _transport.supports = tuple(_op in _opcodes for _op in Opcode)
+
+
 def transport_supports(transport: Transport, opcode: Opcode) -> bool:
     """Whether ``transport`` can carry ``opcode`` (Table 1)."""
-    return opcode in TRANSPORT_CAPABILITIES[transport]
+    return transport.supports[opcode.index]
 
 
 class VerbError(Exception):

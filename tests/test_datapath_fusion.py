@@ -1,0 +1,216 @@
+"""The fused datapath against the multi-hop chains it replaced.
+
+``FifoServer.serve(service, value, latency)`` books a job's completion
+*and* a fixed trailing latency as one calendar entry at an absolute
+time; ``PcieBus.dma_read``/``dma_write`` and ``Fabric.transmit`` are
+built on it, and ``RdmaDevice`` releases a QP's WQEs from an in-order
+queue instead of an event chain.  The pre-fusion code — ``serve`` →
+``call_in(latency)`` → ``done.succeed()`` — lives on only here, as the
+oracle: the fused path must fire at bit-identical instants, leave the
+station's accounting untouched, and cost exactly the calendar entries
+budgeted below (so a re-added hop fails tier-1 without any host-time
+measurement).
+"""
+
+import random
+
+import pytest
+
+from repro.bench.trace import FIG1_VERBS, run_verb
+from repro.hw import APT, Fabric, Machine, PcieBus
+from repro.sim import FifoServer, HeapSimulator, Simulator
+from repro.verbs import RdmaDevice, Transport, WorkRequest, connect_pair
+from repro.verbs.packets import PacketKind
+
+ENGINES = (Simulator, HeapSimulator)
+
+# ---------------------------------------------------------------------------
+# (a) fused serve == serve + call_in + succeed
+# ---------------------------------------------------------------------------
+
+#: repeats, zeros and non-representable decimals: ties, zero-latency
+#: fusion and rounding are where a wrong float expression would show
+STEPS = (0.0, 0.0, 0.1, 0.7, 1.0, 3.3, 17.25, 250.0)
+
+
+def _reference_serve(sim, server, service, latency):
+    """The pre-fusion chain, verbatim from the old ``PcieBus.dma_read``."""
+    done = sim.event()
+    served = server.serve(service)
+    served.add_callback(lambda _e: sim.call_in(latency, done.succeed))
+    return done
+
+
+def _fused_serve(sim, server, service, latency):
+    return server.serve(service, latency=latency)
+
+
+def _random_jobs(seed, n=200):
+    rng = random.Random(seed)
+
+    def draw():
+        return rng.choice(STEPS) if rng.random() < 0.5 else rng.random() * 400.0
+
+    return [(draw(), draw(), draw()) for _ in range(n)]
+
+
+def _drive(sim_cls, admit, jobs, capacity):
+    sim = sim_cls()
+    server = FifoServer(sim, "station", capacity=capacity)
+    fired = [None] * len(jobs)
+
+    def arrivals():
+        # Admissions happen inside dispatch (open run window) ...
+        for i, (advance, service, latency) in enumerate(jobs):
+            yield sim.timeout(advance)
+            admit(sim, server, service, latency).add_callback(
+                lambda _e, i=i: fired.__setitem__(i, sim.now)
+            )
+
+    sim.process(arrivals())
+    # ... and the run is cut into windows so some completions straddle
+    # a run() boundary.
+    for until in (50.0, 50.0, 1_000.0, 20_000.0):
+        sim.run(until=until)
+    sim.run_until_idle()
+    return fired, server, sim
+
+
+@pytest.mark.parametrize("sim_cls", ENGINES)
+@pytest.mark.parametrize("capacity", (1, 3))
+def test_fused_serve_fires_when_the_two_hop_chain_did(sim_cls, capacity):
+    for seed in range(8):
+        jobs = _random_jobs(seed)
+        fused, f_server, f_sim = _drive(sim_cls, _fused_serve, jobs, capacity)
+        ref, r_server, r_sim = _drive(sim_cls, _reference_serve, jobs, capacity)
+        assert None not in fused
+        assert fused == ref  # bit-equal floats, not approx
+        assert f_sim.now == r_sim.now
+        assert f_server.jobs == r_server.jobs == len(jobs)
+        assert f_server.busy_time == r_server.busy_time
+        assert f_server.utilization(f_sim.now) == r_server.utilization(r_sim.now)
+        # one entry per admission where the chain spent three
+        assert r_sim._seq - f_sim._seq == 2 * len(jobs)
+
+
+@pytest.mark.parametrize("sim_cls", ENGINES)
+def test_trailing_latency_occupies_nothing(sim_cls):
+    sim = sim_cls()
+    server = FifoServer(sim, "station")
+    fired = []
+    for _ in range(3):
+        server.serve(10.0, latency=100.0).add_callback(lambda _e: fired.append(sim.now))
+    sim.run_until_idle()
+    assert fired == [110.0, 120.0, 130.0]
+    assert server.busy_time == 30.0
+
+
+@pytest.mark.parametrize("sim_cls", ENGINES)
+def test_negative_latency_and_delay_are_rejected(sim_cls):
+    # the calendar primitive takes absolute times on trust; the entries
+    # that compute them must not let one land in the past
+    sim = sim_cls()
+    server = FifoServer(sim, "station")
+    with pytest.raises(ValueError):
+        server.serve(1.0, latency=-0.5)
+    with pytest.raises(ValueError):
+        sim.event().succeed(delay=-1.0)
+
+
+def test_dma_atomic_mutates_at_the_occupancy_end_in_two_entries():
+    sim = Simulator()
+    bus = PcieBus(sim, APT)
+    log = []
+    bus.dma_write(64)  # the atomic queues behind it on the one DMA engine
+    busy_until = bus.dma.delay_until_free()
+    done = bus.dma_atomic(on_locked=lambda: log.append(("locked", sim.now)))
+    done.add_callback(lambda _e: log.append(("done", sim.now)))
+    locked_at = bus.dma.delay_until_free()
+    assert locked_at > busy_until
+    sim.run_until_idle()
+    assert log == [("locked", locked_at), ("done", locked_at + APT.dma_read_latency_ns)]
+    assert sim._seq == 3  # the write, the locked window, the delayed result
+
+
+# ---------------------------------------------------------------------------
+# (b) a QP's WQEs reach the wire in post order
+# ---------------------------------------------------------------------------
+
+
+def _post_order_run(seed, transport, n=60):
+    rng = random.Random(seed)
+    sim = Simulator()
+    fabric = Fabric(sim, APT)
+    responder = RdmaDevice(Machine(sim, fabric, "responder"))
+    requester = RdmaDevice(Machine(sim, fabric, "requester"))
+    _rqp, qp = connect_pair(responder, requester, transport)
+    remote = responder.register_memory(1 << 16)
+    src = requester.register_memory(1 << 16)
+
+    ready_at, wire_at = {}, []
+    wqe_ready, transmit = requester._wqe_ready, fabric.transmit
+
+    def spy_ready(stage):
+        ready_at[stage.value[1].wr_id] = sim.now
+        wqe_ready(stage)
+
+    def spy_transmit(src_name, dst, packet, wire_bytes):
+        if packet.kind is PacketKind.WRITE:
+            wire_at.append((packet.wr.wr_id, sim.now))
+        transmit(src_name, dst, packet, wire_bytes)
+
+    requester._wqe_ready = spy_ready
+    fabric.transmit = spy_transmit
+
+    def poster():
+        for wr_id in range(n):
+            if rng.random() < 0.5:
+                wr = WorkRequest.write(
+                    raddr=remote.addr, rkey=remote.rkey, wr_id=wr_id, signaled=False,
+                    payload=b"i" * rng.choice((8, 32, 128)), inline=True,
+                )
+            else:
+                wr = WorkRequest.write(
+                    raddr=remote.addr, rkey=remote.rkey, wr_id=wr_id, signaled=False,
+                    local=(src, 0, rng.choice((64, 1024, 4096))),
+                )
+            requester.post_send(qp, wr)
+            if rng.random() < 0.4:  # otherwise: a back-to-back burst
+                yield sim.timeout(rng.choice((0.0, 40.0, 900.0)))
+
+    sim.process(poster())
+    sim.run_until_idle()
+    return ready_at, wire_at, n
+
+
+@pytest.mark.parametrize("transport", (Transport.UC, Transport.RC))
+def test_mixed_inline_and_fetched_wqes_leave_in_post_order(transport):
+    held_back = 0
+    for seed in range(6):
+        ready_at, wire_at, n = _post_order_run(seed, transport)
+        assert [wr_id for wr_id, _t in wire_at] == list(range(n))
+        previous = float("-inf")
+        for wr_id, at in wire_at:
+            # released in the callback that made it and every predecessor
+            # ready: never before its own ready time, never later than needed
+            assert at == max(ready_at[wr_id], previous)
+            held_back += ready_at[wr_id] < previous
+            previous = at
+    # the mixes must actually exercise the queue (an inlined WQE becoming
+    # ready while a fetched predecessor is still on the PCIe bus)
+    assert held_back > 0
+
+
+# ---------------------------------------------------------------------------
+# (c) calendar-entry budgets of the four Figure 1 flows
+# ---------------------------------------------------------------------------
+
+#: entries scheduled from post_send to idle.  Inlined UC WRITE: PIO, NIC
+#: egress, wire hop, NIC ingress, DMA write.  The others add a payload
+#: fetch / response / ACK / CQE at one entry per station visited.
+ENTRY_BUDGET = dict(zip(FIG1_VERBS, (5, 10, 10, 6)))
+
+
+@pytest.mark.parametrize("kind", FIG1_VERBS)
+def test_single_verb_calendar_entry_budget(kind):
+    assert run_verb(kind)._seq == ENTRY_BUDGET[kind]

@@ -25,6 +25,15 @@ from repro.sim import FifoServer, HeapSimulator, Simulator, Store
 DELAYS = (0.0, 0.0, 0.5, 1.0, 1.0, 2.25, 3.0, 7.5)
 
 
+def _book_at(sim, time, value):
+    """An event on the calendar's absolute-time entry, ``sim._schedule``."""
+    event = sim.event()
+    event.triggered = True
+    event._value = value
+    sim._schedule(time, event)
+    return event
+
+
 def _drive(sim, seed, n_seed_events=40, max_spawn=300):
     """Seed a cascading schedule; callbacks keep scheduling more events.
 
@@ -32,21 +41,40 @@ def _drive(sim, seed, n_seed_events=40, max_spawn=300):
     so the log (and the schedule itself) is a faithful trace of the
     calendar's dispatch order — any ordering divergence between two
     engines snowballs and is caught by a plain list comparison.
+
+    Three ways in: ``timeout`` (relative), the absolute-time entry with
+    instants that are exactly ``now``, inside the open run window, on
+    the whole-number grid the DELAYS also produce (ties with entries
+    booked earlier *and* later) or far out, and a shared
+    :class:`FifoServer` whose fused ``serve(service, value, latency)``
+    books its completions through that same entry.
     """
     rng = random.Random(seed)
     log = []
     budget = [max_spawn]
+    station = FifoServer(sim, "station")
+
+    def spawn(tag):
+        how = rng.randrange(4)
+        if how == 0:
+            return sim.timeout(rng.choice(DELAYS), tag)
+        if how == 1:
+            return station.serve(rng.choice(DELAYS), tag, rng.choice(DELAYS))
+        if how == 2:
+            return _book_at(sim, sim.now + rng.choice(DELAYS), tag)
+        # the next few grid points at or after now: == now when now is
+        # itself on the grid
+        return _book_at(sim, float(-(-sim.now // 1) + rng.randrange(4)), tag)
 
     def cb(event):
         log.append((sim.now, event.value))
         if budget[0] > 0:
             budget[0] -= 1
             for _ in range(rng.randrange(3)):
-                tag = budget[0] * 1000 + rng.randrange(100)
-                sim.timeout(rng.choice(DELAYS), tag).add_callback(cb)
+                spawn(budget[0] * 1000 + rng.randrange(100)).add_callback(cb)
 
     for i in range(n_seed_events):
-        sim.timeout(rng.choice(DELAYS), i).add_callback(cb)
+        spawn(i).add_callback(cb)
     return log
 
 

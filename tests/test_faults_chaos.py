@@ -139,14 +139,17 @@ def test_cli_chaos_scenario_prints_the_outcome_table(capsys):
 def test_chaos_fingerprint_is_pinned():
     """The seed-7 default-horizon fingerprint, pinned byte for byte.
 
-    This hash was recorded on the single-heap calendar before the
-    event-engine overhaul; the sorted-run calendar (and every
-    optimisation since) must keep reproducing it exactly.  If an engine
-    change breaks this, it changed dispatch order — see
-    tests/test_engine_calendar.py for the side-by-side oracle.
+    Re-pinned once, by the datapath fusion (docs/PERF.md, "Digests that
+    moved"): every timestamp is bit-identical to the multi-hop chains,
+    but a fused completion takes its sequence number at admission, so
+    same-instant ties resolve in admission order.  The hash before that
+    (71024d25...) dated from the single-heap calendar and survived the
+    sorted-run overhaul unchanged.  If an engine change breaks this, it
+    changed dispatch order — see tests/test_engine_calendar.py for the
+    side-by-side oracle.
     """
     report = run_chaos(seed=7)
     assert report.ok, report.violations
     assert report.fingerprint == (
-        "71024d25ada3bfcad98d34f5f0d0261a993296d46f8d11f527871ca0eff29e62"
+        "425ec5c68bd8318f4addf05d760ef82ae21741719da26ac1677cfcc4965e3748"
     )
