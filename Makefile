@@ -1,6 +1,6 @@
 # Convenience targets for the HERD reproduction.
 
-.PHONY: install test test-fast bench figures figures-full examples metrics-smoke chaos-smoke ha-smoke lab-smoke elastic-smoke engine-smoke qos-smoke txn-smoke nemesis-smoke perf-pairs clean
+.PHONY: install test test-fast bench figures figures-full examples metrics-smoke chaos-smoke ha-smoke lab-smoke elastic-smoke qos-smoke txn-smoke nemesis-smoke perf-pairs clean
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -128,17 +128,6 @@ qos-smoke:
 	python -m repro.lab.cli run overload --workers 2 --timeout 600
 	python -m repro.lab.cli gate overload \
 		--baseline benchmarks/baselines/overload.json
-
-# The event-kernel gate: the sorted-run calendar must stay faster than
-# the reference heap calendar (HeapSimulator, the pre-overhaul
-# algorithm) on identical schedules, and both must produce the
-# identical dispatch digest — a perf gate and a determinism gate in
-# one, folded into BENCH_lab.json.  Workers=1: parallel timing points
-# would contend with each other.
-engine-smoke:
-	python -m repro.lab.cli run engine --workers 1 --timeout 600
-	python -m repro.lab.cli gate engine \
-		--baseline benchmarks/baselines/engine.json
 
 # Multi-key transactions, both commit dataplanes (docs/TXN.md): every
 # run must pass the strict-serializability checker with zero torn

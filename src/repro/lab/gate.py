@@ -46,10 +46,6 @@ DEFAULT_TOLERANCES = {
     "availability": 0.005,
     "failover_latency_us": 0.25,
     "goodput_overhead_pct": 0.5,
-    # engine task: wall-clock ratios are noisy, so the speedup band is
-    # wide; dispatch-order identity is exact or nothing
-    "speedup": 0.35,
-    "dispatch_match": 0.0,
 }
 
 BENCH_JSON_PATH = "BENCH_lab.json"

@@ -317,18 +317,6 @@ def _overload() -> SweepSpec:
     )
 
 
-def _engine() -> SweepSpec:
-    return SweepSpec(
-        name="engine",
-        task="engine",
-        base=dict(n_events=40_000, repeats=5),
-        axes=[Axis("scenario", ["calendar", "fifo", "store"])],
-        description="event-kernel speedup gate: the sorted-run calendar vs "
-        "the reference heap calendar on identical schedules; also gates "
-        "dispatch-order identity (the determinism contract)",
-    )
-
-
 def _txn() -> SweepSpec:
     return SweepSpec(
         name="txn",
@@ -386,6 +374,5 @@ BUILTIN_SPECS = {
     "overload": _overload,
     "txn": _txn,
     "nemesis": _nemesis,
-    "engine": _engine,
     "figures": _figures,
 }

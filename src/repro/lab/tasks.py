@@ -48,8 +48,6 @@ def metric_direction(name: str) -> int:
         "commits",
         "ops_acked",
         "tracking_ratio",
-        "speedup",
-        "dispatch_match",
         "goodput_ratio",
         "planted_found",
         "planted_minimal",
@@ -389,106 +387,6 @@ def run_nemesis_task(params: Dict[str, Any], seed: int) -> Dict[str, float]:
     }
 
 
-def run_engine_task(params: Dict[str, Any], seed: int) -> Dict[str, float]:
-    """Event-kernel micro-benchmark: sorted-run calendar vs the heap.
-
-    Runs one scenario (``calendar``, ``fifo``, or ``store``) on both
-    :class:`~repro.sim.engine.Simulator` (the sorted-run calendar) and
-    :class:`~repro.sim.engine.HeapSimulator` (the original single-heap
-    algorithm, kept as a reference oracle), interleaved best-of-
-    ``repeats``.  The gated metrics are machine-relative, so they
-    survive CI hardware churn:
-
-    * ``speedup`` — heap wall time over sorted-run wall time (the
-      overhaul's whole point; gated with a wide band because wall
-      clocks are noisy);
-    * ``dispatch_match`` — 1.0 iff both engines produced the identical
-      dispatch digest (times and order); gated at zero tolerance, so
-      this sweep is a determinism gate too.
-    """
-    import time as _time
-
-    from repro.sim import FifoServer, HeapSimulator, Simulator, Store
-
-    scenario = str(params.get("scenario", "calendar"))
-    n_events = int(params.get("n_events", 40_000))
-    repeats = int(params.get("repeats", 3))
-
-    def calendar(sim):
-        fired = []
-        append = fired.append
-
-        def observe(_event):
-            append(sim.now)
-
-        timeout = sim.timeout
-        for i in range(n_events):
-            event = timeout(float(i % 997))
-            if not i % 16:  # sample the dispatch order, cheaply
-                event.callbacks.append(observe)
-        sim.run_until_idle()
-        return hash((sim.now, tuple(fired)))
-
-    def fifo(sim):
-        server = FifoServer(sim, "unit")
-        serve = server.serve
-        for _ in range(n_events):
-            serve(28.5)
-        sim.run_until_idle()
-        return hash((sim.now, server.jobs, server.busy_time))
-
-    def store(sim):
-        mailbox = Store(sim)
-        log = [0, 0.0]
-
-        def producer():
-            for i in range(n_events):
-                yield sim.timeout(1.0)
-                mailbox.put(i)
-
-        def consumer():
-            for _ in range(n_events):
-                item = yield mailbox.get()
-                log[0] += 1
-                log[1] += sim.now + item
-
-        sim.process(producer())
-        sim.process(consumer())
-        sim.run_until_idle()
-        return hash((sim.now, log[0], log[1]))
-
-    scenarios = {"calendar": calendar, "fifo": fifo, "store": store}
-    if scenario not in scenarios:
-        raise ValueError(
-            "engine task scenario must be one of %s; got %r"
-            % (sorted(scenarios), scenario)
-        )
-    body = scenarios[scenario]
-
-    # Interleave the two engines so machine-load drift hits both.
-    new_best = float("inf")
-    heap_best = float("inf")
-    new_digest = heap_digest = None
-    for _ in range(repeats):
-        start = _time.perf_counter()
-        new_digest = body(Simulator())
-        new_t = _time.perf_counter() - start
-        start = _time.perf_counter()
-        heap_digest = body(HeapSimulator())
-        heap_t = _time.perf_counter() - start
-        if new_t < new_best:
-            new_best = new_t
-        if heap_t < heap_best:
-            heap_best = heap_t
-    return {
-        "speedup": heap_best / new_best if new_best else 0.0,
-        "dispatch_match": 1.0 if new_digest == heap_digest else 0.0,
-        "sorted_run_ms": new_best * 1e3,
-        "heap_ms": heap_best * 1e3,
-        "events": float(n_events),
-    }
-
-
 def run_figure_task(params: Dict[str, Any], seed: int) -> Dict[str, float]:
     from repro.bench.figures import FIGURES
 
@@ -548,7 +446,6 @@ TASKS: Dict[str, Callable[[Dict[str, Any], int], Dict[str, float]]] = {
     "qos": run_qos_task,
     "txn": run_txn_task,
     "nemesis": run_nemesis_task,
-    "engine": run_engine_task,
     "figure": run_figure_task,
     "selftest": run_selftest_task,
 }
@@ -585,7 +482,6 @@ HEADLINE_METRICS = {
         "planted_atoms",
         "planted_replay_identical",
     ),
-    "engine": ("speedup", "dispatch_match"),
     "figure": None,  # None = every figure cell is a headline metric
     "selftest": ("mops", "value"),
 }

@@ -15,14 +15,13 @@ style of SimPy, specialised for the needs of the RDMA fabric models in
   completion queues and request queues.
 """
 
-from repro.sim.engine import Event, HeapSimulator, Process, Simulator, Timeout
+from repro.sim.engine import Event, Process, Simulator, Timeout
 from repro.sim.resources import FifoServer, Resource, Store
 from repro.sim.stats import LatencyRecorder, RateMeter
 
 __all__ = [
     "Event",
     "FifoServer",
-    "HeapSimulator",
     "LatencyRecorder",
     "Process",
     "RateMeter",

@@ -63,9 +63,9 @@ class FifoServer:
 
     def serve(self, service: float, value: Any = None, latency: float = 0.0) -> Event:
         """Enqueue a job; the event fires ``latency`` ns after completion."""
-        if service < 0 or latency < 0:
+        if not (service >= 0 and latency >= 0):  # also rejects NaN
             raise ValueError(
-                "negative service time or latency: %r, %r" % (service, latency)
+                "negative or NaN service time or latency: %r, %r" % (service, latency)
             )
         sim = self.sim
         now = sim.now

@@ -18,11 +18,9 @@ import pytest
 
 from repro.bench.trace import FIG1_VERBS, run_verb
 from repro.hw import APT, Fabric, Machine, PcieBus
-from repro.sim import FifoServer, HeapSimulator, Simulator
+from repro.sim import FifoServer, Simulator
 from repro.verbs import RdmaDevice, Transport, WorkRequest, connect_pair
 from repro.verbs.packets import PacketKind
-
-ENGINES = (Simulator, HeapSimulator)
 
 # ---------------------------------------------------------------------------
 # (a) fused serve == serve + call_in + succeed
@@ -54,13 +52,13 @@ def _random_jobs(seed, n=200):
     return [(draw(), draw(), draw()) for _ in range(n)]
 
 
-def _drive(sim_cls, admit, jobs, capacity):
-    sim = sim_cls()
+def _drive(admit, jobs, capacity):
+    sim = Simulator()
     server = FifoServer(sim, "station", capacity=capacity)
     fired = [None] * len(jobs)
 
     def arrivals():
-        # Admissions happen inside dispatch (open run window) ...
+        # Admissions happen inside dispatch ...
         for i, (advance, service, latency) in enumerate(jobs):
             yield sim.timeout(advance)
             admit(sim, server, service, latency).add_callback(
@@ -76,13 +74,12 @@ def _drive(sim_cls, admit, jobs, capacity):
     return fired, server, sim
 
 
-@pytest.mark.parametrize("sim_cls", ENGINES)
 @pytest.mark.parametrize("capacity", (1, 3))
-def test_fused_serve_fires_when_the_two_hop_chain_did(sim_cls, capacity):
+def test_fused_serve_fires_when_the_two_hop_chain_did(capacity):
     for seed in range(8):
         jobs = _random_jobs(seed)
-        fused, f_server, f_sim = _drive(sim_cls, _fused_serve, jobs, capacity)
-        ref, r_server, r_sim = _drive(sim_cls, _reference_serve, jobs, capacity)
+        fused, f_server, f_sim = _drive(_fused_serve, jobs, capacity)
+        ref, r_server, r_sim = _drive(_reference_serve, jobs, capacity)
         assert None not in fused
         assert fused == ref  # bit-equal floats, not approx
         assert f_sim.now == r_sim.now
@@ -93,9 +90,8 @@ def test_fused_serve_fires_when_the_two_hop_chain_did(sim_cls, capacity):
         assert r_sim._seq - f_sim._seq == 2 * len(jobs)
 
 
-@pytest.mark.parametrize("sim_cls", ENGINES)
-def test_trailing_latency_occupies_nothing(sim_cls):
-    sim = sim_cls()
+def test_trailing_latency_occupies_nothing():
+    sim = Simulator()
     server = FifoServer(sim, "station")
     fired = []
     for _ in range(3):
@@ -105,11 +101,10 @@ def test_trailing_latency_occupies_nothing(sim_cls):
     assert server.busy_time == 30.0
 
 
-@pytest.mark.parametrize("sim_cls", ENGINES)
-def test_negative_latency_and_delay_are_rejected(sim_cls):
+def test_negative_latency_and_delay_are_rejected():
     # the calendar primitive takes absolute times on trust; the entries
     # that compute them must not let one land in the past
-    sim = sim_cls()
+    sim = Simulator()
     server = FifoServer(sim, "station")
     with pytest.raises(ValueError):
         server.serve(1.0, latency=-0.5)

@@ -1,122 +1,129 @@
-"""The sorted-run calendar against the reference heap calendar.
+"""The calendar's dispatch contract, and the regressions pinned with it.
 
-The event-engine overhaul replaced the single-heap calendar inside
-:class:`~repro.sim.engine.Simulator` with a sorted-run design.  The
-dispatch contract — strict (time, seq) order — is what every
-deterministic fingerprint in this repo rests on, so these tests drive
-the new calendar and :class:`~repro.sim.engine.HeapSimulator` (the old
-algorithm, kept as a reference oracle) side by side through adversarial
-schedules and demand *identical* dispatch sequences.
+:class:`~repro.sim.engine.Simulator` dispatches in strict ``(time, seq)``
+order, where ``seq`` is the order entries were booked.  Every
+deterministic fingerprint in this repo rests on that, so the property
+test below checks it against the definition itself — the dispatch log
+must equal the booking log sorted by ``(time, seq)`` — rather than
+against a second kernel.
 
-They also pin the regressions fixed alongside the overhaul: late
-``add_callback`` ordering, per-simulator anonymous store names, and the
-``FifoServer.utilization`` overhang clamp.
+Also pinned here: late ``add_callback`` ordering, per-simulator
+anonymous store names, and the ``FifoServer.utilization`` overhang
+clamp.
 """
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs import MetricsRegistry
-from repro.sim import FifoServer, HeapSimulator, Simulator, Store
+from repro.sim import FifoServer, Simulator, Store
 
 #: delays with deliberate repeats: same-instant ties and zero-delay
-#: (immediate) events are where calendar designs usually break
+#: events are where calendar designs usually break
 DELAYS = (0.0, 0.0, 0.5, 1.0, 1.0, 2.25, 3.0, 7.5)
 
+#: run(until) boundaries on the grid the delays produce, so entries land
+#: exactly at ``until`` (they must fire in that run); a drawn list of
+#: steps may name the same boundary twice
+UNTILS = (0.0, 1.0, 2.0, 2.5, 3.0, 9.0)
 
-def _book_at(sim, time, value):
-    """An event on the calendar's absolute-time entry, ``sim._schedule``."""
-    event = sim.event()
-    event.triggered = True
-    event._value = value
-    sim._schedule(time, event)
-    return event
+INF = float("inf")
 
 
-def _drive(sim, seed, n_seed_events=40, max_spawn=300):
-    """Seed a cascading schedule; callbacks keep scheduling more events.
+class _Schedule:
+    """A cascading random schedule that records what it booked and saw.
 
-    Returns the dispatch log.  The RNG draws happen inside callbacks,
-    so the log (and the schedule itself) is a faithful trace of the
-    calendar's dispatch order — any ordering divergence between two
-    engines snowballs and is caught by a plain list comparison.
-
-    Three ways in: ``timeout`` (relative), the absolute-time entry with
-    instants that are exactly ``now``, inside the open run window, on
-    the whole-number grid the DELAYS also produce (ties with entries
-    booked earlier *and* later) or far out, and a shared
-    :class:`FifoServer` whose fused ``serve(service, value, latency)``
-    books its completions through that same entry.
+    Entries come in through all three doors — ``timeout`` (relative),
+    ``_schedule`` (absolute: at ``now``, ahead by a delay, or on the
+    whole-number grid where it ties with entries booked earlier *and*
+    later) and a shared :class:`FifoServer`'s fused ``serve`` — and each
+    dispatched entry books up to two more, so most of the schedule is
+    made during dispatch.
     """
-    rng = random.Random(seed)
-    log = []
-    budget = [max_spawn]
-    station = FifoServer(sim, "station")
 
-    def spawn(tag):
+    def __init__(self, sim, seed, n_seed_events=40, max_spawn=300):
+        self.sim = sim
+        self.rng = random.Random(seed)
+        self.station = FifoServer(sim, "station")
+        self.station_free_at = 0.0
+        self.budget = max_spawn
+        self.booked = {}  # tag -> time, while still on the calendar
+        self.expected = []  # every (time, seq, tag) ever booked
+        self.fired = []  # (now, tag) in dispatch order
+        for _ in range(n_seed_events):
+            self.spawn()
+
+    def spawn(self):
+        sim, rng = self.sim, self.rng
+        tag = len(self.expected)
+        before = sim._seq
         how = rng.randrange(4)
         if how == 0:
-            return sim.timeout(rng.choice(DELAYS), tag)
-        if how == 1:
-            return station.serve(rng.choice(DELAYS), tag, rng.choice(DELAYS))
-        if how == 2:
-            return _book_at(sim, sim.now + rng.choice(DELAYS), tag)
-        # the next few grid points at or after now: == now when now is
-        # itself on the grid
-        return _book_at(sim, float(-(-sim.now // 1) + rng.randrange(4)), tag)
+            delay = rng.choice(DELAYS)
+            time = sim.now + delay
+            event = sim.timeout(delay, tag)
+        elif how == 1:
+            service, latency = rng.choice(DELAYS), rng.choice(DELAYS)
+            done_at = max(self.station_free_at, sim.now) + service
+            self.station_free_at = done_at
+            # the documented float expression of a fused completion
+            time = (sim.now + (done_at - sim.now)) + latency
+            event = self.station.serve(service, tag, latency)
+        else:
+            if how == 2:
+                time = sim.now + rng.choice(DELAYS)
+            else:  # the next few grid points at or after now
+                time = float(-(-sim.now // 1) + rng.randrange(4))
+            event = sim.event()
+            event.triggered = True
+            event._value = tag
+            sim._schedule(time, event)
+        assert sim._seq == before + 1  # one calendar entry per booking
+        self.booked[tag] = time
+        self.expected.append((time, sim._seq, tag))
+        event.add_callback(self.on_fire)
 
-    def cb(event):
-        log.append((sim.now, event.value))
-        if budget[0] > 0:
-            budget[0] -= 1
-            for _ in range(rng.randrange(3)):
-                spawn(budget[0] * 1000 + rng.randrange(100)).add_callback(cb)
+    def next_instant(self):
+        return min(self.booked.values(), default=INF)
 
-    for i in range(n_seed_events):
-        spawn(i).add_callback(cb)
-    return log
+    def on_fire(self, event):
+        sim = self.sim
+        assert sim.now == self.booked.pop(event.value)
+        self.fired.append((sim.now, event.value))
+        # nothing earlier is left behind, and peek() names what is next
+        assert sim.peek() == self.next_instant() >= sim.now
+        if self.budget > 0:
+            self.budget -= 1
+            for _ in range(self.rng.randrange(3)):
+                self.spawn()
+            assert sim.peek() == self.next_instant()
 
 
-def _run_scenario(sim_cls, seed, chunk=None, steps=()):
-    sim = sim_cls()
-    if chunk is not None:
-        sim.RUN_CHUNK = chunk
-    log = _drive(sim, seed)
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    steps=st.lists(st.sampled_from(UNTILS), max_size=6).map(sorted),
+)
+def test_dispatch_order_is_booking_order_sorted_by_time_then_seq(seed, steps):
+    sim = Simulator()
+    schedule = _Schedule(sim, seed)
+    assert sim.peek() == schedule.next_instant()
     for until in steps:
         sim.run(until=until)
-        log.append(("ran-until", until, sim.now))
+        assert sim.now == until
+        # everything at or before ``until`` fired, including entries
+        # booked for exactly ``until`` while that instant was dispatching
+        assert sim.peek() == schedule.next_instant() > until
     sim.run_until_idle()
-    log.append(("idle", sim.now))
-    return log
+    assert not schedule.booked and sim.peek() == INF
+    assert schedule.fired == [(time, tag) for time, _seq, tag in sorted(schedule.expected)]
 
 
-def test_dispatch_order_matches_heap_reference():
-    for seed in range(10):
-        assert _run_scenario(Simulator, seed) == _run_scenario(HeapSimulator, seed)
-
-
-def test_dispatch_order_matches_with_tiny_run_chunks():
-    # Shrinking RUN_CHUNK forces many window boundaries (including
-    # boundaries that would split a timestamp tie without the tie
-    # extension) through the same schedule.
-    for chunk in (1, 2, 3, 5):
-        for seed in (0, 1, 2):
-            assert _run_scenario(Simulator, seed, chunk=chunk) == _run_scenario(
-                HeapSimulator, seed
-            )
-
-
-def test_dispatch_order_matches_across_stepped_runs():
-    steps = (0.0, 1.0, 1.0, 2.5, 9.0)
-    for seed in (3, 4, 5):
-        assert _run_scenario(Simulator, seed, steps=steps) == _run_scenario(
-            HeapSimulator, seed, steps=steps
-        )
-
-
-def _producer_consumer(sim_cls):
-    sim = sim_cls()
+def test_process_and_store_handoff_alternates_between_waiting_getters():
+    sim = Simulator()
     store = Store(sim)
     log = []
 
@@ -136,11 +143,16 @@ def _producer_consumer(sim_cls):
     sim.process(consumer("a"))
     sim.process(consumer("b"))
     sim.run_until_idle()
-    return log
-
-
-def test_process_and_store_handoff_matches_heap_reference():
-    assert _producer_consumer(Simulator) == _producer_consumer(HeapSimulator)
+    # items arrive in order, at the instant they were put, and the two
+    # getters take turns (each re-queues behind the other)
+    assert [item for _now, _tag, item in log] == list(range(50))
+    assert [tag for _now, tag, _item in log] == ["a", "b"] * 25
+    puts = []
+    now = 0.0
+    for i in range(50):
+        now += 1.0 if i % 3 else 0.0
+        puts.append(now)
+    assert [at for at, _tag, _item in log] == puts
 
 
 # ---------------------------------------------------------------------------

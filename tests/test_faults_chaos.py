@@ -143,10 +143,10 @@ def test_chaos_fingerprint_is_pinned():
     moved"): every timestamp is bit-identical to the multi-hop chains,
     but a fused completion takes its sequence number at admission, so
     same-instant ties resolve in admission order.  The hash before that
-    (71024d25...) dated from the single-heap calendar and survived the
-    sorted-run overhaul unchanged.  If an engine change breaks this, it
-    changed dispatch order — see tests/test_engine_calendar.py for the
-    side-by-side oracle.
+    (71024d25...) dated from the first single-heap calendar and survived
+    the sorted-run calendar that came and went in between.  If an engine
+    change breaks this, it changed dispatch order — see
+    tests/test_engine_calendar.py for the property it must keep.
     """
     report = run_chaos(seed=7)
     assert report.ok, report.violations

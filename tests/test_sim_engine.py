@@ -40,6 +40,31 @@ def test_negative_timeout_rejected():
         sim.timeout(-1.0)
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda sim: sim.timeout(NAN),
+        lambda sim: Timeout(sim, NAN),
+        lambda sim: sim.event().succeed(delay=NAN),
+        lambda sim: sim.run(until=NAN),
+        lambda sim: sim.run_until_idle(limit=NAN),
+    ],
+    ids=["timeout", "Timeout", "succeed-delay", "run-until", "run_until_idle-limit"],
+)
+def test_nan_is_rejected_at_every_calendar_entry_point(entry):
+    # NaN passes a ``< 0`` guard and compares false against everything:
+    # one in the heap breaks the ordering of every later entry, one as a
+    # run horizon becomes the clock.
+    sim = Simulator()
+    with pytest.raises(ValueError):
+        entry(sim)
+    assert sim.peek() == float("inf")  # nothing was booked
+    assert sim.now == 0.0
+
+
 def test_events_fire_in_schedule_order_at_same_instant():
     sim = Simulator()
     order = []

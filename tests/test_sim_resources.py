@@ -68,6 +68,19 @@ def test_server_rejects_negative_service():
         server.serve(-1.0)
 
 
+@pytest.mark.parametrize("capacity", (1, 2))
+@pytest.mark.parametrize("service, latency", [(float("nan"), 0.0), (1.0, float("nan"))])
+def test_server_rejects_nan_service_and_latency(capacity, service, latency):
+    # a NaN service time would sit in ``_free_at`` and make every later
+    # admission's start time NaN; a NaN latency would unsort the calendar
+    sim = Simulator()
+    server = FifoServer(sim, "nic", capacity=capacity)
+    with pytest.raises(ValueError):
+        server.serve(service, latency=latency)
+    assert server.jobs == 0 and server.delay_until_free() == 0.0
+    assert sim.peek() == float("inf")
+
+
 def test_server_rejects_bad_capacity():
     sim = Simulator()
     with pytest.raises(ValueError):
