@@ -21,8 +21,11 @@ figures-full:
 	python -m repro.bench.cli all --scale full
 
 # Interleaved host-time pairs of BASE against this tree on one workload
-# of BENCHMARK.json: the before/after row a performance change owes
-# docs/PERF.md.  make perf-pairs BASE=<git-ref> WORKLOAD=<name> [PAIRS=10]
+# of BENCHMARK.json, or on all six back to back: the before/after row a
+# performance change owes docs/PERF.md, ending in one verdict table
+# (within bound / regressed / unresolved per end-to-end metric and
+# workload) and a non-zero exit on a regression.
+# make perf-pairs BASE=<git-ref|dir> WORKLOAD=<name>|all [PAIRS=10]
 PAIRS ?= 10
 perf-pairs:
 	python3 benchmarks/perf_pairs.py $(BASE) $(WORKLOAD) $(PAIRS)

@@ -183,6 +183,10 @@ class HerdClientProcess:
         #: ops drawn from the stream whose partition had no free slot;
         #: issued as soon as a slot frees (graceful degradation)
         self._parked: List[Deque[Operation]] = [deque() for _ in range(ns)]
+        #: ops parked over all partitions, kept in step wherever an op
+        #: is parked or un-parked (almost always 0: the issue path asks
+        #: once per op)
+        self._parked_count = 0
         self._park_limit = 2 * config.window
         #: per-lane RECV buffer offsets in posting order (loss mode)
         self._recv_order: List[Deque[int]] = [deque() for _ in range(rf * ns)]
@@ -321,6 +325,7 @@ class HerdClientProcess:
                 yield from self._send_op(op, server)
             elif len(self._parked[server]) < self._park_limit:
                 self._parked[server].append(op)
+                self._parked_count += 1
             else:
                 self.overflow_dropped += 1
 
@@ -330,23 +335,25 @@ class HerdClientProcess:
             cqe = yield self.recv_cq.pop()
             yield self.sim.timeout(self.profile.cq_poll_ns)
             self._absorb(cqe)
-            for server in range(self._ns):
-                while self._parked[server] and self._slot_free[server]:
-                    yield from self._send_op(self._parked[server].popleft(), server)
+            if self._parked_count:
+                for server in range(self._ns):
+                    yield from self._drain_parked(server)
 
     # ------------------------------------------------------------------
 
     def _issue_next(self) -> Generator[Event, None, None]:
         # Parked ops first: the oldest op whose partition has a slot
         # again (its server recovered, or a response freed a slot).
-        for server in range(len(self._parked)):
-            if self._parked[server] and self._slot_free[server]:
-                yield from self._send_op(self._parked[server].popleft(), server)
-                return
+        if self._parked_count:
+            for server in range(self._ns):
+                if self._parked[server] and self._slot_free[server]:
+                    self._parked_count -= 1
+                    yield from self._send_op(self._parked[server].popleft(), server)
+                    return
         if self.stop_after is not None and self.sim.now >= self.stop_after:
             return  # draining: no new work
         while True:
-            if sum(len(q) for q in self._parked) >= self._park_limit:
+            if self._parked_count >= self._park_limit:
                 # Every partition we have drawn work for is saturated
                 # (e.g. its server process crashed).  Hold off; the
                 # next completion re-enters this path.
@@ -359,6 +366,14 @@ class HerdClientProcess:
             # This partition is saturated: park the op and keep the
             # closed loop running against the healthy partitions.
             self._parked[server].append(op)
+            self._parked_count += 1
+
+    def _drain_parked(self, server: int) -> Generator[Event, None, None]:
+        """Issue ``server``'s parked ops while it has free slots."""
+        parked = self._parked[server]
+        while parked and self._slot_free[server]:
+            self._parked_count -= 1
+            yield from self._send_op(parked.popleft(), server)
 
     def _send_op(self, op: Operation, server: int) -> Generator[Event, None, None]:
         free = self._slot_free[server]
@@ -616,8 +631,7 @@ class HerdClientProcess:
         for record in list(self._pending[server]):
             if record.replica != replica:
                 yield from self._replay(record)
-        while self._parked[server] and self._slot_free[server]:
-            yield from self._send_op(self._parked[server].popleft(), server)
+        yield from self._drain_parked(server)
 
     def _replay(self, record: _Pending) -> Generator[Event, None, None]:
         """Re-aim a pending request at its partition's current primary.
@@ -906,6 +920,7 @@ class HerdClientProcess:
             self.issued -= 1
             self.reroutes += 1
             self._parked[owner].appendleft(record.op)
+            self._parked_count += 1
             return
         record.deadline = now + (self._rto() or 0.0)
         self._pending[server].append(record)

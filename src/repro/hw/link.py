@@ -70,7 +70,7 @@ class Port:
 
     def arrive(self, flight: Event) -> None:
         """A packet's wire flight ended here (the flight event carries it)."""
-        self.deliver(flight.value)
+        self.deliver(flight._value)
 
 
 def _unattached(packet: Any) -> None:
@@ -127,45 +127,59 @@ class Fabric:
         """Send ``packet`` from ``src`` to ``dst``.
 
         Serialisation happens on the source port; after the propagation
-        delay the packet is handed to the destination's handler.  The
-        source port must exist; a missing destination is a programming
-        error surfaced at delivery time.
+        delay the packet is handed to the destination's handler.  Both
+        machines must be attached: an unknown one raises here, before
+        the packet is counted or judged (``KeyError`` for the source,
+        ``ValueError`` naming both ends for the destination).
         """
-        port = self.ports[src]
+        ports = self.ports
+        port = ports[src]
+        dst_port = ports.get(dst)
+        if dst_port is None:
+            raise ValueError(
+                "cannot transmit from %r to %r: no such machine on the fabric"
+                % (src, dst)
+            )
         port.tx_packets += 1
         port.tx_bytes += wire_bytes
+        profile = self.profile
+        tx_time = wire_bytes / profile.link_bw
+        delay = profile.wire_delay_ns
         hook = self.fault_hook
-        verdict = hook(src, dst, packet, wire_bytes) if hook is not None else None
-        if verdict is not None and verdict.drop:
-            self.dropped += 1
-            return
-        corrupt = verdict is not None and verdict.corrupt
-        if hasattr(packet, "corrupt"):
+        verdict = None if hook is None else hook(src, dst, packet, wire_bytes)
+        if verdict is None:
+            corrupt = False
+            duplicates = 0
+        else:
+            if verdict.drop:
+                self.dropped += 1
+                return
+            corrupt = verdict.corrupt
+            if corrupt:
+                self.corrupted += 1
+            if verdict.tx_mult != 1.0:
+                tx_time *= max(1.0, verdict.tx_mult)
+            delay += verdict.extra_delay_ns
+            duplicates = verdict.duplicate
+        try:
             # The flag is re-stamped on every (re)transmission of the
             # same packet object, so a retransmit starts clean.
             packet.corrupt = corrupt
-        if corrupt:
-            self.corrupted += 1
-        extra_delay = verdict.extra_delay_ns if verdict is not None else 0.0
-        tx_time = wire_bytes / self.profile.link_bw
-        if verdict is not None and verdict.tx_mult != 1.0:
-            tx_time *= max(1.0, verdict.tx_mult)
-        dst_port = self.ports[dst]
+        except AttributeError:
+            pass  # not a verbs Packet (the fabric carries any object)
         tracer = self.tracer
         if tracer is not None:
             tracer.span(
                 "wire %s->%s" % (src, dst),
                 self.sim.now,
-                self.sim.now + tx_time + self.profile.wire_delay_ns,
+                self.sim.now + tx_time + profile.wire_delay_ns,
                 "%d bytes" % wire_bytes,
             )
-        delay = self.profile.wire_delay_ns + extra_delay
         port.tx.serve(tx_time, packet, delay).callbacks.append(dst_port.arrive)
-        if verdict is not None and verdict.duplicate > 0:
-            # Duplicates consume wire capacity like any other packet.
-            for copy in range(verdict.duplicate):
-                self.duplicated += 1
-                dup_delay = delay + (copy + 1) * verdict.dup_delay_ns
-                port.tx.serve(tx_time, packet, dup_delay).callbacks.append(
-                    dst_port.arrive
-                )
+        # Duplicates consume wire capacity like any other packet.
+        for copy in range(duplicates):
+            self.duplicated += 1
+            dup_delay = delay + (copy + 1) * verdict.dup_delay_ns
+            port.tx.serve(tx_time, packet, dup_delay).callbacks.append(
+                dst_port.arrive
+            )

@@ -43,20 +43,21 @@ class Machine:
         self.nic_ingress = FifoServer(sim, name + ".nic.rx")
         self.nic_egress = FifoServer(sim, name + ".nic.tx")
         self.qp_cache = QpContextCache(self.profile, seed=cache_seed)
-        self.port: Port = fabric.attach(name, self._deliver)
-        self._packet_handler: Optional[Callable[[Any], None]] = None
+        self.port: Port = fabric.attach(name, self._no_device)
         metrics = getattr(sim, "metrics", None)
         if metrics is not None:
             metrics.watch_qp_cache(name, self.qp_cache)
 
     def attach_packet_handler(self, handler: Callable[[Any], None]) -> None:
-        """Install the verbs-layer packet handler (one per machine)."""
-        self._packet_handler = handler
+        """Install the verbs-layer packet handler (one per machine).
 
-    def _deliver(self, packet: Any) -> None:
-        if self._packet_handler is None:
-            raise RuntimeError("machine %r has no verbs device attached" % self.name)
-        self._packet_handler(packet)
+        The port delivers straight to it: an arriving packet costs no
+        hop through this class.
+        """
+        self.port.deliver = handler
+
+    def _no_device(self, packet: Any) -> None:
+        raise RuntimeError("machine %r has no verbs device attached" % self.name)
 
     def transmit(self, dst: str, packet: Any, wire_bytes: int) -> None:
         """Serialise a packet onto this machine's port toward ``dst``."""

@@ -46,9 +46,12 @@ class PcieBus:
 
     # -- PIO --------------------------------------------------------------
 
-    def pio_write(self, wqe_bytes: int) -> Event:
-        """Push one WQE (doorbell included) through write-combining PIO."""
-        return self.pio.serve(self.profile.pio_ns(wqe_bytes))
+    def pio_write(self, wqe_bytes: int, value: Any = None) -> Event:
+        """Push one WQE (doorbell included) through write-combining PIO.
+
+        The event fires with ``value``.
+        """
+        return self.pio.serve(self.profile.pio_ns(wqe_bytes), value)
 
     def doorbell(self) -> Event:
         """Ring a bare doorbell (no WQE body), e.g. for batched RECVs."""
@@ -69,11 +72,14 @@ class PcieBus:
         occupancy = p.dma_read_ns * transactions + payload_bytes / p.pcie_bw
         return self.dma.serve(occupancy, value, p.dma_read_latency_ns)
 
-    def dma_write(self, payload_bytes: int) -> Event:
-        """NIC-initiated write into host memory (posted)."""
+    def dma_write(self, payload_bytes: int, value: Any = None) -> Event:
+        """NIC-initiated write into host memory (posted).
+
+        The event fires with ``value`` once the data has landed.
+        """
         p = self.profile
         occupancy = p.dma_write_ns + payload_bytes / p.pcie_bw
-        return self.dma.serve(occupancy, latency=p.dma_write_latency_ns)
+        return self.dma.serve(occupancy, value, p.dma_write_latency_ns)
 
     def dma_atomic(self, on_locked: Optional[Callable[[], None]] = None) -> Event:
         """A locked read-modify-write for a remote atomic (CmpSwap/FetchAdd).

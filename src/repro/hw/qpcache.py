@@ -64,6 +64,19 @@ class QpContextCache:
         self._used += units
         return False
 
+    def access_ns(self, key: Hashable, requester: bool) -> float:
+        """Touch the context for ``key``; returns the engine occupancy it adds.
+
+        What the NIC datapath asks once per WQE and once per packet:
+        0.0 on a hit (one dict probe), the role's miss penalty after
+        :meth:`access` has inserted the context otherwise.
+        """
+        if key in self._entries:
+            self.hits += 1
+            return 0.0
+        self.access(key, requester)
+        return self.miss_penalty_ns(False, requester)
+
     def _evict_random(self) -> None:
         """Remove one random resident context (O(1) swap-pop)."""
         slot = self._rng.randrange(len(self._keys))

@@ -17,6 +17,15 @@ DMA writes, completions are DMA-written to CQs, and RC generates ACKs.
 
 Unsignaled verbs skip the completion DMA entirely — that is the
 "selective signaling" optimisation the paper leans on.
+
+What a work request costs depends only on its *shape* — transport,
+opcode, inline or not, payload length — and the device's frozen
+hardware profile, so it is worked out once per shape
+(:class:`~repro.verbs.types.SendPlan`, built on the first post) and the
+per-packet path reads it.  Every stage is a ``serve`` whose event
+carries what the next stage needs, plus a bound method: no closure per
+packet.  The stages read ``event._value`` — the slot behind the
+``Event.value`` property, whose getter is a Python-level call per stage.
 """
 
 from __future__ import annotations
@@ -31,14 +40,17 @@ from repro.verbs.mr import MemoryRegion, MrTable
 from repro.verbs.packets import Packet, PacketKind
 from repro.verbs.qp import QueuePair
 from repro.verbs.types import (
+    ATOMIC_BYTES,
     Cqe,
     CqeStatus,
     Opcode,
     QpState,
     RecvRequest,
+    SendPlan,
     Transport,
     VerbError,
     WorkRequest,
+    _validate_atomic_args,
     transport_supports,
 )
 
@@ -92,6 +104,9 @@ class RdmaDevice:
         self.mr_table = MrTable()
         self.qps: Dict[int, QueuePair] = {}
         self._next_qpn = 1
+        #: send plans by shape — (transport.index, opcode.index, inline,
+        #: length) — filled by the first post of each shape
+        self._plans: Dict[Tuple[int, int, bool, int], SendPlan] = {}
         machine.attach_packet_handler(self._on_packet)
         # Observers (benchmarks): called when inbound data lands.
         self.write_done_hook: Optional[Hook] = None
@@ -171,6 +186,11 @@ class RdmaDevice:
                 PacketKind.ATOMIC_RESP: self._handle_atomic_resp,
             },
         )
+        # The two fixed-size responder packets, priced once.
+        self._ack_wire_bytes = self._wire_bytes(PacketKind.ACK, 0)
+        self._atomic_resp_wire_bytes = self._wire_bytes(
+            PacketKind.ATOMIC_RESP, ATOMIC_BYTES
+        )
 
     # ------------------------------------------------------------------
     # Setup
@@ -217,7 +237,22 @@ class RdmaDevice:
         so callers inside a simulated core should ``yield`` it.  The
         rest of the datapath proceeds asynchronously.
         """
-        self._validate_send(qp, wr)
+        opcode = wr.opcode
+        plan = self._plans.get(
+            (qp.transport.index, opcode.index, wr.inline, wr.length)
+        )
+        if plan is None:
+            plan = self._build_plan(qp, wr)
+        # What depends on this WR or this QP, not on the shape, is
+        # checked on every post.
+        if opcode.fetchless:
+            if opcode.atomic:
+                # re-check here so hand-built WorkRequests are caught too
+                _validate_atomic_args(wr.raddr, wr.local)
+            elif wr.local is None:
+                raise VerbError("READ requires a local sink buffer")
+        if qp.peer is None and qp.transport.connected:
+            raise VerbError("queue pair is not connected")
         if qp.state is QpState.ERROR:
             # The QP was transitioned to the error state (fault
             # injection): the WR is flushed, never reaching the wire.
@@ -229,7 +264,7 @@ class RdmaDevice:
             if wr.signaled:
                 self._push_cqe(
                     qp.send_cq,
-                    Cqe(wr.wr_id, wr.opcode, status=CqeStatus.FLUSH_ERROR),
+                    Cqe(wr.wr_id, opcode, status=CqeStatus.FLUSH_ERROR),
                 )
             return self.sim.timeout(0.0)
         tracer = self.tracer
@@ -238,14 +273,14 @@ class RdmaDevice:
                 "%s.cpu" % self.machine.name,
                 "post_send %s%s (%d B, %s, %s)"
                 % (
-                    wr.opcode.value,
+                    opcode.value,
                     " inlined" if wr.inline else "",
-                    wr.length,
+                    plan.length,
                     qp.transport.value,
                     "signaled" if wr.signaled else "unsignaled",
                 ),
             )
-        if wr.opcode.fetchless and not qp.take_read_credit():
+        if opcode.fetchless and not qp.take_read_credit():
             # ConnectX-3 services at most 16 outstanding READs per QP
             # (atomics share the same non-posted slots); excess
             # requests wait in the driver.
@@ -255,14 +290,17 @@ class RdmaDevice:
         if self.metrics is not None:
             prefix = "verbs.%s." % self.machine.name
             self.metrics.counter(
-                prefix + "wqe.%s.%s" % (wr.opcode.value, qp.transport.value)
+                prefix + "wqe.%s.%s" % (opcode.value, qp.transport.value)
             ).inc()
-            if not wr.opcode.fetchless:
+            if not opcode.fetchless:
                 self.metrics.counter(
                     prefix + ("payload.inline" if wr.inline else "payload.dma")
                 ).inc()
-        pio_done = self.machine.pcie.pio_write(self._wqe_bytes(qp, wr))
-        pio_done.add_callback(lambda _e: self._egress(qp, wr))
+        # The WQE rides its egress stages as [qp, wr, plan, ready?].
+        pio_done = self.machine.pcie.pio_write(
+            plan.wqe_bytes, [qp, wr, plan, False]
+        )
+        pio_done.callbacks.append(self._egress)
         return pio_done
 
     def post_send_timed(
@@ -299,6 +337,7 @@ class RdmaDevice:
     # ------------------------------------------------------------------
 
     def _validate_send(self, qp: QueuePair, wr: WorkRequest) -> None:
+        """The shape's verdict: Table 1, ``max_inline``, one MTU on UD."""
         if wr.opcode is Opcode.RECV:
             raise VerbError("RECV is posted to the receive queue (post_recv)")
         if not transport_supports(qp.transport, wr.opcode):
@@ -313,17 +352,8 @@ class RdmaDevice:
             )
         if qp.transport is Transport.UD and wr.length > self.profile.mtu:
             raise VerbError("UD messages are limited to one MTU")
-        if wr.opcode is Opcode.READ and wr.local is None:
-            raise VerbError("READ requires a local sink buffer")
-        if wr.opcode.atomic:
-            if wr.inline:
-                raise VerbError("atomics cannot be inlined")
-            # re-check here so hand-built WorkRequests are caught too
-            from repro.verbs.types import _validate_atomic_args
-
-            _validate_atomic_args(wr.raddr, wr.local)
-        if qp.transport.connected and qp.peer is None:
-            raise VerbError("queue pair is not connected")
+        if wr.opcode.atomic and wr.inline:
+            raise VerbError("atomics cannot be inlined")
 
     def _wqe_bytes(self, qp: QueuePair, wr: WorkRequest) -> int:
         """WQE size: what the CPU pushes through write-combining PIO."""
@@ -341,57 +371,90 @@ class RdmaDevice:
             size += p.wqe_data_ptr_bytes
         return size
 
-    def _egress(self, qp: QueuePair, wr: WorkRequest) -> None:
+    def _build_plan(self, qp: QueuePair, wr: WorkRequest) -> SendPlan:
+        """First post of a shape: derive its plan and keep it.
+
+        A shape the hardware rejects raises here, before anything is
+        kept, so it raises again on every later post.
+        """
+        self._validate_send(qp, wr)
         p = self.profile
-        hit = self.machine.qp_cache.access(("s", qp.qpn), requester=True)
-        fetchless = wr.opcode.fetchless
-        service = p.nic_egress_read_ns if fetchless else p.nic_egress_ns
-        service += self.machine.qp_cache.miss_penalty_ns(hit, requester=True)
+        transport = qp.transport
+        opcode = wr.opcode
+        length = wr.length
+        if opcode.fetchless or wr.inline:
+            transactions = None
+        else:
+            transactions = p.non_inline_fetch_transactions
+            if transport is Transport.RC:
+                # Reliable transport retains WQE state for retransmission:
+                # one extra non-posted round trip per send (Section 3.2.2's
+                # "writes require less state maintenance ... at the PCIe
+                # level" argument, applied to RC vs UC).
+                transactions += 1
+        kind = _EGRESS_KIND[opcode.index]
+        plan = SendPlan(
+            wqe_bytes=self._wqe_bytes(qp, wr),
+            egress_ns=p.nic_egress_read_ns if opcode.fetchless else p.nic_egress_ns,
+            fetch_transactions=transactions,
+            kind=kind,
+            length=length,
+            wire_bytes=self._wire_bytes(kind, length, transport is Transport.UD),
+            # RC/DC track unacknowledged sends; READs and atomics
+            # complete via their response instead of an ACK.  (For DC,
+            # FIFO matching of ACKs across targets is sound here
+            # because the fabric's propagation delay is uniform.)
+            acked=transport.reliable
+            and kind in (PacketKind.WRITE, PacketKind.SEND),
+            local_completion=not transport.reliable,
+        )
+        self._plans[(transport.index, opcode.index, wr.inline, length)] = plan
+        return plan
+
+    def _egress(self, pio_done: Event) -> None:
+        wqe = pio_done._value
+        qp, _wr, plan, _ready = wqe
+        machine = self.machine
+        service = plan.egress_ns + machine.qp_cache.access_ns(qp.requester_key, True)
         # A QP's WQEs reach the wire in post order: even though a DMA
         # fetch delays this WQE, later (e.g. inlined) WQEs must not
-        # overtake it.  Each WQE queues here as [qp, wr, ready?] and is
-        # released by _wqe_ready, in the callback that makes it and all
-        # of its predecessors ready.
-        wqe = [qp, wr, False]
+        # overtake it.  Each WQE queues here and is released by
+        # _wqe_ready, in the callback that makes it and all of its
+        # predecessors ready.
         qp.egress_queue.append(wqe)
-        done = self.machine.nic_egress.serve(service, wqe)
-        if fetchless or wr.inline:
-            done.callbacks.append(self._wqe_ready)
-        else:
-            done.callbacks.append(self._fetch)
+        machine.nic_egress.serve(service, wqe).callbacks.append(
+            self._wqe_ready if plan.fetch_transactions is None else self._fetch
+        )
 
     def _fetch(self, processed: Event) -> None:
         """Fetch the payload from host memory with non-posted DMA."""
-        wqe = processed.value
-        qp, wr, _ready = wqe
-        transactions = self.profile.non_inline_fetch_transactions
-        if qp.transport is Transport.RC:
-            # Reliable transport retains WQE state for retransmission:
-            # one extra non-posted round trip per send (Section 3.2.2's
-            # "writes require less state maintenance ... at the PCIe
-            # level" argument, applied to RC vs UC).
-            transactions += 1
-        fetched = self.machine.pcie.dma_read(wr.length, transactions, wqe)
+        wqe = processed._value
+        plan = wqe[2]
+        fetched = self.machine.pcie.dma_read(plan.length, plan.fetch_transactions, wqe)
         fetched.callbacks.append(self._wqe_ready)
 
     def _wqe_ready(self, stage: Event) -> None:
         """A WQE finished its last egress stage: release what is in order."""
-        wqe = stage.value
-        wqe[2] = True
+        wqe = stage._value
+        wqe[3] = True
         queue = wqe[0].egress_queue
-        while queue and queue[0][2]:
-            qp, wr, _ready = queue.popleft()
-            self._transmit_wr(qp, wr)
+        while queue and queue[0][3]:
+            qp, wr, plan, _ready = queue.popleft()
+            self._transmit_wr(qp, wr, plan)
 
-    def _transmit_wr(self, qp: QueuePair, wr: WorkRequest) -> None:
-        dst_machine, dst_qpn = qp.destination_for(wr)
+    def _transmit_wr(self, qp: QueuePair, wr: WorkRequest, plan: SendPlan) -> None:
+        dst = qp.peer
+        if dst is None or wr.ah is not None:
+            # an address handle (UD, DC) — or a WR that misuses one
+            dst = qp.destination_for(wr)
+        opcode = wr.opcode
         psn = 0
-        if wr.inline or wr.opcode is Opcode.READ:
+        if wr.inline or opcode is Opcode.READ:
             payload = wr.payload
-        elif wr.opcode.atomic:
+        elif opcode.atomic:
             # The request packet carries the operands (the AtomicETH);
             # the PSN identifies it in the responder's replay cache.
-            tag = _ATOMIC_CS_TAG if wr.opcode is Opcode.ATOMIC_CS else _ATOMIC_FA_TAG
+            tag = _ATOMIC_CS_TAG if opcode is Opcode.ATOMIC_CS else _ATOMIC_FA_TAG
             payload = _ATOMIC_WIRE.pack(
                 tag, wr.compare_add & _U64_MASK, wr.swap & _U64_MASK
             )
@@ -403,56 +466,37 @@ class RdmaDevice:
             payload = mr.read(offset, length)
             if wr.on_fetched is not None:
                 wr.on_fetched()
-        kind = _EGRESS_KIND[wr.opcode.index]
-        if (
-            self.enforce_rc_ordering
-            and qp.transport.reliable
-            and kind in (PacketKind.WRITE, PacketKind.SEND)
-        ):
+        if self.enforce_rc_ordering and plan.acked:
             # Sequential PSNs let the responder deliver in post order
             # and the requester match ACKs cumulatively (go-back-N).
             qp.send_psn += 1
             psn = qp.send_psn
             wr._psn = psn
+        machine = self.machine
         packet = Packet(
-            kind,
+            plan.kind,
             qp.transport,
-            self.machine.name,
+            machine.name,
             qp.qpn,
-            dst_machine,
-            dst_qpn,
-            payload=payload,
-            raddr=wr.raddr,
-            rkey=wr.rkey,
-            length=wr.length,
-            psn=psn,
-            wr=wr,
+            dst[0],
+            dst[1],
+            payload,
+            wr.raddr,
+            wr.rkey,
+            plan.length,
+            psn,
+            wr,
+            plan.wire_bytes,
         )
-        if qp.transport.reliable and kind not in (
-            PacketKind.READ_REQ,
-            PacketKind.ATOMIC_REQ,
-        ):
-            # RC/DC track unacknowledged sends; READs and atomics
-            # complete via their response instead of an ACK.  (For DC,
-            # FIFO matching of ACKs across targets is sound here
-            # because the fabric's propagation delay is uniform.)
+        if plan.acked:
             qp.unacked.append(wr)
-        self._transmit(packet)
-        if not qp.transport.reliable and wr.signaled:
+        machine.fabric.transmit(machine.name, dst[0], packet, plan.wire_bytes)
+        if plan.local_completion:
             # UC/UD: local completion once the NIC has taken the message.
-            self._push_cqe(qp.send_cq, Cqe(wr.wr_id, wr.opcode, byte_len=wr.length))
-        if self.machine.fabric.lossy and qp.transport.reliable:
+            if wr.signaled:
+                self._push_cqe(qp.send_cq, Cqe(wr.wr_id, opcode, byte_len=plan.length))
+        elif machine.fabric.lossy:
             self._arm_retransmit(qp, packet)
-
-    def _transmit(self, packet: Packet) -> None:
-        payload_len = packet.length if packet.kind is not PacketKind.READ_REQ else 16
-        if packet.kind is PacketKind.ACK:
-            payload_len = 0
-        elif packet.kind is PacketKind.ATOMIC_REQ:
-            payload_len = 28  # AtomicETH: raddr + rkey + two operands
-        ud = packet.transport is Transport.UD
-        wire = self._segmented_wire_bytes(payload_len, ud)
-        self.machine.transmit(packet.dst_machine, packet, wire)
 
     def _egress_response(self, packet: Packet, service: float) -> None:
         """Responder-generated packets (responses, ACKs): engine, then wire."""
@@ -460,7 +504,26 @@ class RdmaDevice:
         processed.callbacks.append(self._transmit_processed)
 
     def _transmit_processed(self, processed: Event) -> None:
-        self._transmit(processed.value)
+        self._transmit(processed._value)
+
+    def _transmit(self, packet: Packet) -> None:
+        """Put an already priced packet on the wire (again, on a retransmit)."""
+        machine = self.machine
+        machine.fabric.transmit(
+            machine.name, packet.dst_machine, packet, packet.wire_bytes
+        )
+
+    def _wire_bytes(self, kind: PacketKind, length: int, ud: bool = False) -> int:
+        """What a packet of ``kind`` carrying ``length`` bytes occupies on the wire."""
+        if kind is PacketKind.READ_REQ:
+            payload_len = 16
+        elif kind is PacketKind.ACK:
+            payload_len = 0
+        elif kind is PacketKind.ATOMIC_REQ:
+            payload_len = 28  # AtomicETH: raddr + rkey + two operands
+        else:
+            payload_len = length
+        return self._segmented_wire_bytes(payload_len, ud)
 
     def _segmented_wire_bytes(self, payload_len: int, ud: bool) -> int:
         """Wire bytes including one header per MTU segment."""
@@ -492,44 +555,43 @@ class RdmaDevice:
     # ------------------------------------------------------------------
 
     def _on_packet(self, packet: Packet) -> None:
-        p = self.profile
+        machine = self.machine
         if packet.corrupt:
             # The ICRC check fails on arrival: the NIC silently discards
             # the frame before touching any QP context.  The wire
             # bandwidth is already gone; charge only a header-sized
             # ingress inspection.
-            served = self.machine.nic_ingress.serve(p.nic_ingress_ack_ns)
-
-            def on_discarded(_e: Event) -> None:
-                self.icrc_drops += 1
-                if self.metrics is not None:
-                    self.metrics.counter(
-                        "verbs.%s.icrc_drops" % self.machine.name
-                    ).inc()
-
-            served.add_callback(on_discarded)
+            served = machine.nic_ingress.serve(self.profile.nic_ingress_ack_ns)
+            served.callbacks.append(self._icrc_discarded)
             return
+        kind = packet.kind
+        requester = kind.to_requester
         dst_qp = self.qps.get(packet.dst_qpn)
-        if dst_qp is not None and dst_qp.state is QpState.ERROR:
+        if dst_qp is None:
+            role_key = ("s" if requester else "r", packet.dst_qpn)
+        elif dst_qp.state is QpState.ERROR:
             # Packets addressed to an error-state QP are dropped by the
             # NIC (real hardware NAKs or silently discards, depending on
             # transport; neither delivers to memory).
             self.qp_error_drops += 1
             if self.metrics is not None:
                 self.metrics.counter(
-                    "verbs.%s.qp_error_drops" % self.machine.name
+                    "verbs.%s.qp_error_drops" % machine.name
                 ).inc()
             return
-        cache = self.machine.qp_cache
-        kind = packet.kind
-        requester = kind.to_requester
-        role_key = ("s", packet.dst_qpn) if requester else ("r", packet.dst_qpn)
-        hit = cache.access(role_key, requester=requester)
-        service = self._ingress_service[kind.index] + cache.miss_penalty_ns(
-            hit, requester=requester
+        else:
+            role_key = dst_qp.requester_key if requester else dst_qp.responder_key
+        index = kind.index
+        service = self._ingress_service[index] + machine.qp_cache.access_ns(
+            role_key, requester
         )
-        done = self.machine.nic_ingress.serve(service, packet)
-        done.callbacks.append(self._ingress_handler[kind.index])
+        done = machine.nic_ingress.serve(service, packet)
+        done.callbacks.append(self._ingress_handler[index])
+
+    def _icrc_discarded(self, _inspected: Event) -> None:
+        self.icrc_drops += 1
+        if self.metrics is not None:
+            self.metrics.counter("verbs.%s.icrc_drops" % self.machine.name).inc()
 
     # -- RC ordering enforcement (enforce_rc_ordering only) ------------
 
@@ -577,36 +639,35 @@ class RdmaDevice:
         self._expected_psn[self._psn_key(packet)] = packet.psn + 1
 
     def _handle_write(self, processed: Event) -> None:
-        packet: Packet = processed.value
-        if self._rc_ordered(packet):
+        packet: Packet = processed._value
+        if self.enforce_rc_ordering and self._rc_ordered(packet):
             verdict = self._psn_check(packet)
             if verdict != 0:
                 self._psn_discard(packet, verdict)
                 return
             self._psn_advance(packet)
         mr = self.mr_table.resolve(packet.raddr, packet.rkey, packet.length)
-        offset = mr.offset_of(packet.raddr)
+        offset = packet.raddr - mr.addr  # inside the region: resolve checked
         mr.write(offset, packet.payload)
-        landed = self.machine.pcie.dma_write(packet.length)
-
-        def on_landed(_e: Event) -> None:
-            self.writes_received += 1
-            notify = getattr(mr, "on_write", None)
-            if notify is not None:
-                notify(offset, packet.length)
-            if self.write_done_hook is not None:
-                self.write_done_hook(packet)
-
-        landed.add_callback(on_landed)
+        landed = self.machine.pcie.dma_write(packet.length, (packet, mr, offset))
+        landed.callbacks.append(self._write_landed)
         if packet.transport.reliable:
             self._send_ack(packet)
 
+    def _write_landed(self, landed: Event) -> None:
+        packet, mr, offset = landed._value
+        self.writes_received += 1
+        if mr.on_write is not None:
+            mr.on_write(offset, packet.length)
+        if self.write_done_hook is not None:
+            self.write_done_hook(packet)
+
     def _handle_send(self, processed: Event) -> None:
-        packet: Packet = processed.value
+        packet: Packet = processed._value
         qp = self.qps.get(packet.dst_qpn)
         if qp is None:
             raise VerbError("SEND to unknown QP %d" % packet.dst_qpn)
-        ordered = self._rc_ordered(packet)
+        ordered = self.enforce_rc_ordering and self._rc_ordered(packet)
         if ordered:
             # Duplicates must be rejected *before* they consume a RECV.
             verdict = self._psn_check(packet)
@@ -638,55 +699,56 @@ class RdmaDevice:
             )
         # UD receive buffers start with a 40-byte GRH.
         mr.write(offset + grh, packet.payload)
-        landed = self.machine.pcie.dma_write(packet.length + grh)
-
-        def on_landed(_e: Event) -> None:
-            self.sends_received += 1
-            self._push_cqe(
-                qp.recv_cq,
-                Cqe(
-                    rr.wr_id,
-                    Opcode.RECV,
-                    byte_len=packet.length,
-                    src=(packet.src_machine, packet.src_qpn),
-                    qpn=qp.qpn,
-                ),
-            )
-            if self.send_done_hook is not None:
-                self.send_done_hook(packet)
-
-        landed.add_callback(on_landed)
+        landed = self.machine.pcie.dma_write(packet.length + grh, (packet, qp, rr))
+        landed.callbacks.append(self._send_landed)
         if packet.transport.reliable:
             self._send_ack(packet)
 
+    def _send_landed(self, landed: Event) -> None:
+        packet, qp, rr = landed._value
+        self.sends_received += 1
+        self._push_cqe(
+            qp.recv_cq,
+            Cqe(
+                rr.wr_id,
+                Opcode.RECV,
+                byte_len=packet.length,
+                src=(packet.src_machine, packet.src_qpn),
+                qpn=qp.qpn,
+            ),
+        )
+        if self.send_done_hook is not None:
+            self.send_done_hook(packet)
+
     def _handle_read_req(self, processed: Event) -> None:
-        packet: Packet = processed.value
+        packet: Packet = processed._value
         mr = self.mr_table.resolve(packet.raddr, packet.rkey, packet.length)
-        offset = mr.offset_of(packet.raddr)
-        fetched = self.machine.pcie.dma_read(packet.length, transactions=1)
+        offset = packet.raddr - mr.addr  # inside the region: resolve checked
+        fetched = self.machine.pcie.dma_read(packet.length, 1, (packet, mr, offset))
+        fetched.callbacks.append(self._read_fetched)
 
-        def on_fetched(_e: Event) -> None:
-            self.reads_served += 1
-            if self.read_served_hook is not None:
-                self.read_served_hook(packet)
-            data = mr.read(offset, packet.length)
-            response = Packet(
-                PacketKind.READ_RESP,
-                packet.transport,
-                self.machine.name,
-                packet.dst_qpn,
-                packet.src_machine,
-                packet.src_qpn,
-                payload=data,
-                length=packet.length,
-                wr=packet.wr,
-            )
-            self._egress_response(response, self.profile.nic_egress_ns)
-
-        fetched.add_callback(on_fetched)
+    def _read_fetched(self, fetched: Event) -> None:
+        packet, mr, offset = fetched._value
+        self.reads_served += 1
+        if self.read_served_hook is not None:
+            self.read_served_hook(packet)
+        length = packet.length
+        response = Packet(
+            PacketKind.READ_RESP,
+            packet.transport,
+            self.machine.name,
+            packet.dst_qpn,
+            packet.src_machine,
+            packet.src_qpn,
+            payload=mr.read(offset, length),
+            length=length,
+            wr=packet.wr,
+            wire_bytes=self._wire_bytes(PacketKind.READ_RESP, length),
+        )
+        self._egress_response(response, self.profile.nic_egress_ns)
 
     def _handle_read_resp(self, processed: Event) -> None:
-        packet: Packet = processed.value
+        packet: Packet = processed._value
         qp = self.qps.get(packet.dst_qpn)
         wr = packet.wr
         if qp is None or wr is None:
@@ -702,16 +764,17 @@ class RdmaDevice:
         wr._acked = True
         mr, offset, _length = wr.local
         mr.write(offset, packet.payload)
-        landed = self.machine.pcie.dma_write(packet.length)
+        landed = self.machine.pcie.dma_write(packet.length, (qp, wr, packet.length))
+        landed.callbacks.append(self._response_landed)
 
-        def on_landed(_e: Event) -> None:
-            if wr.signaled:
-                self._push_cqe(qp.send_cq, Cqe(wr.wr_id, Opcode.READ, byte_len=packet.length))
-            queued = qp.return_read_credit()
-            if queued is not None:
-                self.post_send(qp, queued)
-
-        landed.add_callback(on_landed)
+    def _response_landed(self, landed: Event) -> None:
+        """A READ's data or an atomic's original value is in the WR's sink."""
+        qp, wr, byte_len = landed._value
+        if wr.signaled:
+            self._push_cqe(qp.send_cq, Cqe(wr.wr_id, wr.opcode, byte_len=byte_len))
+        queued = qp.return_read_credit()
+        if queued is not None:
+            self.post_send(qp, queued)
 
     def _handle_atomic_req(self, processed: Event) -> None:
         """Execute a remote read-modify-write as the responder.
@@ -722,9 +785,7 @@ class RdmaDevice:
         targeting this host is serialised regardless of which QP or
         requester issued it — the per-device atomicity guarantee.
         """
-        from repro.verbs.types import ATOMIC_BYTES
-
-        packet: Packet = processed.value
+        packet: Packet = processed._value
         mr = self.mr_table.resolve(packet.raddr, packet.rkey, ATOMIC_BYTES)
         offset = mr.offset_of(packet.raddr)
         tag, compare_add, swap = _ATOMIC_WIRE.unpack(packet.payload)
@@ -767,8 +828,6 @@ class RdmaDevice:
         )
 
     def _respond_atomic(self, packet: Packet, original: int) -> None:
-        from repro.verbs.types import ATOMIC_BYTES
-
         response = Packet(
             PacketKind.ATOMIC_RESP,
             packet.transport,
@@ -780,11 +839,12 @@ class RdmaDevice:
             length=ATOMIC_BYTES,
             psn=packet.psn,
             wr=packet.wr,
+            wire_bytes=self._atomic_resp_wire_bytes,
         )
         self._egress_response(response, self.profile.nic_egress_ns)
 
     def _handle_atomic_resp(self, processed: Event) -> None:
-        packet: Packet = processed.value
+        packet: Packet = processed._value
         qp = self.qps.get(packet.dst_qpn)
         wr = packet.wr
         if qp is None or wr is None:
@@ -796,18 +856,8 @@ class RdmaDevice:
         wr._acked = True
         mr, offset, _length = wr.local
         mr.write(offset, packet.payload)
-        landed = self.machine.pcie.dma_write(packet.length)
-
-        def on_landed(_e: Event) -> None:
-            if wr.signaled:
-                self._push_cqe(
-                    qp.send_cq, Cqe(wr.wr_id, wr.opcode, byte_len=packet.length)
-                )
-            queued = qp.return_read_credit()
-            if queued is not None:
-                self.post_send(qp, queued)
-
-        landed.add_callback(on_landed)
+        landed = self.machine.pcie.dma_write(packet.length, (qp, wr, packet.length))
+        landed.callbacks.append(self._response_landed)
 
     def _send_ack(self, packet: Packet, psn: Optional[int] = None) -> None:
         ack = Packet(
@@ -819,17 +869,18 @@ class RdmaDevice:
             packet.src_qpn,
             psn=packet.psn if psn is None else psn,
             wr=packet.wr,
+            wire_bytes=self._ack_wire_bytes,
         )
         self._egress_response(ack, self.profile.nic_ingress_ack_ns)
 
     def _handle_ack(self, processed: Event) -> None:
-        packet: Packet = processed.value
+        packet: Packet = processed._value
         self.acks_received += 1
         qp = self.qps.get(packet.dst_qpn)
         if qp is None or not qp.unacked:
             self.duplicate_acks += 1
             return  # duplicate ACK after a retransmit; harmless
-        if self._rc_ordered(packet):
+        if self.enforce_rc_ordering and self._rc_ordered(packet):
             # Cumulative: an ACK for PSN n acknowledges every send up
             # to n, so a lost ACK is repaired by the next one instead
             # of mis-crediting the FIFO head (which would disarm the
@@ -861,16 +912,17 @@ class RdmaDevice:
             # CQE DMAs steal PCIe capacity from payload DMA — the cost
             # selective signaling avoids; count them so that shows up.
             self.metrics.counter("verbs.%s.cqe_dma" % self.machine.name).inc()
-        landed = self.machine.pcie.dma_write(32)
-        tracer = self.tracer
-        if tracer is not None:
-            landed.add_callback(
-                lambda _e: tracer.mark(
-                    "%s.cpu" % self.machine.name,
-                    "completion (%s) pollable" % cqe.opcode.value,
-                )
+        landed = self.machine.pcie.dma_write(32, (cq, cqe))
+        landed.callbacks.append(self._cqe_landed)
+
+    def _cqe_landed(self, landed: Event) -> None:
+        cq, cqe = landed._value
+        if self.tracer is not None:
+            self.tracer.mark(
+                "%s.cpu" % self.machine.name,
+                "completion (%s) pollable" % cqe.opcode.value,
             )
-        landed.add_callback(lambda _e: cq.push(cqe))
+        cq.push(cqe)
 
 
 def connect_pair(

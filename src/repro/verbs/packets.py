@@ -49,6 +49,7 @@ class Packet:
         "length",
         "psn",
         "wr",
+        "wire_bytes",
         "corrupt",
     )
 
@@ -66,6 +67,7 @@ class Packet:
         length: int = 0,
         psn: int = 0,
         wr: Optional[WorkRequest] = None,
+        wire_bytes: int = 0,
     ) -> None:
         self.kind = kind
         self.transport = transport
@@ -79,6 +81,9 @@ class Packet:
         self.length = length
         self.psn = psn
         self.wr = wr
+        #: what the message occupies on the wire, headers of every MTU
+        #: segment included; priced by the sender when it builds the packet
+        self.wire_bytes = wire_bytes
         #: set by the fabric's fault layer: the payload was damaged on
         #: the wire, so the receiving NIC's ICRC check will discard it
         self.corrupt = False

@@ -33,6 +33,11 @@ class QueuePair:
         self.device = device
         self.qpn = qpn
         self.transport = transport
+        #: this QP's two entries in the NIC's QP-context cache — as the
+        #: requester (its own WQEs; responses and ACKs coming back) and
+        #: as the responder (requests arriving)
+        self.requester_key = ("s", qpn)
+        self.responder_key = ("r", qpn)
         self.send_cq = send_cq
         self.recv_cq = recv_cq
         #: (machine_name, qpn) of the peer, for connected transports
@@ -58,7 +63,7 @@ class QueuePair:
         #: in-order release queue: RDMA executes a QP's WQEs in post
         #: order, so a payload DMA fetch must not let later (e.g.
         #: inlined) WQEs overtake this one onto the wire.  The device
-        #: queues each WQE here as ``[qp, wr, ready]`` when the NIC
+        #: queues each WQE here as ``[qp, wr, plan, ready]`` when the NIC
         #: takes it and transmits from the head while the head is ready.
         self.egress_queue: Deque[list] = deque()
         #: RTS normally; ERROR after a fault until :meth:`recover`

@@ -9,17 +9,20 @@ queue instead of an event chain.  The pre-fusion code — ``serve`` →
 oracle: the fused path must fire at bit-identical instants, leave the
 station's accounting untouched, and cost exactly the calendar entries
 budgeted below (so a re-added hop fails tier-1 without any host-time
-measurement).
+measurement).  Between two entries the datapath is straight-line code
+reading a per-shape send plan; section (d) budgets the Python-level
+calls a verb costs, so a re-added closure or helper hop fails too.
 """
 
 import random
+import sys
 
 import pytest
 
 from repro.bench.trace import FIG1_VERBS, run_verb
 from repro.hw import APT, Fabric, Machine, PcieBus
 from repro.sim import FifoServer, Simulator
-from repro.verbs import RdmaDevice, Transport, WorkRequest, connect_pair
+from repro.verbs import RdmaDevice, RecvRequest, Transport, WorkRequest, connect_pair
 from repro.verbs.packets import PacketKind
 
 # ---------------------------------------------------------------------------
@@ -209,3 +212,89 @@ ENTRY_BUDGET = dict(zip(FIG1_VERBS, (5, 10, 10, 6)))
 @pytest.mark.parametrize("kind", FIG1_VERBS)
 def test_single_verb_calendar_entry_budget(kind):
     assert run_verb(kind)._seq == ENTRY_BUDGET[kind]
+
+
+# ---------------------------------------------------------------------------
+# (d) steady-state Python-call budgets of the same four flows
+# ---------------------------------------------------------------------------
+
+
+def _steady_state_world(kind, posts):
+    """Two APT machines; one process builds and posts ``posts`` verbs of
+    ``kind`` through ``post_send_timed``, idling 5 us after each."""
+    sim = Simulator()
+    fabric = Fabric(sim, APT)
+    requester = RdmaDevice(Machine(sim, fabric, "requester"))
+    responder = RdmaDevice(Machine(sim, fabric, "responder"))
+    remote = responder.register_memory(4096)
+    sink = requester.register_memory(4096)
+    src = requester.register_memory(4096)
+    if kind == "WRITE, inlined, unreliable, unsignaled":
+        _rqp, qp = connect_pair(responder, requester, Transport.UC)
+        make = lambda: WorkRequest.write(  # noqa: E731
+            raddr=remote.addr, rkey=remote.rkey, payload=b"w" * 32,
+            inline=True, signaled=False,
+        )
+    elif kind == "WRITE (signaled, RC)":
+        _rqp, qp = connect_pair(responder, requester, Transport.RC)
+        make = lambda: WorkRequest.write(  # noqa: E731
+            raddr=remote.addr, rkey=remote.rkey, local=(src, 0, 32), signaled=True
+        )
+    elif kind == "READ":
+        _rqp, qp = connect_pair(responder, requester, Transport.RC)
+        make = lambda: WorkRequest.read(  # noqa: E731
+            raddr=remote.addr, rkey=remote.rkey, local=(sink, 0, 32)
+        )
+    else:
+        rqp = responder.create_qp(Transport.UD)
+        inbox = responder.register_memory(4096)
+        for wr_id in range(posts):
+            responder.post_recv(rqp, RecvRequest(wr_id, (inbox, 0, 2048)))
+        qp = requester.create_qp(Transport.UD)
+        make = lambda: WorkRequest.send(  # noqa: E731
+            payload=b"s" * 32, inline=True, signaled=False,
+            ah=("responder", rqp.qpn),
+        )
+
+    def poster():
+        for _ in range(posts):
+            yield from requester.post_send_timed(qp, make())
+            yield sim.timeout(5_000.0)
+
+    sim.process(poster())
+    return sim
+
+
+def _calls_and_entries(kind, posts):
+    sim = _steady_state_world(kind, posts)
+    calls = 0
+
+    def count(_frame, event, _arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(count)
+    try:
+        sim.run_until_idle()
+    finally:
+        sys.setprofile(None)
+    return calls, sim._seq
+
+
+#: Python-level calls (function entries and generator resumes, as
+#: ``sys.setprofile`` counts them) per verb in steady state, harness
+#: included: building the WR, ``post_send_timed``, the idle timeout.
+#: Before send plans and the closure-free ingress: 66 / 106 / 103 / 73.
+CALL_BUDGET = dict(zip(FIG1_VERBS, (44, 75, 78, 51)))
+#: the flows of (c) plus the post_send_ns and idle timeouts
+STEADY_ENTRIES = dict(zip(FIG1_VERBS, (7, 12, 12, 8)))
+
+
+@pytest.mark.parametrize("kind", FIG1_VERBS)
+def test_steady_state_python_call_budget(kind):
+    # the difference of two run lengths cancels set-up and first-post
+    # costs (process start, plan building, QP-cache misses)
+    calls_200, entries_200 = _calls_and_entries(kind, 200)
+    calls_100, entries_100 = _calls_and_entries(kind, 100)
+    assert (entries_200 - entries_100) / 100 == STEADY_ENTRIES[kind]
+    assert (calls_200 - calls_100) / 100 <= CALL_BUDGET[kind]

@@ -14,6 +14,10 @@ from repro.herd import HerdConfig
 from repro.herd import wire
 from repro.herd.config import partition_of, route_key
 
+#: NOT_OWNER nacks re-park ops at their new owner: keep the client's
+#: running parked count honest throughout
+pytestmark = pytest.mark.usefixtures("parked_count_checked")
+
 #: the elastic-smoke configuration (Makefile) — a 3-partition cluster
 #: born with 2 active, the spare joining at 25% of the horizon and the
 #: first migration source's primary crashing at 27%

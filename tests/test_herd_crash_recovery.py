@@ -1,11 +1,17 @@
 """Server-process crash and recovery via the shared request region."""
 
+import pytest
+
 from repro.faults import FaultPlan
 from repro.herd import HerdCluster, HerdConfig
 from repro.herd.config import partition_of
 from repro.herd.wire import encode_put
 from repro.workloads import Workload
 from repro.workloads.ycsb import keyhash, value_for
+
+#: crashes park ops and recoveries un-park them: keep the client's
+#: running parked count honest throughout
+pytestmark = pytest.mark.usefixtures("parked_count_checked")
 
 
 def crashy_cluster(seed=31, window=2, retry_timeout_ns=40_000.0):

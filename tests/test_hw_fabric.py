@@ -65,6 +65,34 @@ def test_delivery_without_handler_raises():
         sim.run_until_idle()
 
 
+def test_unknown_destination_is_rejected_before_anything_is_counted():
+    sim, fabric, a, b = make_pair()
+    hooked = []
+    fabric.fault_hook = lambda *args: hooked.append(args)
+    with pytest.raises(ValueError) as excinfo:
+        fabric.transmit("a", "nope", "p", wire_bytes=70)
+    # names both ends, and the packet that never left is not counted,
+    # judged or booked
+    assert "'a'" in str(excinfo.value) and "'nope'" in str(excinfo.value)
+    assert (a.port.tx_packets, a.port.tx_bytes) == (0, 0)
+    assert hooked == [] and sim._seq == 0
+
+
+def test_ud_send_to_an_unknown_machine_raises_value_error():
+    # how a user gets there: an address handle naming no machine
+    from repro.verbs import RdmaDevice, Transport, WorkRequest
+
+    sim, fabric, a, b = make_pair()
+    device = RdmaDevice(a)
+    qp = device.create_qp(Transport.UD)
+    device.post_send(
+        qp, WorkRequest.send(payload=b"x" * 8, inline=True, ah=("nope", 1))
+    )
+    with pytest.raises(ValueError, match="'a'.*'nope'"):
+        sim.run_until_idle()
+    assert a.port.tx_packets == 0
+
+
 def test_bit_errors_drop_packets():
     sim, fabric, a, b = make_pair()
     got = []

@@ -17,6 +17,10 @@ from repro.herd import HerdCluster, HerdConfig
 from repro.obs import MetricsRegistry
 from repro.workloads import Workload
 
+#: open-loop arrivals park into full windows and the responder drains
+#: them: keep the client's running parked count honest throughout
+pytestmark = pytest.mark.usefixtures("parked_count_checked")
+
 
 @pytest.fixture(scope="module")
 def flash_on():
