@@ -27,6 +27,13 @@ end, one verdict table, a row per end-to-end metric and workload:
   base side's own interquartile distance — the only rows a gain may be
   claimed on.
 
+``run.py`` prints ``disturbed <workload>: ...`` on stderr when the
+machine stole time from a repetition (its reference loop drifted).  A
+pair with a disturbed side is run again once, both sides, and the second
+reading is the one kept — what ``run.py`` does for its own repetitions —
+and the counts are printed per side under the verdict table, so an
+``unresolved`` row can be told from a slow spell of the host.
+
 The exit status is 1 when any row regressed, else 0.
 """
 
@@ -47,7 +54,10 @@ RUN_PY = os.path.join("benchmarks", "perf", "run.py")
 SECONDS = 12
 
 #: one pair: side ("base" / "change") -> run.py's parsed contract line
+#: plus "disturbed" (whether run.py said so); "disturbed_first" -> the
+#: sides disturbed on the first attempt, when the pair was run again
 Pair = Dict[str, dict]
+SIDES = ("base", "change")
 
 
 def benchmark_contract() -> dict:
@@ -60,12 +70,24 @@ def run_once(tree: str, workload: str, seed: int) -> dict:
     proc = subprocess.run(
         [sys.executable, RUN_PY, "--workload", workload, "--seed", str(seed),
          "--seconds", str(SECONDS), "--trace", "0"],
-        cwd=tree, stdout=subprocess.PIPE, text=True,
+        cwd=tree, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
     )
+    sys.stderr.write(proc.stderr)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise SystemExit("%s: run.py exited with code %d" % (tree, proc.returncode))
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    result["disturbed"] = any(
+        line.startswith("disturbed ") for line in proc.stderr.splitlines()
+    )
+    return result
+
+
+def run_pair(base_tree: str, workload: str, seed: int, order: Tuple[str, str]) -> Pair:
+    return {
+        side: run_once(base_tree if side == "base" else REPO, workload, seed)
+        for side in order
+    }
 
 
 def run_pairs(base_tree: str, workload: str, pairs: int, metrics: List[dict]) -> List[Pair]:
@@ -73,10 +95,13 @@ def run_pairs(base_tree: str, workload: str, pairs: int, metrics: List[dict]) ->
     for pair in range(pairs):
         seed = pair + 1
         order = ("base", "change") if pair % 2 == 0 else ("change", "base")
-        row = {}
-        for side in order:
-            tree = base_tree if side == "base" else REPO
-            row[side] = run_once(tree, workload, seed)
+        row = run_pair(base_tree, workload, seed, order)
+        first = [side for side in SIDES if row[side]["disturbed"]]
+        if first:
+            print("%s  pair %2d  %s disturbed: running the pair again"
+                  % (workload, pair + 1, " and ".join(first)), flush=True)
+            row = run_pair(base_tree, workload, seed, order)
+            row["disturbed_first"] = first
         rows.append(row)
         print("%s  pair %2d  seed %2d  %s first  %s" % (
             workload, pair + 1, seed, order[0],
@@ -142,7 +167,7 @@ def report(workload: str, rows: List[Pair], metrics: List[dict]) -> None:
               "interquartile distance %.6g" % (cmed / bmed, cmed - bmed, bq3 - bq1))
         print("  change wins %d, loses %d of %d pairs"
               % (cell["wins"], cell["losses"], len(rows)))
-    for side in ("base", "change"):
+    for side in SIDES:
         print("%s  %s failed operations: %d of %d"
               % ((workload, side) + failed_share(rows, side)))
 
@@ -173,6 +198,21 @@ def verdict_table(results: Dict[str, List[Pair]], metrics: List[dict]) -> bool:
         print("  %-16s base %d of %d, change %d of %d  %s"
               % (workload, bf, ba, cf, ca, "regressed" if worse else "ok"))
         regressed |= worse
+    print("\ndisturbed runs (run.py's reference loop drifted; such a pair is run "
+          "again once, both sides, and the second reading kept)")
+    heads = ["%s: first attempt / kept reading" % side for side in SIDES]
+    print("  %-16s %-16s %s" % ("workload", "pairs run again", "  ".join(heads)))
+    for workload, rows in results.items():
+        rerun = sum("disturbed_first" in row for row in rows)
+        cells = [
+            ("%d / %d" % (
+                sum(side in row.get("disturbed_first", ()) for row in rows),
+                sum(row[side]["disturbed"] for row in rows),
+            )).ljust(len(head))
+            for side, head in zip(SIDES, heads)
+        ]
+        print("  %-16s %-16s %s"
+              % (workload, "%d of %d" % (rerun, len(rows)), "  ".join(cells)))
     return regressed
 
 

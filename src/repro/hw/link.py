@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional
 
-from repro.sim import Event, FifoServer, Simulator
+from repro.sim import FifoServer, Simulator
 from repro.hw.params import HardwareProfile
 
 #: A delivery callback: receives the packet object.
@@ -68,9 +68,13 @@ class Port:
         self.tx_packets = 0
         self.tx_bytes = 0
 
-    def arrive(self, flight: Event) -> None:
-        """A packet's wire flight ended here (the flight event carries it)."""
-        self.deliver(flight._value)
+    def arrive(self, packet: Any) -> None:
+        """A packet's wire flight ended here.
+
+        The handler is looked up now, not when the packet left: a device
+        may attach to the machine while the packet is in flight.
+        """
+        self.deliver(packet)
 
 
 def _unattached(packet: Any) -> None:
@@ -175,11 +179,9 @@ class Fabric:
                 self.sim.now + tx_time + profile.wire_delay_ns,
                 "%d bytes" % wire_bytes,
             )
-        port.tx.serve(tx_time, packet, delay).callbacks.append(dst_port.arrive)
+        port.tx.serve(tx_time, packet, delay, dst_port.arrive)
         # Duplicates consume wire capacity like any other packet.
         for copy in range(duplicates):
             self.duplicated += 1
             dup_delay = delay + (copy + 1) * verdict.dup_delay_ns
-            port.tx.serve(tx_time, packet, dup_delay).callbacks.append(
-                dst_port.arrive
-            )
+            port.tx.serve(tx_time, packet, dup_delay, dst_port.arrive)

@@ -20,7 +20,10 @@ FIFO, so a transaction's finish time — occupancy end plus the fixed
 latency — is known the moment it is admitted: a DMA read or write is one
 calendar entry (``FifoServer.serve(occupancy, latency=...)``), an atomic
 two (its memory mutation runs at the occupancy end, its result is ready
-one latency later).
+one latency later).  ``pio_write`` / ``dma_read`` / ``dma_write`` pass
+``then`` through to ``serve``: with it the entry is the call
+``then(value)`` and nothing is returned; without it the caller gets the
+event to await.
 """
 
 from __future__ import annotations
@@ -46,12 +49,17 @@ class PcieBus:
 
     # -- PIO --------------------------------------------------------------
 
-    def pio_write(self, wqe_bytes: int, value: Any = None) -> Event:
+    def pio_write(
+        self,
+        wqe_bytes: int,
+        value: Any = None,
+        then: Optional[Callable[[Any], None]] = None,
+    ) -> Optional[Event]:
         """Push one WQE (doorbell included) through write-combining PIO.
 
-        The event fires with ``value``.
+        The event fires with ``value`` (or ``then(value)`` runs).
         """
-        return self.pio.serve(self.profile.pio_ns(wqe_bytes), value)
+        return self.pio.serve(self.profile.pio_ns(wqe_bytes), value, 0.0, then)
 
     def doorbell(self) -> Event:
         """Ring a bare doorbell (no WQE body), e.g. for batched RECVs."""
@@ -60,26 +68,37 @@ class PcieBus:
     # -- DMA --------------------------------------------------------------
 
     def dma_read(
-        self, payload_bytes: int, transactions: int = 1, value: Any = None
-    ) -> Event:
+        self,
+        payload_bytes: int,
+        transactions: int = 1,
+        value: Any = None,
+        then: Optional[Callable[[Any], None]] = None,
+    ) -> Optional[Event]:
         """NIC-initiated read of host memory (non-posted).
 
         ``transactions`` counts the round trips the engine must issue;
         occupancy scales with transactions and payload, while the
-        pipeline latency is paid once.  The event fires with ``value``.
+        pipeline latency is paid once.  The event fires with ``value``
+        (or ``then(value)`` runs).
         """
         p = self.profile
         occupancy = p.dma_read_ns * transactions + payload_bytes / p.pcie_bw
-        return self.dma.serve(occupancy, value, p.dma_read_latency_ns)
+        return self.dma.serve(occupancy, value, p.dma_read_latency_ns, then)
 
-    def dma_write(self, payload_bytes: int, value: Any = None) -> Event:
+    def dma_write(
+        self,
+        payload_bytes: int,
+        value: Any = None,
+        then: Optional[Callable[[Any], None]] = None,
+    ) -> Optional[Event]:
         """NIC-initiated write into host memory (posted).
 
-        The event fires with ``value`` once the data has landed.
+        The event fires with ``value`` once the data has landed (or
+        ``then(value)`` runs then).
         """
         p = self.profile
         occupancy = p.dma_write_ns + payload_bytes / p.pcie_bw
-        return self.dma.serve(occupancy, value, p.dma_write_latency_ns)
+        return self.dma.serve(occupancy, value, p.dma_write_latency_ns, then)
 
     def dma_atomic(self, on_locked: Optional[Callable[[], None]] = None) -> Event:
         """A locked read-modify-write for a remote atomic (CmpSwap/FetchAdd).

@@ -19,6 +19,7 @@ prefetch pipeline.
 
 from __future__ import annotations
 
+import mmap
 import struct
 import zlib
 from typing import List, Optional, Tuple
@@ -30,13 +31,18 @@ _HEADER = struct.Struct("<HH")
 
 
 class CircularLog:
-    """An append-only byte log that overwrites its oldest content."""
+    """An append-only byte log that overwrites its oldest content.
+
+    The buffer is an anonymous private mapping, like a registered
+    region's (:mod:`repro.verbs.mr`): ``capacity`` is address space, and
+    only the pages appends have reached are resident.
+    """
 
     def __init__(self, capacity: int) -> None:
         if capacity < 16:
             raise ValueError("log capacity unreasonably small")
         self.capacity = capacity
-        self.buf = bytearray(capacity)
+        self.buf = mmap.mmap(-1, capacity, access=mmap.ACCESS_COPY)
         #: total bytes ever appended (monotonic "log position")
         self.tail = 0
         self.wraps = 0
@@ -57,8 +63,8 @@ class CircularLog:
         return pos
 
     def alive(self, pos: int, length: int) -> bool:
-        """Whether the entry at ``pos`` has not been overwritten."""
-        return pos + length > self.tail - self.capacity and pos + length <= self.tail
+        """Whether no byte of ``[pos, pos + length)`` has been overwritten."""
+        return pos >= self.tail - self.capacity and pos + length <= self.tail
 
     def read(self, pos: int) -> Optional[Tuple[bytes, bytes]]:
         """Read the (key, value) at ``pos``; None if overwritten."""
@@ -75,9 +81,9 @@ class CircularLog:
     def _read_bytes(self, pos: int, length: int) -> bytes:
         offset = pos % self.capacity
         first = min(length, self.capacity - offset)
-        out = bytes(self.buf[offset : offset + first])
+        out = self.buf[offset : offset + first]
         if first < length:
-            out += bytes(self.buf[0 : length - first])
+            out += self.buf[0 : length - first]
         return out
 
 

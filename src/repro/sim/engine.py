@@ -4,11 +4,15 @@ The simulator dispatches events in exact ``(time, sequence)`` order:
 two events scheduled for the same instant fire in the order they were
 scheduled.  Simulated time is a float number of nanoseconds.
 
-The calendar is one binary heap of ``(time, seq, event)`` tuples:
+The calendar is one binary heap of ``(time, seq, fn, arg)`` tuples:
 scheduling is ``seq += 1; heappush``, dispatch pops the smallest tuple.
-``seq`` is unique, so the comparison never reaches the event and the
-heap order *is* the dispatch contract.  What the profiles showed to
-matter is around the heap, not in it (docs/ENGINE.md): ``timeout()``
+``seq`` is unique, so the comparison never reaches ``fn`` and the heap
+order *is* the dispatch contract.  An entry with ``fn is None`` carries
+an :class:`Event` in ``arg`` — something a process or several callbacks
+may wait on; any other entry is a plain call ``fn(arg)``, which is what
+a fire-and-forget stage (one value, one handler, nobody waiting) books
+instead of allocating an event to carry them.  What the profiles showed
+to matter is around the heap, not in it (docs/ENGINE.md): ``timeout()``
 and the resources allocate their pre-triggered events inline, and the
 dispatch loop runs callbacks without a per-event method call.
 """
@@ -16,7 +20,7 @@ dispatch loop runs callbacks without a per-event method call.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Generator, List, Optional, Tuple
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
@@ -196,7 +200,7 @@ class Simulator:
     def __init__(self) -> None:
         self.now: float = 0.0
         self._seq = 0
-        self._heap: List[Tuple[float, int, Event]] = []
+        self._heap: List[Tuple[float, int, Optional[Callable[[Any], None]], Any]] = []
         #: late-callback batching state (see Event.add_callback)
         self._late_flush: Optional[_LateFlush] = None
         self._late_seq = -1
@@ -205,18 +209,22 @@ class Simulator:
 
     # -- scheduling -----------------------------------------------------
 
-    def _schedule(self, time: float, event: Event) -> None:
-        """Book ``event`` at the absolute instant ``time`` (>= now).
+    def _schedule(
+        self, time: float, arg: Any, fn: Optional[Callable[[Any], None]] = None
+    ) -> None:
+        """Book an entry at the absolute instant ``time`` (>= now).
 
-        The one scheduling primitive.  Absolute, so that a caller that
-        knows *when* something finishes (a :class:`FifoServer` admission
-        plus a fixed trailing latency) books the final instant directly
-        instead of hopping through an intermediate entry.  The sequence
-        number is taken here: among the entries of one instant, an
-        event fires in the order it was *booked*.
+        The one scheduling primitive.  Without ``fn``, ``arg`` is an
+        :class:`Event` whose callbacks run at ``time``; with it, the
+        entry is the bare call ``fn(arg)``.  Absolute, so that a caller
+        that knows *when* something finishes (a :class:`FifoServer`
+        admission plus a fixed trailing latency) books the final instant
+        directly instead of hopping through an intermediate entry.  The
+        sequence number is taken here: among the entries of one instant,
+        an entry fires in the order it was *booked*, whichever kind it is.
         """
         self._seq += 1
-        _heappush(self._heap, (time, self._seq, event))
+        _heappush(self._heap, (time, self._seq, fn, arg))
 
     def event(self) -> Event:
         """Create a fresh untriggered event."""
@@ -238,7 +246,7 @@ class Simulator:
         event.triggered = True
         event._scheduled = True
         self._seq += 1
-        _heappush(self._heap, (self.now + delay, self._seq, event))
+        _heappush(self._heap, (self.now + delay, self._seq, None, event))
         return event
 
     def process(
@@ -255,15 +263,18 @@ class Simulator:
     # -- execution ------------------------------------------------------
 
     def _drain(self, until: float) -> None:
-        """Dispatch every event with ``time <= until`` in (time, seq) order."""
+        """Dispatch every entry with ``time <= until`` in (time, seq) order."""
         heap = self._heap
         while heap and heap[0][0] <= until:
-            self.now, _seq, event = _heappop(heap)
-            callbacks = event.callbacks
-            event.callbacks = None
-            if callbacks:
-                for fn in callbacks:
-                    fn(event)
+            self.now, _seq, fn, arg = _heappop(heap)
+            if fn is not None:
+                fn(arg)
+            else:
+                callbacks = arg.callbacks
+                arg.callbacks = None
+                if callbacks:
+                    for fn in callbacks:
+                        fn(arg)
 
     def run(self, until: float) -> None:
         """Advance the clock, dispatching events, until time ``until``.
@@ -296,30 +307,3 @@ class Simulator:
         """Time of the next scheduled event (``inf`` when idle)."""
         return self._heap[0][0] if self._heap else float("inf")
 
-
-def all_of(sim: Simulator, events: Iterable[Event]) -> Event:
-    """An event that fires once every event in ``events`` has fired.
-
-    The combined event's value is the list of the individual values in
-    the order the events were given.
-    """
-    events = list(events)
-    combined = Event(sim)
-    remaining = [len(events)]
-    values: List[Any] = [None] * len(events)
-    if not events:
-        combined.succeed([])
-        return combined
-
-    def make_callback(index: int) -> Callable[[Event], None]:
-        def on_fire(event: Event) -> None:
-            values[index] = event.value
-            remaining[0] -= 1
-            if remaining[0] == 0:
-                combined.succeed(values)
-
-        return on_fire
-
-    for index, event in enumerate(events):
-        event.add_callback(make_callback(index))
-    return combined

@@ -9,14 +9,16 @@ state is just the time at which each of its ``capacity`` service slots
 next becomes free, so admitting one customer is O(log capacity) and adds
 a single calendar entry.  The same fact makes a job's completion time
 known at admission, so a *fixed* delay that follows the service (a PCIe
-pipeline latency, a wire flight) rides in that one entry too.
+pipeline latency, a wire flight) rides in that one entry too — and when
+the only thing waiting for it is the next pipeline stage, the entry is
+that stage's call (``then``), with no event allocated to carry it.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Any, Deque, List
+from typing import Any, Callable, Deque, List, Optional
 
 from repro.sim.engine import Event, Simulator
 
@@ -30,9 +32,11 @@ class FifoServer:
     and returns an :class:`Event` that fires when the job completes —
     or, with a trailing ``latency``, that many ns after it completes,
     still as one calendar entry (the latency occupies nothing: the next
-    job starts when the service ends).  With ``capacity`` > 1 the
-    station behaves like ``capacity`` parallel servers fed from a
-    single FIFO queue.
+    job starts when the service ends).  ``serve(..., then=fn)`` books
+    ``fn(value)`` at that same instant instead and returns nothing: the
+    form for a stage nobody awaits.  With ``capacity`` > 1 the station
+    behaves like ``capacity`` parallel servers fed from a single FIFO
+    queue.
     """
 
     __slots__ = (
@@ -61,8 +65,16 @@ class FifoServer:
         # attribute costs more than the rest of a serve() admission.
         self.tracer = getattr(sim, "tracer", None)
 
-    def serve(self, service: float, value: Any = None, latency: float = 0.0) -> Event:
-        """Enqueue a job; the event fires ``latency`` ns after completion."""
+    def serve(
+        self,
+        service: float,
+        value: Any = None,
+        latency: float = 0.0,
+        then: Optional[Callable[[Any], None]] = None,
+    ) -> Optional[Event]:
+        """Enqueue a job; ``latency`` ns after it completes, the returned
+        event fires with ``value`` — or, given ``then``, ``then(value)``
+        runs and no event exists."""
         if not (service >= 0 and latency >= 0):  # also rejects NaN
             raise ValueError(
                 "negative or NaN service time or latency: %r, %r" % (service, latency)
@@ -91,19 +103,23 @@ class FifoServer:
         tracer = self.tracer
         if tracer is not None:
             tracer.span(self.name, start, done_at)
-        # Inlined pre-triggered Event construction: serve() runs once
-        # per simulated hardware transaction, and the Event.__init__ /
-        # succeed() round trip costs more than the whole admission.
-        event = _new_event(Event)
-        event.sim = sim
-        event.callbacks = []
-        event._value = value
-        event.triggered = True
-        event._scheduled = True
+        if then is None:
+            # Inlined pre-triggered Event construction: serve() runs once
+            # per simulated hardware transaction, and the Event.__init__ /
+            # succeed() round trip costs more than the whole admission.
+            arg = event = _new_event(Event)
+            event.sim = sim
+            event.callbacks = []
+            event._value = value
+            event.triggered = True
+            event._scheduled = True
+        else:
+            arg, event = value, None
         # Keep this exact float expression: every pinned simulated
         # result carries the roundings of a completion booked as a delay
         # (``now + (done_at - now)``) with the latency added from there.
-        sim._schedule((now + (done_at - now)) + latency, event)
+        # One call for both forms, so ``seq`` advances identically.
+        sim._schedule((now + (done_at - now)) + latency, arg, then)
         return event
 
     def delay_until_free(self) -> float:

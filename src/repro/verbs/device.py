@@ -22,10 +22,10 @@ What a work request costs depends only on its *shape* — transport,
 opcode, inline or not, payload length — and the device's frozen
 hardware profile, so it is worked out once per shape
 (:class:`~repro.verbs.types.SendPlan`, built on the first post) and the
-per-packet path reads it.  Every stage is a ``serve`` whose event
-carries what the next stage needs, plus a bound method: no closure per
-packet.  The stages read ``event._value`` — the slot behind the
-``Event.value`` property, whose getter is a Python-level call per stage.
+per-packet path reads it.  Every stage is a ``serve`` that books the
+next stage — a bound method — with what it needs as the value
+(``then=``): no closure and no event per packet.  Only the PIO write is
+an event, because the poster awaits it.
 """
 
 from __future__ import annotations
@@ -159,8 +159,7 @@ class RdmaDevice:
         self.tracer = getattr(self.sim, "tracer", None)
         # Ingress dispatch tables by PacketKind.index, built once per
         # device: the profile's per-kind service times and the bound
-        # handler methods (each takes the NIC engine's completion event,
-        # which carries the packet).
+        # handler methods (each takes the packet the NIC engine finished).
         p = self.profile
         self._ingress_service = _by_index(
             PacketKind,
@@ -422,20 +421,22 @@ class RdmaDevice:
         # _wqe_ready, in the callback that makes it and all of its
         # predecessors ready.
         qp.egress_queue.append(wqe)
-        machine.nic_egress.serve(service, wqe).callbacks.append(
-            self._wqe_ready if plan.fetch_transactions is None else self._fetch
+        machine.nic_egress.serve(
+            service,
+            wqe,
+            0.0,
+            self._wqe_ready if plan.fetch_transactions is None else self._fetch,
         )
 
-    def _fetch(self, processed: Event) -> None:
+    def _fetch(self, wqe: list) -> None:
         """Fetch the payload from host memory with non-posted DMA."""
-        wqe = processed._value
         plan = wqe[2]
-        fetched = self.machine.pcie.dma_read(plan.length, plan.fetch_transactions, wqe)
-        fetched.callbacks.append(self._wqe_ready)
+        self.machine.pcie.dma_read(
+            plan.length, plan.fetch_transactions, wqe, self._wqe_ready
+        )
 
-    def _wqe_ready(self, stage: Event) -> None:
+    def _wqe_ready(self, wqe: list) -> None:
         """A WQE finished its last egress stage: release what is in order."""
-        wqe = stage._value
         wqe[3] = True
         queue = wqe[0].egress_queue
         while queue and queue[0][3]:
@@ -500,11 +501,7 @@ class RdmaDevice:
 
     def _egress_response(self, packet: Packet, service: float) -> None:
         """Responder-generated packets (responses, ACKs): engine, then wire."""
-        processed = self.machine.nic_egress.serve(service, packet)
-        processed.callbacks.append(self._transmit_processed)
-
-    def _transmit_processed(self, processed: Event) -> None:
-        self._transmit(processed._value)
+        self.machine.nic_egress.serve(service, packet, 0.0, self._transmit)
 
     def _transmit(self, packet: Packet) -> None:
         """Put an already priced packet on the wire (again, on a retransmit)."""
@@ -561,8 +558,9 @@ class RdmaDevice:
             # the frame before touching any QP context.  The wire
             # bandwidth is already gone; charge only a header-sized
             # ingress inspection.
-            served = machine.nic_ingress.serve(self.profile.nic_ingress_ack_ns)
-            served.callbacks.append(self._icrc_discarded)
+            machine.nic_ingress.serve(
+                self.profile.nic_ingress_ack_ns, packet, 0.0, self._icrc_discarded
+            )
             return
         kind = packet.kind
         requester = kind.to_requester
@@ -585,10 +583,9 @@ class RdmaDevice:
         service = self._ingress_service[index] + machine.qp_cache.access_ns(
             role_key, requester
         )
-        done = machine.nic_ingress.serve(service, packet)
-        done.callbacks.append(self._ingress_handler[index])
+        machine.nic_ingress.serve(service, packet, 0.0, self._ingress_handler[index])
 
-    def _icrc_discarded(self, _inspected: Event) -> None:
+    def _icrc_discarded(self, _packet: Packet) -> None:
         self.icrc_drops += 1
         if self.metrics is not None:
             self.metrics.counter("verbs.%s.icrc_drops" % self.machine.name).inc()
@@ -638,8 +635,7 @@ class RdmaDevice:
     def _psn_advance(self, packet: Packet) -> None:
         self._expected_psn[self._psn_key(packet)] = packet.psn + 1
 
-    def _handle_write(self, processed: Event) -> None:
-        packet: Packet = processed._value
+    def _handle_write(self, packet: Packet) -> None:
         if self.enforce_rc_ordering and self._rc_ordered(packet):
             verdict = self._psn_check(packet)
             if verdict != 0:
@@ -649,21 +645,21 @@ class RdmaDevice:
         mr = self.mr_table.resolve(packet.raddr, packet.rkey, packet.length)
         offset = packet.raddr - mr.addr  # inside the region: resolve checked
         mr.write(offset, packet.payload)
-        landed = self.machine.pcie.dma_write(packet.length, (packet, mr, offset))
-        landed.callbacks.append(self._write_landed)
+        self.machine.pcie.dma_write(
+            packet.length, (packet, mr, offset), self._write_landed
+        )
         if packet.transport.reliable:
             self._send_ack(packet)
 
-    def _write_landed(self, landed: Event) -> None:
-        packet, mr, offset = landed._value
+    def _write_landed(self, landed: tuple) -> None:
+        packet, mr, offset = landed
         self.writes_received += 1
         if mr.on_write is not None:
             mr.on_write(offset, packet.length)
         if self.write_done_hook is not None:
             self.write_done_hook(packet)
 
-    def _handle_send(self, processed: Event) -> None:
-        packet: Packet = processed._value
+    def _handle_send(self, packet: Packet) -> None:
         qp = self.qps.get(packet.dst_qpn)
         if qp is None:
             raise VerbError("SEND to unknown QP %d" % packet.dst_qpn)
@@ -699,13 +695,14 @@ class RdmaDevice:
             )
         # UD receive buffers start with a 40-byte GRH.
         mr.write(offset + grh, packet.payload)
-        landed = self.machine.pcie.dma_write(packet.length + grh, (packet, qp, rr))
-        landed.callbacks.append(self._send_landed)
+        self.machine.pcie.dma_write(
+            packet.length + grh, (packet, qp, rr), self._send_landed
+        )
         if packet.transport.reliable:
             self._send_ack(packet)
 
-    def _send_landed(self, landed: Event) -> None:
-        packet, qp, rr = landed._value
+    def _send_landed(self, landed: tuple) -> None:
+        packet, qp, rr = landed
         self.sends_received += 1
         self._push_cqe(
             qp.recv_cq,
@@ -720,15 +717,15 @@ class RdmaDevice:
         if self.send_done_hook is not None:
             self.send_done_hook(packet)
 
-    def _handle_read_req(self, processed: Event) -> None:
-        packet: Packet = processed._value
+    def _handle_read_req(self, packet: Packet) -> None:
         mr = self.mr_table.resolve(packet.raddr, packet.rkey, packet.length)
         offset = packet.raddr - mr.addr  # inside the region: resolve checked
-        fetched = self.machine.pcie.dma_read(packet.length, 1, (packet, mr, offset))
-        fetched.callbacks.append(self._read_fetched)
+        self.machine.pcie.dma_read(
+            packet.length, 1, (packet, mr, offset), self._read_fetched
+        )
 
-    def _read_fetched(self, fetched: Event) -> None:
-        packet, mr, offset = fetched._value
+    def _read_fetched(self, fetched: tuple) -> None:
+        packet, mr, offset = fetched
         self.reads_served += 1
         if self.read_served_hook is not None:
             self.read_served_hook(packet)
@@ -747,8 +744,7 @@ class RdmaDevice:
         )
         self._egress_response(response, self.profile.nic_egress_ns)
 
-    def _handle_read_resp(self, processed: Event) -> None:
-        packet: Packet = processed._value
+    def _handle_read_resp(self, packet: Packet) -> None:
         qp = self.qps.get(packet.dst_qpn)
         wr = packet.wr
         if qp is None or wr is None:
@@ -764,19 +760,20 @@ class RdmaDevice:
         wr._acked = True
         mr, offset, _length = wr.local
         mr.write(offset, packet.payload)
-        landed = self.machine.pcie.dma_write(packet.length, (qp, wr, packet.length))
-        landed.callbacks.append(self._response_landed)
+        self.machine.pcie.dma_write(
+            packet.length, (qp, wr, packet.length), self._response_landed
+        )
 
-    def _response_landed(self, landed: Event) -> None:
+    def _response_landed(self, landed: tuple) -> None:
         """A READ's data or an atomic's original value is in the WR's sink."""
-        qp, wr, byte_len = landed._value
+        qp, wr, byte_len = landed
         if wr.signaled:
             self._push_cqe(qp.send_cq, Cqe(wr.wr_id, wr.opcode, byte_len=byte_len))
         queued = qp.return_read_credit()
         if queued is not None:
             self.post_send(qp, queued)
 
-    def _handle_atomic_req(self, processed: Event) -> None:
+    def _handle_atomic_req(self, packet: Packet) -> None:
         """Execute a remote read-modify-write as the responder.
 
         The mutation happens inside the PCIe bus's locked occupancy
@@ -785,7 +782,6 @@ class RdmaDevice:
         targeting this host is serialised regardless of which QP or
         requester issued it — the per-device atomicity guarantee.
         """
-        packet: Packet = processed._value
         mr = self.mr_table.resolve(packet.raddr, packet.rkey, ATOMIC_BYTES)
         offset = mr.offset_of(packet.raddr)
         tag, compare_add, swap = _ATOMIC_WIRE.unpack(packet.payload)
@@ -843,8 +839,7 @@ class RdmaDevice:
         )
         self._egress_response(response, self.profile.nic_egress_ns)
 
-    def _handle_atomic_resp(self, processed: Event) -> None:
-        packet: Packet = processed._value
+    def _handle_atomic_resp(self, packet: Packet) -> None:
         qp = self.qps.get(packet.dst_qpn)
         wr = packet.wr
         if qp is None or wr is None:
@@ -856,8 +851,9 @@ class RdmaDevice:
         wr._acked = True
         mr, offset, _length = wr.local
         mr.write(offset, packet.payload)
-        landed = self.machine.pcie.dma_write(packet.length, (qp, wr, packet.length))
-        landed.callbacks.append(self._response_landed)
+        self.machine.pcie.dma_write(
+            packet.length, (qp, wr, packet.length), self._response_landed
+        )
 
     def _send_ack(self, packet: Packet, psn: Optional[int] = None) -> None:
         ack = Packet(
@@ -873,8 +869,7 @@ class RdmaDevice:
         )
         self._egress_response(ack, self.profile.nic_ingress_ack_ns)
 
-    def _handle_ack(self, processed: Event) -> None:
-        packet: Packet = processed._value
+    def _handle_ack(self, packet: Packet) -> None:
         self.acks_received += 1
         qp = self.qps.get(packet.dst_qpn)
         if qp is None or not qp.unacked:
@@ -912,11 +907,10 @@ class RdmaDevice:
             # CQE DMAs steal PCIe capacity from payload DMA — the cost
             # selective signaling avoids; count them so that shows up.
             self.metrics.counter("verbs.%s.cqe_dma" % self.machine.name).inc()
-        landed = self.machine.pcie.dma_write(32, (cq, cqe))
-        landed.callbacks.append(self._cqe_landed)
+        self.machine.pcie.dma_write(32, (cq, cqe), self._cqe_landed)
 
-    def _cqe_landed(self, landed: Event) -> None:
-        cq, cqe = landed._value
+    def _cqe_landed(self, landed: tuple) -> None:
+        cq, cqe = landed
         if self.tracer is not None:
             self.tracer.mark(
                 "%s.cpu" % self.machine.name,

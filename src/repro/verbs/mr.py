@@ -1,14 +1,19 @@
 """Registered memory regions: real bytes behind remote addresses.
 
-A :class:`MemoryRegion` owns a ``bytearray``; RDMA WRITEs copy real
-bytes into it and READs copy real bytes out, with rkey and bounds
-checks.  Regions are registered with a per-machine :class:`MrTable`
+A :class:`MemoryRegion` owns an anonymous private memory mapping; RDMA
+WRITEs copy real bytes into it and READs copy real bytes out, with rkey
+and bounds checks.  Registering a length reserves address space only:
+the kernel supplies a zero page the first time one is written, so a
+region costs resident memory for what was touched, not for what was
+registered (a ``bytearray`` zero-fills, i.e. touches, every page up
+front).  Regions are registered with a per-machine :class:`MrTable`
 that assigns non-overlapping virtual addresses (page aligned, like a
 real registration) and resolves incoming ``(raddr, rkey)`` pairs.
 """
 
 from __future__ import annotations
 
+import mmap
 from typing import Dict
 
 PAGE = 4096
@@ -28,7 +33,11 @@ class MemoryRegion:
         self.length = length
         self.lkey = lkey
         self.rkey = rkey
-        self.buf = bytearray(length)
+        # ACCESS_COPY makes the mapping private: the default for an
+        # anonymous mmap is MAP_SHARED, which a forked worker would
+        # share with its parent.  Slicing returns ``bytes``; a slice
+        # assignment of the wrong size raises instead of resizing.
+        self.buf = mmap.mmap(-1, length, access=mmap.ACCESS_COPY)
         #: optional observer fn(offset, length) fired when an *incoming
         #: RDMA WRITE* lands (after its DMA); used for polled regions
         #: such as HERD's request region and FaRM's circular buffers.
@@ -52,7 +61,7 @@ class MemoryRegion:
                 "read [%d, %d) outside region of %d bytes"
                 % (offset, offset + length, self.length)
             )
-        return bytes(self.buf[offset : offset + length])
+        return self.buf[offset : offset + length]
 
     # -- remote access (by virtual address) --------------------------------
 

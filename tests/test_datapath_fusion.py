@@ -11,17 +11,22 @@ station's accounting untouched, and cost exactly the calendar entries
 budgeted below (so a re-added hop fails tier-1 without any host-time
 measurement).  Between two entries the datapath is straight-line code
 reading a per-shape send plan; section (d) budgets the Python-level
-calls a verb costs, so a re-added closure or helper hop fails too.
+calls a verb costs, so a re-added closure or helper hop fails too, and
+the ``Event`` objects it allocates: a stage nobody awaits is booked as
+``serve(..., then=stage)``, a bare call on the calendar.
 """
 
+import os
 import random
 import sys
 
 import pytest
 
+import repro.sim
+
 from repro.bench.trace import FIG1_VERBS, run_verb
 from repro.hw import APT, Fabric, Machine, PcieBus
-from repro.sim import FifoServer, Simulator
+from repro.sim import Event, FifoServer, Simulator, Timeout
 from repro.verbs import RdmaDevice, RecvRequest, Transport, WorkRequest, connect_pair
 from repro.verbs.packets import PacketKind
 
@@ -34,16 +39,20 @@ from repro.verbs.packets import PacketKind
 STEPS = (0.0, 0.0, 0.1, 0.7, 1.0, 3.3, 17.25, 250.0)
 
 
-def _reference_serve(sim, server, service, latency):
+def _reference_serve(sim, server, service, latency, on_done):
     """The pre-fusion chain, verbatim from the old ``PcieBus.dma_read``."""
     done = sim.event()
     served = server.serve(service)
     served.add_callback(lambda _e: sim.call_in(latency, done.succeed))
-    return done
+    done.add_callback(on_done)
 
 
-def _fused_serve(sim, server, service, latency):
-    return server.serve(service, latency=latency)
+def _fused_serve_awaited(sim, server, service, latency, on_done):
+    server.serve(service, latency=latency).add_callback(on_done)
+
+
+def _fused_serve_then(sim, server, service, latency, on_done):
+    assert server.serve(service, None, latency, on_done) is None
 
 
 def _random_jobs(seed, n=200):
@@ -64,8 +73,9 @@ def _drive(admit, jobs, capacity):
         # Admissions happen inside dispatch ...
         for i, (advance, service, latency) in enumerate(jobs):
             yield sim.timeout(advance)
-            admit(sim, server, service, latency).add_callback(
-                lambda _e, i=i: fired.__setitem__(i, sim.now)
+            admit(
+                sim, server, service, latency,
+                lambda _done, i=i: fired.__setitem__(i, sim.now),
             )
 
     sim.process(arrivals())
@@ -81,16 +91,17 @@ def _drive(admit, jobs, capacity):
 def test_fused_serve_fires_when_the_two_hop_chain_did(capacity):
     for seed in range(8):
         jobs = _random_jobs(seed)
-        fused, f_server, f_sim = _drive(_fused_serve, jobs, capacity)
         ref, r_server, r_sim = _drive(_reference_serve, jobs, capacity)
-        assert None not in fused
-        assert fused == ref  # bit-equal floats, not approx
-        assert f_sim.now == r_sim.now
-        assert f_server.jobs == r_server.jobs == len(jobs)
-        assert f_server.busy_time == r_server.busy_time
-        assert f_server.utilization(f_sim.now) == r_server.utilization(r_sim.now)
-        # one entry per admission where the chain spent three
-        assert r_sim._seq - f_sim._seq == 2 * len(jobs)
+        for fused_serve in (_fused_serve_awaited, _fused_serve_then):
+            fused, f_server, f_sim = _drive(fused_serve, jobs, capacity)
+            assert None not in fused
+            assert fused == ref  # bit-equal floats, not approx
+            assert f_sim.now == r_sim.now
+            assert f_server.jobs == r_server.jobs == len(jobs)
+            assert f_server.busy_time == r_server.busy_time
+            assert f_server.utilization(f_sim.now) == r_server.utilization(r_sim.now)
+            # one entry per admission where the chain spent three
+            assert r_sim._seq - f_sim._seq == 2 * len(jobs)
 
 
 def test_trailing_latency_occupies_nothing():
@@ -113,6 +124,13 @@ def test_negative_latency_and_delay_are_rejected():
         server.serve(1.0, latency=-0.5)
     with pytest.raises(ValueError):
         sim.event().succeed(delay=-1.0)
+    # ... nor when the entry is a bare call instead of an event
+    nan, fired = float("nan"), []
+    for service, latency in ((-1.0, 0.0), (1.0, -0.5), (nan, 0.0), (1.0, nan)):
+        with pytest.raises(ValueError):
+            server.serve(service, "job", latency, then=fired.append)
+    sim.run_until_idle()
+    assert fired == [] and sim._seq == 0 and server.jobs == 0
 
 
 def test_dma_atomic_mutates_at_the_occupancy_end_in_two_entries():
@@ -148,9 +166,9 @@ def _post_order_run(seed, transport, n=60):
     ready_at, wire_at = {}, []
     wqe_ready, transmit = requester._wqe_ready, fabric.transmit
 
-    def spy_ready(stage):
-        ready_at[stage.value[1].wr_id] = sim.now
-        wqe_ready(stage)
+    def spy_ready(wqe):
+        ready_at[wqe[1].wr_id] = sim.now
+        wqe_ready(wqe)
 
     def spy_transmit(src_name, dst, packet, wire_bytes):
         if packet.kind is PacketKind.WRITE:
@@ -265,20 +283,33 @@ def _steady_state_world(kind, posts):
     return sim
 
 
-def _calls_and_entries(kind, posts):
-    sim = _steady_state_world(kind, posts)
-    calls = 0
+#: every way an event comes to exist: the class called (``__init__``
+#: runs), or ``__new__`` called bare by the kernel's inlined constructions
+_EVENT_INITS = {Event.__init__.__code__, Timeout.__init__.__code__}
+_SIM_DIR = os.path.dirname(repro.sim.__file__)
 
-    def count(_frame, event, _arg):
-        nonlocal calls
-        calls += event == "call"
+
+def _calls_events_and_entries(kind, posts):
+    sim = _steady_state_world(kind, posts)
+    calls = events = 0
+
+    def count(frame, event, arg):
+        nonlocal calls, events
+        if event == "call":
+            calls += 1
+            events += frame.f_code in _EVENT_INITS
+        elif event == "c_call":
+            events += (
+                arg is object.__new__
+                and os.path.dirname(frame.f_code.co_filename) == _SIM_DIR
+            )
 
     sys.setprofile(count)
     try:
         sim.run_until_idle()
     finally:
         sys.setprofile(None)
-    return calls, sim._seq
+    return calls, events, sim._seq
 
 
 #: Python-level calls (function entries and generator resumes, as
@@ -288,13 +319,24 @@ def _calls_and_entries(kind, posts):
 CALL_BUDGET = dict(zip(FIG1_VERBS, (44, 75, 78, 51)))
 #: the flows of (c) plus the post_send_ns and idle timeouts
 STEADY_ENTRIES = dict(zip(FIG1_VERBS, (7, 12, 12, 8)))
+#: ``Event`` objects per verb: the three the poster awaits — its
+#: post_send_ns timeout, the PIO write, its idle timeout.  Every other
+#: entry is a stage nobody waits on.  (Before ``then=``: one per entry.)
+EVENT_BUDGET = 3
 
 
 @pytest.mark.parametrize("kind", FIG1_VERBS)
 def test_steady_state_python_call_budget(kind):
     # the difference of two run lengths cancels set-up and first-post
     # costs (process start, plan building, QP-cache misses)
-    calls_200, entries_200 = _calls_and_entries(kind, 200)
-    calls_100, entries_100 = _calls_and_entries(kind, 100)
+    calls_200, _events, entries_200 = _calls_events_and_entries(kind, 200)
+    calls_100, _events, entries_100 = _calls_events_and_entries(kind, 100)
     assert (entries_200 - entries_100) / 100 == STEADY_ENTRIES[kind]
     assert (calls_200 - calls_100) / 100 <= CALL_BUDGET[kind]
+
+
+@pytest.mark.parametrize("kind", FIG1_VERBS)
+def test_steady_state_event_allocation_budget(kind):
+    _calls, events_200, _entries = _calls_events_and_entries(kind, 200)
+    _calls, events_100, _entries = _calls_events_and_entries(kind, 100)
+    assert (events_200 - events_100) / 100 == EVENT_BUDGET

@@ -39,9 +39,11 @@ class _Schedule:
     Entries come in through all three doors — ``timeout`` (relative),
     ``_schedule`` (absolute: at ``now``, ahead by a delay, or on the
     whole-number grid where it ties with entries booked earlier *and*
-    later) and a shared :class:`FifoServer`'s fused ``serve`` — and each
-    dispatched entry books up to two more, so most of the schedule is
-    made during dispatch.
+    later) and a shared :class:`FifoServer`'s fused ``serve`` — and in
+    both kinds: an event with a callback, or (``serve(..., then=)``,
+    ``_schedule(time, arg, fn)``) a bare call.  The two kinds share
+    instants and one ``seq``.  Each dispatched entry books up to two
+    more, so most of the schedule is made during dispatch.
     """
 
     def __init__(self, sim, seed, n_seed_events=40, max_spawn=300):
@@ -61,6 +63,9 @@ class _Schedule:
         tag = len(self.expected)
         before = sim._seq
         how = rng.randrange(4)
+        # a call on the calendar, no event (a timeout is always an event)
+        bare = how != 0 and rng.random() < 0.5
+        event = None
         if how == 0:
             delay = rng.choice(DELAYS)
             time = sim.now + delay
@@ -71,28 +76,38 @@ class _Schedule:
             self.station_free_at = done_at
             # the documented float expression of a fused completion
             time = (sim.now + (done_at - sim.now)) + latency
-            event = self.station.serve(service, tag, latency)
+            if bare:
+                assert self.station.serve(service, tag, latency, self.dispatched) is None
+            else:
+                event = self.station.serve(service, tag, latency)
         else:
             if how == 2:
                 time = sim.now + rng.choice(DELAYS)
             else:  # the next few grid points at or after now
                 time = float(-(-sim.now // 1) + rng.randrange(4))
-            event = sim.event()
-            event.triggered = True
-            event._value = tag
-            sim._schedule(time, event)
+            if bare:
+                sim._schedule(time, tag, self.dispatched)
+            else:
+                event = sim.event()
+                event.triggered = True
+                event._value = tag
+                sim._schedule(time, event)
         assert sim._seq == before + 1  # one calendar entry per booking
         self.booked[tag] = time
         self.expected.append((time, sim._seq, tag))
-        event.add_callback(self.on_fire)
+        if event is not None:
+            event.add_callback(self.on_fire)
 
     def next_instant(self):
         return min(self.booked.values(), default=INF)
 
     def on_fire(self, event):
+        self.dispatched(event.value)
+
+    def dispatched(self, tag):
         sim = self.sim
-        assert sim.now == self.booked.pop(event.value)
-        self.fired.append((sim.now, event.value))
+        assert sim.now == self.booked.pop(tag)
+        self.fired.append((sim.now, tag))
         # nothing earlier is left behind, and peek() names what is next
         assert sim.peek() == self.next_instant() >= sim.now
         if self.budget > 0:

@@ -57,6 +57,47 @@ def test_log_rejects_tiny_capacity():
         CircularLog(4)
 
 
+def test_alive_is_false_once_the_first_bytes_are_overwritten():
+    """``alive`` used to compare the *end* of the range with the
+    overwritten zone, so a range whose head was gone still passed."""
+    log = CircularLog(64)
+    positions = [log.append(b"k" * 4, b"v" * 8) for _ in range(4)]  # 16 B each
+    assert positions == [0, 16, 32, 48] and log.tail == 64
+    log.append(b"K" * 4, b"V" * 10)  # 18 B: overwrites positions 0..17
+    # two of the four header bytes of the entry at 16 are gone
+    assert not log.alive(16, 4)
+    assert log.read(16) is None
+    assert log.alive(18, 4)  # the first byte still intact
+    assert log.read(32) == (b"k" * 4, b"v" * 8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), capacity=st.integers(min_value=16, max_value=160))
+def test_log_read_returns_the_appended_pair_or_none(data, capacity):
+    """Model: ``read(pos)`` is exactly the pair appended at ``pos`` while
+    every byte of it is intact, and ``None`` from the first overwritten
+    byte on — never anything else.  Overwriting proceeds from the oldest
+    byte, so an entry has lost a byte iff it has lost its first."""
+    log = CircularLog(capacity)
+    appended = []  # (pos, key, value)
+    for _ in range(data.draw(st.integers(min_value=1, max_value=40))):
+        room = capacity - log.tail % capacity
+        if room >= 4 and data.draw(st.booleans()):
+            total = room  # ends exactly at the physical end of the buffer
+        else:
+            total = data.draw(st.integers(min_value=4, max_value=capacity))
+        key_len = data.draw(st.integers(min_value=0, max_value=total - 4))
+        fill = bytes([len(appended) % 251 + 1])
+        entry_key, value = fill * key_len, fill * (total - 4 - key_len)
+        pos = log.append(entry_key, value)
+        assert pos == log.tail - total
+        appended.append((pos, entry_key, value))
+        for old_pos, old_key, old_value in appended:
+            overwritten = old_pos < log.tail - capacity
+            expected = None if overwritten else (old_key, old_value)
+            assert log.read(old_pos) == expected
+
+
 # ---------------------------------------------------------------------------
 # MicaCache
 # ---------------------------------------------------------------------------
