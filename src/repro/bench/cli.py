@@ -97,14 +97,15 @@ def _run_chaos(args) -> int:
     from repro.faults import run_chaos
     from repro.faults.chaos import SCENARIOS
 
+    named = [name for name in SCENARIOS if name]  # None: the classic run
     if args.chaos_scenario == "list":
         print("chaos scenarios:")
-        for name, blurb in SCENARIOS.items():
-            print("  %-18s %s" % (name, blurb))
+        for name in named:
+            print("  %-18s %s" % (name, SCENARIOS[name].blurb))
         print("(or 'all'; default: classic unreplicated chaos)")
         return 0
     if args.chaos_scenario == "all":
-        scenarios = list(SCENARIOS)
+        scenarios = named
     elif args.chaos_scenario:
         if args.chaos_scenario not in SCENARIOS:
             print(

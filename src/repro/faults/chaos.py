@@ -28,47 +28,21 @@ fine because loss is rare and the application retries):
 from __future__ import annotations
 
 import hashlib
+import inspect
 import math
 import struct
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from functools import partial
+from types import SimpleNamespace
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.faults.plan import FaultPlan
 from repro.faults.rng import child_rng
 from repro.herd.cluster import HerdCluster
 from repro.herd.config import HerdConfig, partition_of, route_key
+from repro.obs.report import RunReport
+from repro.workloads import FlashCrowdArrivals, PoissonArrivals, StalledArrivals
 from repro.workloads.ycsb import OpType, Workload, keyhash, value_for
-
-#: named chaos scenarios, with the one-line descriptions
-#: ``--chaos-scenario list`` prints.  The first three are replicated
-#: (HA) failover scenarios; the last three are unreplicated *overload*
-#: scenarios driven by open-loop arrivals (repro.qos, docs/QOS.md)
-SCENARIOS = {
-    "kill-primary": "crash one partition's primary for 30% of the horizon",
-    "partition-primary": "cut the primary machine's link, forcing a mass failover",
-    "migrate-under-kill": (
-        "join a spare partition and kill the migration source's primary "
-        "mid-resharding"
-    ),
-    "flash-crowd": (
-        "every client's offered load steps 10x for 40% of the horizon; "
-        "admission control must hold goodput and the SLO"
-    ),
-    "aggressor-tenant": (
-        "one tenant floods 10x while the other behaves; quotas must "
-        "throttle the aggressor and shield the victim's tail"
-    ),
-    "slow-client": (
-        "one client stalls, then releases its backlog as a thundering "
-        "herd; shedding must absorb the head-of-line burst"
-    ),
-    "nemesis": (
-        "a replicated cluster under a caller-supplied (generated) fault "
-        "schedule; every HA oracle on, no scenario fault pinned"
-    ),
-}
-HA_SCENARIOS = ("kill-primary", "partition-primary", "migrate-under-kill", "nemesis")
-OVERLOAD_SCENARIOS = ("flash-crowd", "aggressor-tenant", "slow-client")
 
 
 def _percentile(samples: List[float], q: float) -> float:
@@ -191,94 +165,814 @@ class ChaosReport:
         }
 
     def summary(self) -> str:
-        lines = [
-            "chaos seed=%d: %s" % (self.seed, "OK" if self.ok else "FAILED"),
-            "  %d issued, %d completed, %d abandoned in %.0f ns"
-            % (self.issued, self.completed, self.abandoned, self.sim_ns),
-            "  %d retries, %d duplicate responses, %d late responses"
-            % (self.retries, self.duplicate_responses, self.late_responses),
-            "  %d crashes, %d recoveries (%d slots re-scanned live)"
-            % (self.server_crashes, self.server_recoveries, self.recovered_slots),
-            "  faults: %s"
-            % (
-                ", ".join(
-                    "%s=%d" % kv for kv in sorted(self.fault_counts.items())
-                )
-                or "none fired"
+        faults = ", ".join("%s=%d" % kv for kv in sorted(self.fault_counts.items()))
+        values = dict(
+            vars(self),
+            verdict="OK" if self.ok else "FAILED",
+            faults=faults or "none fired",
+            digest=self.fingerprint[:16],
+            qos="on" if self.qos_enabled else "off",
+            failover_us=self.failover_latency_ns / 1000.0,
+            tenant_tails="".join(
+                ", tenant%d p99 %.1f us" % tail
+                for tail in sorted(self.tenant_p99_us.items())
             ),
-            "  fingerprint %s" % self.fingerprint[:16],
+        )
+        lines = ["chaos seed=%(seed)d: %(verdict)s"]
+        lines += SCENARIOS[self.scenario].summary
+        if self.map_version or self.migrations_done or self.migrations_aborted:
+            lines.append(
+                "  shard map v%(map_version)d: %(migrations_done)d migrations done, "
+                "%(migrations_aborted)d aborted, %(records_migrated)d records moved, "
+                "%(reroutes)d reroutes"
+            )
+        lines += [
+            "  %(issued)d issued, %(completed)d completed, %(abandoned)d abandoned "
+            "in %(sim_ns).0f ns",
+            "  %(retries)d retries, %(duplicate_responses)d duplicate responses, "
+            "%(late_responses)d late responses",
+            "  %(server_crashes)d crashes, %(server_recoveries)d recoveries "
+            "(%(recovered_slots)d slots re-scanned live)",
+            "  faults: %(faults)s",
+            "  fingerprint %(digest)s",
         ]
-        if self.scenario in OVERLOAD_SCENARIOS:
-            lines.insert(
-                1,
-                "  scenario %s (qos %s): %d offered, %d shed, %d nacked, "
-                "%d rejected, %d overflow-dropped"
-                % (
-                    self.scenario,
-                    "on" if self.qos_enabled else "off",
-                    self.offered,
-                    self.shed,
-                    self.retry_after_nacks,
-                    self.rejected,
-                    self.overflow_dropped,
-                ),
-            )
-            lines.insert(
-                2,
-                "  goodput %.3f -> %.3f Mops in-SLO (ratio %.2f), "
-                "p99.9 %.1f us%s"
-                % (
-                    self.pre_burst_mops,
-                    self.burst_mops,
-                    self.goodput_ratio,
-                    self.p999_us,
-                    "".join(
-                        ", tenant%d p99 %.1f us" % (t, p99)
-                        for t, p99 in sorted(self.tenant_p99_us.items())
-                    ),
-                ),
-            )
-        elif self.scenario is not None:
-            lines.insert(
-                1,
-                "  scenario %s (rf=%d, ack=%s): %d acked, %d lost, checker %s"
-                % (
-                    self.scenario,
-                    self.replication_factor,
-                    self.ack_policy,
-                    self.ops_acked,
-                    self.ops_lost,
-                    self.checker or "n/a",
-                ),
-            )
-            lines.insert(
-                2,
-                "  availability %.4f, %d promotions (mean failover %.1f us), "
-                "%d stale nacks, %d replays"
-                % (
-                    self.availability,
-                    self.promotions,
-                    self.failover_latency_ns / 1000.0,
-                    self.stale_nacks,
-                    self.replays,
-                ),
-            )
-            if self.map_version or self.migrations_done or self.migrations_aborted:
-                lines.insert(
-                    3,
-                    "  shard map v%d: %d migrations done, %d aborted, "
-                    "%d records moved, %d reroutes"
-                    % (
-                        self.map_version,
-                        self.migrations_done,
-                        self.migrations_aborted,
-                        self.records_migrated,
-                        self.reroutes,
-                    ),
-                )
-        for violation in self.violations:
-            lines.append("  VIOLATION: %s" % violation)
+        lines = [line % values for line in lines]
+        lines += ["  VIOLATION: %s" % violation for violation in self.violations]
         return "\n".join(lines)
+
+
+class _Run(SimpleNamespace):
+    """One chaos run, threaded through the pipeline stages: ``run_chaos``'s
+    arguments under their own names (``config`` and ``plan`` replaced by
+    the resolved ones), then what the stages build, record and find."""
+
+    def __init__(self, **arguments) -> None:
+        super().__init__(entry=None, cluster=None, injector=None, **arguments)
+        self.records: List[str] = []  # one line per completion
+        self.violations: List[str] = []
+        self.last_now = 0.0
+        self.tail_completed = 0
+        self.responses: List[tuple] = []  # (client_id, latency, success, now)
+        self.histories: Dict[bytes, list] = {}  # key -> its HaOps, invocation order
+        self.divergences = self.ops_lost = 0  # what the oracles found
+        self.checker = ""
+
+    def span(self, window: str) -> Tuple[float, float]:
+        """One of the entry's goodput windows, in ns."""
+        lo, hi = self.entry.windows[window]
+        return lo * self.horizon_ns, hi * self.horizon_ns
+
+
+def _totals(objects, *names: str) -> Dict[str, int]:
+    return {name: sum(getattr(o, name) for o in objects) for name in names}
+
+
+def _classic_config(run: _Run) -> HerdConfig:
+    return HerdConfig(
+        n_server_processes=run.n_server_processes or 4,
+        window=4,
+        retry_timeout_ns=30_000.0,
+        adaptive_retry=True,
+        min_retry_timeout_ns=15_000.0,
+    )
+
+
+def _replicated_config(run: _Run, servers: int = 4, spares: int = 0) -> HerdConfig:
+    """``replication_factor`` replicas per partition on short RTOs;
+    ``spares`` partitions own no keys until they join (a shard map)."""
+    n = run.n_server_processes or servers
+    return HerdConfig(
+        n_server_processes=n,
+        n_active_partitions=n - spares if spares else None,
+        window=4,
+        retry_timeout_ns=10_000.0,
+        adaptive_retry=True,
+        min_retry_timeout_ns=5_000.0,
+        replication_factor=run.replication_factor,
+        ack_policy=run.ack_policy,
+        lease_us=run.lease_us,
+        heartbeat_us=run.heartbeat_us,
+    )
+
+
+def _elastic_config(run: _Run) -> HerdConfig:
+    return _replicated_config(run, servers=3, spares=1)  # one spare to join live
+
+
+def _overload_config(run: _Run) -> HerdConfig:
+    from repro.qos import QosConfig
+
+    two = run.entry.tenants == 2
+    if run.shedding:
+        qos = QosConfig(
+            queue_limit=32,
+            drop_policy="nack",
+            codel_target_ns=4_000.0,
+            codel_interval_ns=20_000.0,
+            n_tenants=run.entry.tenants,
+            tenant_rates=(None, 2.0) if two else None,
+            tenant_weights=(4.0, 1.0) if two else None,
+            retry_after_ns=16_000.0,
+            qp_pool=4,
+        )
+    else:
+        # every limit off: identical wire framing and QP wiring,
+        # but nothing is ever shed — the unprotected control arm
+        qos = QosConfig(queue_limit=None, codel_target_ns=None, qp_pool=4)
+    # deep windows + a fixed RTO: the classic recipe that lets a
+    # flash crowd push sojourn far past the SLO when unprotected
+    return HerdConfig(
+        n_server_processes=run.n_server_processes or 2,
+        window=32,
+        retry_timeout_ns=30_000.0,
+        adaptive_retry=False,
+        qos=qos,
+    )
+
+
+def _closed_loop(run: _Run, n_clients: Optional[int] = None, arrivals=None) -> None:
+    workload = Workload(
+        get_fraction=run.get_fraction, value_size=run.value_size, n_keys=run.n_items
+    )
+    run.cluster.add_clients(n_clients or run.n_clients, workload, arrivals)
+
+
+def _tagged_clients(run: _Run) -> None:
+    """Closed-loop clients whose PUTs are unique, recording the full
+    invoke/response history per key for the linearizability checker.  An
+    op is its (client, partition, window slot, slot epoch) — exactly the
+    token the wire protocol matches responses by."""
+    from repro.ha import HaOp
+
+    if run.value_size < 8:
+        raise ValueError("HA chaos tags PUT values; value_size must be >= 8")
+    if run.config.replication_factor < 2:
+        raise ValueError("HA scenarios need a config with replication_factor > 1")
+    open_ops: Dict[tuple, HaOp] = {}
+    histories = run.histories
+
+    def record(client_id, kind, op, server, slot, epoch, success, value, now):
+        token = (client_id, server, slot, epoch)
+        if kind == "invoke":
+            ha_op = HaOp(
+                client=client_id,
+                kind="w" if op.op is OpType.PUT else "r",
+                value=op.value if op.op is OpType.PUT else None,
+                invoke=now,
+            )
+            open_ops[token] = ha_op
+            histories.setdefault(op.key, []).append(ha_op)
+        elif kind == "response":
+            ha_op = open_ops.pop(token, None)
+            if ha_op is not None:
+                ha_op.respond = now
+                ha_op.ok = bool(success)
+                if ha_op.kind == "r":
+                    ha_op.value = value
+        # "stale" nacks leave the op open: it was never executed;
+        # so do "reroute" nacks (NOT_OWNER at the old shard owner)
+
+    _closed_loop(run)
+    for client in run.cluster.clients:
+        client.stream = _TaggedStream(client.stream, client.client_id)
+        client.ha_event_hook = partial(record, client.client_id)
+
+
+def _crowd(run: _Run, rng) -> FlashCrowdArrivals:
+    """0.45 ops/us * ``intensity`` is every client's steady open-loop
+    rate: the fleet sits well under capacity until the overload lands."""
+    start, end = run.span("burst")
+    return FlashCrowdArrivals(0.45 * run.intensity, rng, run.burst, start, end)
+
+
+def _flash_crowd_clients(run: _Run) -> None:
+    _closed_loop(run, arrivals=lambda cid, rng: _crowd(run, rng))
+
+
+def _aggressor_clients(run: _Run) -> None:
+    # Six aggressors are needed to push the fleet past capacity:
+    # an open-loop client's send path self-clocks at ~3 ops/us, so
+    # four bursting clients alone cannot drown the victims.
+    n_clients = 12 if run.n_clients == 8 else run.n_clients
+
+    def arrivals(cid, rng):  # odd clients: the aggressor tenant
+        if cid % 2:
+            return _crowd(run, rng)
+        return PoissonArrivals(0.45 * run.intensity, rng)
+
+    _closed_loop(run, n_clients, arrivals)
+
+
+def _slow_client_clients(run: _Run) -> None:
+    def arrivals(cid, rng):  # client 0: the one stalled source
+        if cid:
+            return PoissonArrivals(0.45 * run.intensity, rng)
+        return StalledArrivals(
+            PoissonArrivals(0.45 * run.intensity * 0.5 * run.burst, rng),
+            stall_start_ns=0.3 * run.horizon_ns,
+            stall_end_ns=0.6 * run.horizon_ns,
+            flush_gap_ns=50.0,
+        )
+
+    _closed_loop(run, arrivals=arrivals)
+
+
+def _noise(run: _Run, scale: float = 1.0, crash: Optional[bool] = None) -> FaultPlan:
+    """The randomized background noise (the classic run's whole plan)."""
+    return FaultPlan.randomized(
+        run.seed,
+        run.horizon_ns,
+        n_server_processes=run.config.n_server_processes,
+        intensity=run.intensity * scale,
+        crash=run.crash if crash is None else crash,
+        rnr_machine=run.cluster.client_devices[0].machine.name,
+    )
+
+
+def _half_noise(run: _Run) -> FaultPlan:
+    """Reduced-intensity noise, no crash: what a pinned fault is layered
+    on — and, alone, the ``nemesis`` scenario's plan when none is given."""
+    return _noise(run, 0.5, crash=False)
+
+
+def _no_faults(run: _Run) -> FaultPlan:
+    """The offered load IS the fault: no injected loss or crashes, so
+    every shed and retry traces back to admission control."""
+    return FaultPlan(seed=run.seed)
+
+
+def _kill_primary(run: _Run) -> FaultPlan:
+    victim = child_rng(run.seed, "chaos.scenario").randrange(
+        run.config.n_server_processes
+    )
+    return _half_noise(run).crash_server(
+        victim, at_ns=0.35 * run.horizon_ns, down_ns=0.3 * run.horizon_ns
+    )
+
+
+def _partition_primary(run: _Run) -> FaultPlan:
+    """Isolates the primaries; fencing must turn their acks into nacks."""
+    return _half_noise(run).flap_link(
+        "server", at_ns=0.35 * run.horizon_ns, down_ns=0.25 * run.horizon_ns
+    )
+
+
+def _kill_migration_source(run: _Run) -> FaultPlan:
+    """The join lands at 0.25h (:func:`_join_spares`), so a crash of
+    partition 0's primary shortly after hits the first migration
+    mid-copy — ``plan_join`` drains partition 0 first, and the move must
+    abort, fail over, restart, and still lose nothing."""
+    return _half_noise(run).crash_server(
+        0, at_ns=0.27 * run.horizon_ns, down_ns=0.3 * run.horizon_ns
+    )
+
+
+def _join_spares(run: _Run) -> None:
+    """Membership: the spare partitions join a quarter in, while traffic
+    (and the pinned crash) is live."""
+    config = run.config
+    if config.n_active_partitions is None:
+        raise ValueError(
+            "migrate-under-kill needs an elastic config (n_active_partitions)"
+        )
+    for spare in range(config.n_active_partitions, config.n_server_processes):
+        run.cluster.elastic.coordinator.schedule_join(
+            spare, at_ns=0.25 * run.horizon_ns
+        )
+
+
+def _record(run: _Run, client) -> None:
+    """Hook the client: check and record each completion, keep each latency."""
+    client_id = client.client_id
+    tail_from_ns = TAIL_FRAC * run.horizon_ns
+    # tagged PUTs: the linearizability checker validates read values
+    # against the write history instead of the static value function
+    static_values = not isinstance(client.stream, _TaggedStream)
+    records = run.records
+    violations = run.violations
+    responses = run.responses
+
+    def respond(op, latency, success, now):
+        responses.append((client_id, latency, success, now))
+
+    def complete(op, success, value, now):
+        if now >= tail_from_ns:
+            run.tail_completed += 1
+        if now < run.last_now:
+            violations.append(
+                "completion clock ran backwards (%.3f after %.3f)"
+                % (now, run.last_now)
+            )
+        run.last_now = now
+        wrong = None
+        if op.op is not OpType.GET:
+            wrong = None if success else "PUT failed for"
+        elif not success:
+            wrong = "GET miss for preloaded"
+        elif static_values and value != value_for(op.item, run.value_size):
+            wrong = "GET returned wrong bytes for"
+        if wrong:
+            violations.append("%s item %d (client %d)" % (wrong, op.item, client_id))
+        records.append(
+            "c%d %s %d %d %.3f" % (client_id, op.op.value, op.item, int(success), now)
+        )
+
+    client.payload_hook = complete
+    client.response_hook = respond
+
+
+def _undrained(run: _Run) -> list:
+    return [c for c in run.cluster.clients if c.outstanding or any(c._parked)]
+
+
+def _oracle_drain(run: _Run) -> List[str]:
+    """Liveness: nothing stays outstanding or parked once faults stop."""
+    return [
+        "client %d failed to drain: %d outstanding, %d parked"
+        % (client.client_id, client.outstanding, sum(len(q) for q in client._parked))
+        for client in _undrained(run)
+    ]
+
+
+def _oracle_accounting(run: _Run) -> List[str]:
+    """No lost acks: the per-client op identity, and window-slot closure
+    (free + quarantined = W per partition)."""
+    found = []
+    for client in run.cluster.clients:
+        if client.completed != client.issued - client.outstanding - client.abandoned:
+            found.append(
+                "client %(client_id)d accounting broken: issued=%(issued)d "
+                "completed=%(completed)d outstanding=%(outstanding)d "
+                "abandoned=%(abandoned)d" % vars(client)
+            )
+        if client.failures:
+            found.append(
+                "client %(client_id)d saw %(failures)d failed responses" % vars(client)
+            )
+        if client.outstanding:
+            continue
+        for server in range(run.config.n_server_processes):
+            closed = len(client._slot_free[server]) + len(client._quarantined[server])
+            if closed != run.config.window:
+                found.append(
+                    "client %d slot accounting leaked at server %d: "
+                    "%d free + quarantined of %d"
+                    % (client.client_id, server, closed, run.config.window)
+                )
+    return found
+
+
+def _oracle_store(run: _Run) -> List[str]:
+    """No duplicate side effects: every entry still holds ``value_for``."""
+    found = []
+    for item in range(run.n_items):
+        kh = keyhash(item)
+        partition = partition_of(kh, run.config.n_server_processes)
+        server = run.cluster.servers[partition]
+        if server.store.get(kh) != value_for(item, run.value_size):
+            found.append(
+                "store divergence for item %d on server %d" % (item, server.index)
+            )
+    run.divergences = len(found)
+    return found
+
+
+def _oracle_replication(run: _Run) -> List[str]:
+    """The :mod:`repro.ha.checker` suite, whose verdict is the report's
+    ``checker``: per-key linearizability (Wing–Gong), no acked write
+    lost, no split-brain acks, monotonic backup hwm and fencing epochs.
+    Final state is read from each partition's *current* primary — the
+    replica a client would reach after the run — routed through the
+    final shard map when the cluster is elastic."""
+    from repro.ha import check_histories, lost_acked_writes, split_brain
+
+    cluster = run.cluster
+    ha = cluster.ha
+    final_map = cluster.elastic.shard_map if cluster.elastic is not None else None
+    initial: Dict[bytes, Optional[bytes]] = {}
+    final: Dict[bytes, Optional[bytes]] = {}
+    for item in range(run.n_items):
+        kh = keyhash(item)
+        p = route_key(kh, run.config.n_server_processes, final_map)
+        primary = ha.monitor.state[p].primary
+        store = ha.replica_servers[primary if primary is not None else 0][p].store
+        initial[kh] = value_for(item, run.value_size)
+        final[kh] = store.get(kh)
+    found = check_histories(run.histories, initial, final)
+    run.ops_lost = lost_acked_writes(run.histories, final)
+    if run.ops_lost:
+        found.append("%d acked writes lost across failover" % run.ops_lost)
+    found += split_brain(
+        {
+            (group.partition, epoch): ackers
+            for group in ha.groups
+            for epoch, ackers in group.ack_witness.items()
+        }
+    )
+    regressions = sum(role.hwm_regressions for node in ha.nodes for role in node.roles)
+    if regressions:
+        found.append("%d backup high-water-mark regressions" % regressions)
+    # every config the monitor broadcast must carry a strictly larger
+    # epoch than the previous config of the same partition — a stalled
+    # epoch would let a deposed primary's acks survive fencing
+    last_epoch: Dict[int, int] = {}
+    for partition, _primary, epoch in ha.monitor.config_log:
+        prev = last_epoch.get(partition)
+        if prev is not None and epoch <= prev:
+            found.append(
+                "fencing epoch regressed on partition %d: %d after %d"
+                % (partition, epoch, prev)
+            )
+        last_epoch[partition] = epoch
+    run.checker = "violated" if found else "linearizable"
+    return found
+
+
+def _oracle_crashes(run: _Run) -> List[str]:
+    expected = sum(1 for c in run.plan.crashes if c.at_ns < run.horizon_ns)
+    crashes = sum(s.crashes for s in run.cluster.servers)
+    recoveries = sum(s.recoveries for s in run.cluster.servers)
+    if crashes == expected and recoveries == expected:
+        return []
+    return [
+        "crash/recovery mismatch: planned %d, crashed %d, recovered %d"
+        % (expected, crashes, recoveries)
+    ]
+
+
+def _section_run(run: _Run) -> Iterator[str]:
+    """Every completion record, fault counter and client counter."""
+    yield from run.records
+    for count in sorted(run.injector.counts.items()):
+        yield "%s=%d" % count
+    for client in run.cluster.clients:
+        yield (
+            "c%(client_id)d issued=%(issued)d completed=%(completed)d "
+            "retries=%(retries)d dup=%(duplicate_responses)d "
+            "late=%(late_responses)d abandoned=%(abandoned)d" % vars(client)
+        )
+
+
+def _section_failover(run: _Run) -> Iterator[str]:
+    """Failover *timing*: outages, promotions, per-client and -replica traffic."""
+    monitor = run.cluster.ha.monitor
+    rf, ack = run.config.replication_factor, run.config.ack_policy
+    yield "scenario=%s rf=%d ack=%s" % (run.scenario, rf, ack)
+    for outage in monitor.outages:
+        yield "outage p%d %.3f %.3f" % outage
+    yield (
+        "promotions=%(promotions)d grants=%(grants)d configs=%(configs_sent)d "
+        "lease_misses=%(lease_misses)d" % vars(monitor)
+    )
+    for client in run.cluster.clients:
+        yield (
+            "c%(client_id)d stale=%(stale_nacks)d replays=%(replays)d "
+            "failovers=%(failovers)d" % vars(client)
+        )
+    for node in run.cluster.ha.nodes:
+        yield (
+            "rep%(replica_id)d shipped=%(updates_shipped)d acks=%(acks_sent)d "
+            "hb=%(heartbeats_sent)d catchups=%(catchups_served)d" % vars(node)
+        )
+
+
+def _section_reshard(run: _Run) -> Iterator[str]:
+    """On a shard map: the final map, every migration, each client's re-routing."""
+    if run.cluster.elastic is None:
+        return
+    yield (
+        "shardmap v=%(map_version)d done=%(migrations_done)d "
+        "aborted=%(migrations_aborted)d sent=%(records_sent)d "
+        "applied=%(records_applied)d adopted=%(maps_adopted)d"
+        % run.cluster.elastic.counters()
+    )
+    for client in run.cluster.clients:
+        yield (
+            "c%(client_id)d reroutes=%(reroutes)d notowner=%(not_owner_nacks)d "
+            "maps=%(map_refreshes)d" % vars(client)
+        )
+
+
+def _section_admission(run: _Run) -> Iterator[str]:
+    """Every shed (by reason and tenant), every client's open-loop traffic."""
+    yield "scenario=%s shedding=%d burst=%g" % (run.scenario, run.shedding, run.burst)
+    yield from run.cluster.qos_runtime.counter_lines()
+    for server in run.cluster.servers:
+        yield "s%d shed=%d" % (server.index, server.shed)
+    for client in run.cluster.clients:
+        yield (
+            "c%(client_id)d offered=%(offered)d overflow=%(overflow_dropped)d "
+            "paused=%(nack_pause_drops)d nacks=%(retry_after_nacks)d "
+            "rejected=%(rejected)d" % vars(client)
+        )
+
+
+def _replicated_fields(run: _Run) -> Dict[str, object]:
+    cluster = run.cluster
+    config = run.config
+    monitor = cluster.ha.monitor
+    outage = monitor.outage_ns(up_to_ns=run.horizon_ns)
+    closed = [adopted - lost for (_p, lost, adopted) in monitor.outages]
+    partition_ns = config.n_server_processes * run.horizon_ns
+    fields = dict(
+        _totals(cluster.clients, "stale_nacks", "replays"),
+        replication_factor=config.replication_factor,
+        ack_policy=config.ack_policy,
+        ops_lost=run.ops_lost,
+        checker=run.checker,
+        availability=max(0.0, 1.0 - outage / partition_ns),
+        failover_latency_ns=sum(closed) / len(closed) if closed else 0.0,
+        promotions=monitor.promotions,
+    )
+    if cluster.elastic is not None:
+        counters = cluster.elastic.counters()
+        fields.update(
+            _totals(cluster.clients, "reroutes", "not_owner_nacks"),
+            map_version=counters["map_version"],
+            migrations_done=counters["migrations_done"],
+            migrations_aborted=counters["migrations_aborted"],
+            records_migrated=counters["records_applied"],
+        )
+    return fields
+
+
+def _overload_fields(run: _Run) -> Dict[str, object]:
+    """The goodput floor and tenant-isolation band: *report fields* for
+    the lab gate and the tests to assert, not violations — a shedding-off
+    control run may collapse and show it.  A completion slower than
+    ``slo_ns`` is not useful work; tails split by tenant."""
+    in_slo = [
+        now
+        for (_cid, latency, success, now) in run.responses
+        if success and latency <= run.slo_ns
+    ]
+
+    def goodput_mops(window: str) -> float:
+        start, end = run.span(window)
+        return sum(1 for now in in_slo if start <= now < end) / (end - start) * 1e3
+
+    pre_burst_mops, burst_mops = goodput_mops("pre"), goodput_mops("measure")
+    tails: Dict[int, List[float]] = {}
+    for cid, latency, _success, _now in run.responses:
+        tails.setdefault(cid % run.entry.tenants, []).append(latency)
+    return dict(
+        # a diverged entry is an acked write the store lost (or
+        # double-applied): the "zero lost acked writes" witness
+        ops_lost=run.divergences,
+        qos_enabled=run.shedding,
+        pre_burst_mops=pre_burst_mops,
+        burst_mops=burst_mops,
+        goodput_ratio=burst_mops / pre_burst_mops if pre_burst_mops else 0.0,
+        tenant_p99_us={
+            tenant: _percentile(samples, 99.0) / 1000.0
+            for tenant, samples in sorted(tails.items())
+        },
+    )
+
+
+def _unreplicated(kwargs: Dict[str, object]) -> Dict[str, object]:
+    """Same workload and cluster shape, rf = 1 and fault-free: the
+    classic run, pricing the replication overhead."""
+    no_faults = FaultPlan(seed=kwargs["seed"])
+    return dict(kwargs, scenario=None, config=None, plan=no_faults)
+
+
+def _born_full(kwargs: Dict[str, object]) -> Dict[str, object]:
+    """Same seed, noise and pinned crash, but every partition active
+    from the start: no spare, no migration."""
+    bound = inspect.signature(run_chaos).bind(**kwargs)
+    bound.apply_defaults()
+    config = _elastic_config(_Run(**bound.arguments))
+    full = replace(config, n_active_partitions=config.n_server_processes)
+    return dict(kwargs, config=full)
+
+
+def _unprotected(kwargs: Dict[str, object]) -> Dict[str, object]:
+    return dict(kwargs, shedding=False)
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """What one shape of chaos run *is*: everything :func:`run_chaos`
+    looks up instead of branching on — plain functions of the run, in
+    pipeline order.  docs/FAULTS.md tabulates the entries."""
+
+    blurb: str  # one line, for ``--chaos-scenario list``
+    config: Callable[[_Run], HerdConfig]  # the default for ``config=None``
+    prepare: Callable[[_Run], None]  # adds the clients: streams, arrivals
+    plan: Callable[[_Run], FaultPlan]  # the default: noise + the pinned fault
+    oracles: Tuple[Callable[[_Run], List[str]], ...]
+    fingerprint: Tuple[Callable[[_Run], Iterator[str]], ...]
+    #: what is scheduled once clients and servers have started
+    membership: Optional[Callable[[_Run], None]] = None
+    #: ChaosReport fields beyond the common ones, and their ``summary()``
+    #: lines (``%``-formatted with the report)
+    fields: Optional[Callable[[_Run], Dict[str, object]]] = None
+    summary: Tuple[str, ...] = ()
+    #: run_chaos kwargs (with a seed) -> the kwargs of the reference run a
+    #: run of this scenario is priced against (repro.lab); None: it has none
+    reference: Optional[Callable[[Dict[str, object]], Dict[str, object]]] = None
+    # overload entries only: the tenant count, and the goodput windows
+    # (pre-burst baseline, the crowd, burst measurement) in horizon fractions
+    tenants: int = 1
+    windows: Optional[Dict[str, Tuple[float, float]]] = None
+
+
+_CLASSIC = Scenario(
+    blurb="the randomized-but-seeded fault mix on an unreplicated cluster",
+    config=_classic_config,
+    prepare=_closed_loop,
+    plan=_noise,
+    oracles=(_oracle_drain, _oracle_accounting, _oracle_store, _oracle_crashes),
+    fingerprint=(_section_run,),
+)
+_REPLICATED = replace(
+    _CLASSIC,
+    blurb=(
+        "a replicated cluster under a caller-supplied (generated) fault "
+        "schedule; every HA oracle on, no scenario fault pinned"
+    ),
+    config=_replicated_config,
+    prepare=_tagged_clients,
+    plan=_half_noise,
+    oracles=(_oracle_drain, _oracle_accounting, _oracle_replication, _oracle_crashes),
+    fingerprint=(_section_run, _section_failover, _section_reshard),
+    fields=_replicated_fields,
+    summary=(
+        "  scenario %(scenario)s (rf=%(replication_factor)d, ack=%(ack_policy)s): "
+        "%(ops_acked)d acked, %(ops_lost)d lost, checker %(checker)s",
+        "  availability %(availability).4f, %(promotions)d promotions "
+        "(mean failover %(failover_us).1f us), %(stale_nacks)d stale nacks, "
+        "%(replays)d replays",
+    ),
+    reference=_unreplicated,
+)
+# The measurement window starts well after the crowd does: the first
+# ~0.15h of a flash crowd is the queue-filling ramp, where even an
+# unprotected server still answers in-SLO from a short queue — the
+# goodput contract is about the sustained regime after the crowd has
+# fully formed.
+_OVERLOAD = replace(
+    _CLASSIC,
+    blurb=(
+        "every client's offered load steps 10x for 40% of the horizon; "
+        "admission control must hold goodput and the SLO"
+    ),
+    config=_overload_config,
+    prepare=_flash_crowd_clients,
+    plan=_no_faults,
+    fingerprint=(_section_run, _section_admission),
+    fields=_overload_fields,
+    summary=(
+        "  scenario %(scenario)s (qos %(qos)s): %(offered)d offered, %(shed)d shed, "
+        "%(retry_after_nacks)d nacked, %(rejected)d rejected, "
+        "%(overflow_dropped)d overflow-dropped",
+        "  goodput %(pre_burst_mops).3f -> %(burst_mops).3f Mops in-SLO "
+        "(ratio %(goodput_ratio).2f), p99.9 %(p999_us).1f us%(tenant_tails)s",
+    ),
+    reference=_unprotected,
+    windows=dict(pre=(0.1, 0.4), burst=(0.4, 0.8), measure=(0.6, 0.8)),
+)
+
+#: every shape of chaos run by ``scenario`` name, in listing order;
+#: ``None`` is the classic run.  The first three named ones are
+#: replicated (HA) failover scenarios, the next three unreplicated
+#: *overload* scenarios driven by open-loop arrivals (repro.qos,
+#: docs/QOS.md).
+SCENARIOS: Dict[Optional[str], Scenario] = {
+    None: _CLASSIC,
+    "kill-primary": replace(
+        _REPLICATED,
+        blurb="crash one partition's primary for 30% of the horizon",
+        plan=_kill_primary,
+    ),
+    "partition-primary": replace(
+        _REPLICATED,
+        blurb="cut the primary machine's link, forcing a mass failover",
+        plan=_partition_primary,
+    ),
+    "migrate-under-kill": replace(
+        _REPLICATED,
+        blurb=(
+            "join a spare partition and kill the migration source's primary "
+            "mid-resharding"
+        ),
+        config=_elastic_config,
+        plan=_kill_migration_source,
+        membership=_join_spares,
+        reference=_born_full,
+    ),
+    "flash-crowd": _OVERLOAD,
+    "aggressor-tenant": replace(
+        _OVERLOAD,
+        blurb=(
+            "one tenant floods 10x while the other behaves; quotas must "
+            "throttle the aggressor and shield the victim's tail"
+        ),
+        prepare=_aggressor_clients,
+        tenants=2,
+    ),
+    # the "burst" is the backlog flush when the stall releases, so the
+    # windows shift
+    "slow-client": replace(
+        _OVERLOAD,
+        blurb=(
+            "one client stalls, then releases its backlog as a thundering "
+            "herd; shedding must absorb the head-of-line burst"
+        ),
+        prepare=_slow_client_clients,
+        windows=dict(pre=(0.1, 0.3), burst=(0.6, 0.8), measure=(0.6, 0.8)),
+    ),
+    "nemesis": _REPLICATED,
+}
+
+
+def _build(run: _Run) -> None:
+    """Resolve entry, config and plan; build the cluster, preloaded."""
+    if run.scenario not in SCENARIOS:
+        raise ValueError(
+            "unknown scenario %r (have: %s)"
+            % (run.scenario, ", ".join(name for name in SCENARIOS if name))
+        )
+    run.entry = SCENARIOS[run.scenario]
+    if run.config is None:
+        run.config = run.entry.config(run)
+    if run.config.retry_timeout_ns is None:
+        raise ValueError("chaos needs retries enabled (retry_timeout_ns)")
+    cluster = run.cluster = HerdCluster(
+        config=run.config, n_client_machines=4, seed=run.seed
+    )
+    run.entry.prepare(run)
+    cluster.wire()
+    cluster.preload(range(run.n_items), run.value_size)
+    if run.plan is None:
+        run.plan = run.entry.plan(run)
+    # clamped to the horizon so the drain phase is fault-free
+    run.plan = run.plan.clamped(run.horizon_ns)
+    run.injector = cluster.install_faults(run.plan)
+
+
+def _run_and_drain(run: _Run) -> None:
+    """Record through the fault horizon, then let the windows drain."""
+    cluster = run.cluster
+    sim = cluster.sim
+    for client in cluster.clients:
+        _record(run, client)
+        client.stop_after = run.horizon_ns
+        client.start()
+    cluster.start_servers()
+    if run.entry.membership is not None:
+        run.entry.membership(run)
+    sim.call_in(run.horizon_ns, run.injector.deactivate)
+    sim.run(until=run.horizon_ns)
+
+    # a shard map's reshard queue also converges before the audit, so the
+    # final map reflects the completed membership change
+    resharding = cluster.elastic.coordinator if cluster.elastic is not None else None
+    deadline = run.horizon_ns + run.drain_ns
+    while sim.now < deadline and (
+        _undrained(run) or not (resharding is None or resharding.idle())
+    ):
+        sim.run(until=min(sim.now + 100_000.0, deadline))
+
+
+def _report(run: _Run) -> ChaosReport:
+    cluster = run.cluster
+    servers = cluster.servers
+    digest = hashlib.sha256()
+    for section in run.entry.fingerprint:
+        for line in section(run):
+            digest.update(line.encode())
+            digest.update(b"\n")
+    fields = _totals(
+        cluster.clients,
+        *"issued completed abandoned retries duplicate_responses late_responses "
+        "get_misses offered retry_after_nacks rejected overflow_dropped".split()
+    )
+    fields.update(
+        seed=run.seed,
+        plan=run.plan.describe(),
+        sim_ns=cluster.sim.now,
+        server_crashes=sum(s.crashes for s in servers),
+        server_recoveries=sum(s.recoveries for s in servers),
+        recovered_slots=sum(s.recovered_slots for s in servers),
+        fault_counts=dict(run.injector.counts),
+        violations=run.violations,
+        fingerprint=digest.hexdigest(),
+        scenario=run.scenario,
+        ops_acked=fields["completed"],
+        tail_completed=run.tail_completed,
+        p999_us=_percentile([r[1] for r in run.responses], 99.9) / 1000.0,
+        shed=cluster.qos_runtime.total_shed if cluster.qos_runtime else 0,
+    )
+    if run.entry.fields is not None:
+        fields.update(run.entry.fields(run))
+    report = ChaosReport(**fields)
+    obs_report = RunReport.from_sim(cluster.sim, name="chaos-%d" % run.seed)
+    if obs_report is not None:
+        obs_report.outcomes.append(report.outcome_row())
+        report.obs = obs_report
+    return report
 
 
 def run_chaos(
@@ -305,720 +999,26 @@ def run_chaos(
 ) -> ChaosReport:
     """One seeded chaos run; see the module docstring for the checks.
 
-    ``plan=None`` uses :meth:`FaultPlan.randomized` (clamped to the
-    horizon so the drain phase is fault-free).  The retry budget must be
-    unlimited for the drain-liveness invariant to be checkable — pass a
-    custom ``config`` to experiment with budgets, at the cost of
-    abandoned ops being excluded from the accounting identity only.
+    ``scenario`` names an entry of :data:`SCENARIOS` (tabulated in
+    docs/FAULTS.md); ``None`` is the classic randomized run.  ``plan``
+    and ``config`` replace the entry's defaults: ``plan=None`` is its
+    background noise (:meth:`FaultPlan.randomized` scaled by
+    ``intensity``, with a server crash if ``crash``) plus its pinned
+    fault; any plan is clamped to the horizon, so the drain phase is
+    fault-free.  The retry budget must be unlimited for the drain
+    invariant to be checkable — a custom ``config`` may set one, at the
+    cost of abandoned ops leaving the accounting identity.
 
-    Passing ``scenario`` switches to a *replicated* run: the cluster is
-    built with ``replication_factor`` replicas per partition, the named
-    fault scenario is layered on top of reduced-intensity background
-    noise, every PUT value is made unique, and the full history is fed
-    to the :mod:`repro.ha.checker` — per-key linearizability, no acked
-    write lost, no split-brain acks, monotonic backup high-water marks.
-    Scenarios: ``kill-primary`` crashes one partition's primary for 30%
-    of the horizon; ``partition-primary`` cuts the primary machine's
-    link, forcing a mass failover and fencing the isolated primaries;
-    ``migrate-under-kill`` builds an *elastic* cluster with one spare
-    partition (owning no keys), joins it a quarter into the horizon so
-    the coordinator live-migrates ranges onto it, and crashes the first
-    migration source's primary mid-copy — the move must abort, fail
-    over, restart, and still lose nothing.
-
-    The *overload* scenarios (``flash-crowd``, ``aggressor-tenant``,
-    ``slow-client``) instead run an unreplicated cluster with **open-loop
-    arrivals** and no injected faults — the offered load itself is the
-    fault.  ``shedding`` toggles the :mod:`repro.qos` admission control
-    (the wire framing and QP wiring stay identical, so on/off runs are
-    directly comparable), ``burst`` scales the overload event, and
-    ``slo_ns`` is the response-time SLO: only completions within it
-    count toward the ``pre_burst_mops`` / ``burst_mops`` goodput meters.
-    The goodput floor (``goodput_ratio``), tenant tails, and shed
-    accounting land in the report for the smoke / lab gates to assert —
-    a shedding-off run is *expected* to collapse and is not a violation.
+    Replicated scenarios take ``replication_factor``, ``ack_policy``,
+    ``lease_us`` and ``heartbeat_us``.  Overload scenarios take
+    ``shedding`` (:mod:`repro.qos` admission control; off, framing and
+    wiring stay identical, and the run is *expected* to collapse — not a
+    violation), ``burst`` (the overload's scale) and ``slo_ns`` (only
+    completions within it count as goodput).
     """
-    if scenario is not None and scenario not in SCENARIOS:
-        raise ValueError(
-            "unknown scenario %r (have: %s)" % (scenario, ", ".join(SCENARIOS))
-        )
-    ha_mode = scenario in HA_SCENARIOS
-    overload_mode = scenario in OVERLOAD_SCENARIOS
-    if ha_mode and value_size < 8:
-        raise ValueError("HA chaos tags PUT values; value_size must be >= 8")
-    elastic_mode = scenario == "migrate-under-kill"
-    if config is None:
-        if elastic_mode:
-            ns = n_server_processes or 3
-            if ns < 2:
-                raise ValueError("migrate-under-kill needs >= 2 partitions")
-            config = HerdConfig(
-                n_server_processes=ns,
-                n_active_partitions=ns - 1,  # one spare to join live
-                window=4,
-                retry_timeout_ns=10_000.0,
-                adaptive_retry=True,
-                min_retry_timeout_ns=5_000.0,
-                replication_factor=replication_factor,
-                ack_policy=ack_policy,
-                lease_us=lease_us,
-                heartbeat_us=heartbeat_us,
-            )
-        elif ha_mode:
-            config = HerdConfig(
-                n_server_processes=n_server_processes or 4,
-                window=4,
-                retry_timeout_ns=10_000.0,
-                adaptive_retry=True,
-                min_retry_timeout_ns=5_000.0,
-                replication_factor=replication_factor,
-                ack_policy=ack_policy,
-                lease_us=lease_us,
-                heartbeat_us=heartbeat_us,
-            )
-        elif overload_mode:
-            from repro.qos import QosConfig
-
-            aggressor = scenario == "aggressor-tenant"
-            if shedding:
-                qos = QosConfig(
-                    queue_limit=32,
-                    drop_policy="nack",
-                    codel_target_ns=4_000.0,
-                    codel_interval_ns=20_000.0,
-                    n_tenants=2 if aggressor else 1,
-                    tenant_rates=(None, 2.0) if aggressor else None,
-                    tenant_weights=(4.0, 1.0) if aggressor else None,
-                    retry_after_ns=16_000.0,
-                    qp_pool=4,
-                )
-            else:
-                # every limit off: identical wire framing and QP wiring,
-                # but nothing is ever shed — the unprotected control arm
-                qos = QosConfig(queue_limit=None, codel_target_ns=None, qp_pool=4)
-            # deep windows + a fixed RTO: the classic recipe that lets a
-            # flash crowd push sojourn far past the SLO when unprotected
-            config = HerdConfig(
-                n_server_processes=n_server_processes or 2,
-                window=32,
-                retry_timeout_ns=30_000.0,
-                adaptive_retry=False,
-                qos=qos,
-            )
-        else:
-            config = HerdConfig(
-                n_server_processes=n_server_processes or 4,
-                window=4,
-                retry_timeout_ns=30_000.0,
-                adaptive_retry=True,
-                min_retry_timeout_ns=15_000.0,
-            )
-    if config.retry_timeout_ns is None:
-        raise ValueError("chaos needs retries enabled (retry_timeout_ns)")
-    if ha_mode and config.replication_factor < 2:
-        raise ValueError("HA scenarios need a config with replication_factor > 1")
-    if elastic_mode and config.n_active_partitions is None:
-        raise ValueError(
-            "migrate-under-kill needs an elastic config (n_active_partitions)"
-        )
-    # Goodput windows (overload runs): a pre-burst baseline, the crowd
-    # itself, and the *measurement* window for burst goodput.  The
-    # measurement window starts well after the crowd does: the first
-    # ~0.15h of a flash crowd is the queue-filling ramp, where even an
-    # unprotected server still answers in-SLO from a short queue — the
-    # goodput contract is about the sustained regime after the crowd
-    # has fully formed.  slow-client's "burst" is the backlog flush
-    # when the stall releases, so its windows shift.
-    if scenario == "slow-client":
-        pre_start, pre_end = 0.1 * horizon_ns, 0.3 * horizon_ns
-        burst_start, burst_end = 0.6 * horizon_ns, 0.8 * horizon_ns
-        measure_start, measure_end = burst_start, burst_end
-    else:
-        pre_start, pre_end = 0.1 * horizon_ns, 0.4 * horizon_ns
-        burst_start, burst_end = 0.4 * horizon_ns, 0.8 * horizon_ns
-        measure_start, measure_end = 0.6 * horizon_ns, 0.8 * horizon_ns
-
-    cluster = HerdCluster(config=config, n_client_machines=4, seed=seed)
-    workload = Workload(
-        get_fraction=get_fraction, value_size=value_size, n_keys=n_items
-    )
-    if scenario == "aggressor-tenant" and n_clients == 8:
-        # Six aggressors are needed to push the fleet past capacity:
-        # an open-loop client's send path self-clocks at ~3 ops/us, so
-        # four bursting clients alone cannot drown the victims.
-        n_clients = 12
-    cluster.add_clients(n_clients, workload)
-    if ha_mode:
-        for client in cluster.clients:
-            client.stream = _TaggedStream(client.stream, client.client_id)
-    if overload_mode:
-        from repro.workloads import (
-            FlashCrowdArrivals,
-            PoissonArrivals,
-            StalledArrivals,
-        )
-
-        # per-client steady rate: the fleet sits well under capacity
-        # until the scenario's overload event lands
-        base_rate = 0.45 * intensity
-        for client in cluster.clients:
-            rng = child_rng(seed, "qos.client%d.arrivals" % client.client_id)
-            if scenario == "flash-crowd":
-                client.arrivals = FlashCrowdArrivals(
-                    base_rate,
-                    rng,
-                    burst_factor=burst,
-                    burst_start_ns=burst_start,
-                    burst_end_ns=burst_end,
-                )
-            elif scenario == "aggressor-tenant":
-                if client.client_id % 2 == 1:  # odd clients: the aggressor
-                    client.arrivals = FlashCrowdArrivals(
-                        base_rate,
-                        rng,
-                        burst_factor=burst,
-                        burst_start_ns=burst_start,
-                        burst_end_ns=burst_end,
-                    )
-                else:
-                    client.arrivals = PoissonArrivals(base_rate, rng)
-            elif client.client_id == 0:  # slow-client: one stalled source
-                client.arrivals = StalledArrivals(
-                    PoissonArrivals(base_rate * 0.5 * burst, rng),
-                    stall_start_ns=0.3 * horizon_ns,
-                    stall_end_ns=0.6 * horizon_ns,
-                    flush_gap_ns=50.0,
-                )
-            else:
-                client.arrivals = PoissonArrivals(base_rate, rng)
-    cluster.wire()
-    cluster.preload(range(n_items), value_size)
-    if plan is None:
-        if ha_mode:
-            # reduced-intensity background noise plus the named scenario
-            plan = FaultPlan.randomized(
-                seed,
-                horizon_ns,
-                n_server_processes=config.n_server_processes,
-                intensity=intensity * 0.5,
-                crash=False,
-                rnr_machine=cluster.client_devices[0].machine.name,
-            )
-            scenario_rng = child_rng(seed, "chaos.scenario")
-            victim = scenario_rng.randrange(config.n_server_processes)
-            if scenario == "nemesis":
-                # the nemesis harness normally supplies its generated
-                # plan; with none given, background noise alone is the
-                # schedule — no pinned scenario fault
-                pass
-            elif scenario == "kill-primary":
-                plan.crash_server(
-                    victim, at_ns=0.35 * horizon_ns, down_ns=0.3 * horizon_ns
-                )
-            elif scenario == "partition-primary":
-                plan.flap_link(
-                    "server", at_ns=0.35 * horizon_ns, down_ns=0.25 * horizon_ns
-                )
-            else:  # migrate-under-kill: the join lands at 0.25h (below),
-                # so a crash of partition 0's primary shortly after hits
-                # the first migration mid-copy — plan_join drains
-                # partition 0 first, and the move must abort and restart
-                plan.crash_server(
-                    0, at_ns=0.27 * horizon_ns, down_ns=0.3 * horizon_ns
-                )
-        elif overload_mode:
-            # the flash crowd IS the fault: no injected loss or crashes,
-            # so every shed and retry traces back to admission control
-            plan = FaultPlan(seed=seed)
-        else:
-            plan = FaultPlan.randomized(
-                seed,
-                horizon_ns,
-                n_server_processes=config.n_server_processes,
-                intensity=intensity,
-                crash=crash,
-                rnr_machine=cluster.client_devices[0].machine.name,
-            )
-    plan = plan.clamped(horizon_ns)
-    injector = cluster.install_faults(plan)
-    sim = cluster.sim
-
-    # Completion records feed both the invariant checks and the
-    # reproducibility fingerprint.
-    records: List[str] = []
-    violations: List[str] = []
-    last_now = [0.0]
-    tail_completed = [0]
-    tail_from_ns = TAIL_FRAC * horizon_ns
-
-    def make_hook(client_id: int):
-        def hook(op, success, value, now):
-            if now >= tail_from_ns:
-                tail_completed[0] += 1
-            if now < last_now[0]:
-                violations.append(
-                    "completion clock ran backwards (%.3f after %.3f)"
-                    % (now, last_now[0])
-                )
-            last_now[0] = now
-            if op.op is OpType.GET:
-                if not success:
-                    violations.append(
-                        "GET miss for preloaded item %d (client %d)"
-                        % (op.item, client_id)
-                    )
-                elif not ha_mode and value != value_for(op.item, value_size):
-                    # HA runs tag PUT values; the linearizability
-                    # checker validates read values against the write
-                    # history instead of the static value function
-                    violations.append(
-                        "GET returned wrong bytes for item %d (client %d)"
-                        % (op.item, client_id)
-                    )
-            elif not success:
-                violations.append(
-                    "PUT failed for item %d (client %d)" % (op.item, client_id)
-                )
-            records.append(
-                "c%d %s %d %d %.3f"
-                % (client_id, op.op.value, op.item, int(success), now)
-            )
-
-        return hook
-
-    # Response latencies: every run records the p99.9 tail; overload
-    # runs additionally meter *in-SLO* goodput around the burst window
-    # (a completion slower than slo_ns is not useful work) and split
-    # tails by tenant for the isolation contract.
-    latencies: List[float] = []
-    tenant_latencies: Dict[int, List[float]] = {}
-    pre_good = [0]
-    burst_good = [0]
-    tenant_split = scenario == "aggressor-tenant"
-
-    def make_response_hook(client_id: int):
-        tenant = client_id % 2 if tenant_split else 0
-
-        def hook(op, latency, success, now):
-            latencies.append(latency)
-            if not overload_mode:
-                return
-            tenant_latencies.setdefault(tenant, []).append(latency)
-            if success and latency <= slo_ns:
-                if pre_start <= now < pre_end:
-                    pre_good[0] += 1
-                elif measure_start <= now < measure_end:
-                    burst_good[0] += 1
-
-        return hook
-
-    # HA runs additionally record the full invoke/response history, per
-    # key, for the linearizability checker.  An op is identified by its
-    # (client, partition, window slot, slot epoch) — exactly the token
-    # the wire protocol uses to match responses.
-    histories: Dict[bytes, list] = {}
-    if ha_mode:
-        from repro.ha import HaOp
-
-        open_ops: Dict[tuple, "HaOp"] = {}
-
-        def make_ha_hook(client_id: int):
-            def hook(kind, op, server, slot, epoch, success, value, now):
-                token = (client_id, server, slot, epoch)
-                if kind == "invoke":
-                    ha_op = HaOp(
-                        client=client_id,
-                        kind="w" if op.op is OpType.PUT else "r",
-                        value=op.value if op.op is OpType.PUT else None,
-                        invoke=now,
-                    )
-                    open_ops[token] = ha_op
-                    histories.setdefault(op.key, []).append(ha_op)
-                elif kind == "response":
-                    ha_op = open_ops.pop(token, None)
-                    if ha_op is not None:
-                        ha_op.respond = now
-                        ha_op.ok = bool(success)
-                        if ha_op.kind == "r":
-                            ha_op.value = value
-                # "stale" nacks leave the op open: it was never executed;
-                # so do "reroute" nacks (NOT_OWNER at the old shard owner)
-
-            return hook
-
-        for client in cluster.clients:
-            client.ha_event_hook = make_ha_hook(client.client_id)
-
-    for client in cluster.clients:
-        client.payload_hook = make_hook(client.client_id)
-        client.response_hook = make_response_hook(client.client_id)
-        client.stop_after = horizon_ns
-        client.start()
-    cluster.start_servers()
-    if cluster.elastic is not None and elastic_mode:
-        # membership: the spare partitions join a quarter in, while
-        # traffic (and, at 0.4h, the pinned crash) is live
-        for spare in range(config.n_active_partitions, config.n_server_processes):
-            cluster.elastic.coordinator.schedule_join(spare, at_ns=0.25 * horizon_ns)
-    sim.call_in(horizon_ns, injector.deactivate)
-
-    sim.run(until=horizon_ns)
-
-    def drained() -> bool:
-        return all(
-            client.outstanding == 0 and not any(client._parked)
-            for client in cluster.clients
-        )
-
-    def settled() -> bool:
-        # elastic runs also let the reshard queue converge before the
-        # audit, so the final map reflects the completed membership change
-        return drained() and (
-            cluster.elastic is None or cluster.elastic.coordinator.idle()
-        )
-
-    deadline = horizon_ns + drain_ns
-    while sim.now < deadline and not settled():
-        sim.run(until=min(sim.now + 100_000.0, deadline))
-
-    # -- invariants --------------------------------------------------------
-    if not drained():
-        for client in cluster.clients:
-            if client.outstanding or any(client._parked):
-                violations.append(
-                    "client %d failed to drain: %d outstanding, %d parked"
-                    % (
-                        client.client_id,
-                        client.outstanding,
-                        sum(len(q) for q in client._parked),
-                    )
-                )
-    for client in cluster.clients:
-        if client.completed != client.issued - client.outstanding - client.abandoned:
-            violations.append(
-                "client %d accounting broken: issued=%d completed=%d "
-                "outstanding=%d abandoned=%d"
-                % (
-                    client.client_id,
-                    client.issued,
-                    client.completed,
-                    client.outstanding,
-                    client.abandoned,
-                )
-            )
-        if client.failures:
-            violations.append(
-                "client %d saw %d failed responses"
-                % (client.client_id, client.failures)
-            )
-        if client.outstanding == 0:
-            for server in range(config.n_server_processes):
-                closed = len(client._slot_free[server]) + len(
-                    client._quarantined[server]
-                )
-                if closed != config.window:
-                    violations.append(
-                        "client %d slot accounting leaked at server %d: "
-                        "%d free + quarantined of %d"
-                        % (client.client_id, server, closed, config.window)
-                    )
-    ops_lost = 0
-    checker_verdict = ""
-    availability = 1.0
-    failover_latency_ns = 0.0
-    promotions = stale_nacks = replays = 0
-    elastic_counters: Dict[str, int] = {}
-    reroutes = not_owner_nacks = 0
-    if not ha_mode:
-        divergences = 0
-        for item in range(n_items):
-            kh = keyhash(item)
-            server = cluster.servers[partition_of(kh, config.n_server_processes)]
-            stored = server.store.get(kh)
-            if stored != value_for(item, value_size):
-                divergences += 1
-                violations.append(
-                    "store divergence for item %d on server %d"
-                    % (item, server.index)
-                )
-        if overload_mode:
-            # a diverged entry is an acked write the store lost (or
-            # double-applied): the "zero lost acked writes" witness
-            ops_lost = divergences
-    else:
-        from repro.ha import check_histories, lost_acked_writes, split_brain
-
-        ha = cluster.ha
-        monitor = ha.monitor
-        ns = config.n_server_processes
-        # Final state is read from each partition's *current* primary —
-        # the replica a client would reach after the run — routed through
-        # the final shard map when the cluster is elastic.
-        final_map = cluster.elastic.shard_map if cluster.elastic is not None else None
-        initial: Dict[bytes, Optional[bytes]] = {}
-        final: Dict[bytes, Optional[bytes]] = {}
-        for item in range(n_items):
-            kh = keyhash(item)
-            p = route_key(kh, ns, final_map)
-            primary = monitor.state[p].primary
-            store = ha.replica_servers[primary if primary is not None else 0][p].store
-            initial[kh] = value_for(item, value_size)
-            final[kh] = store.get(kh)
-        lin = check_histories(histories, initial, final)
-        violations.extend(lin)
-        ops_lost = lost_acked_writes(histories, final)
-        if ops_lost:
-            violations.append("%d acked writes lost across failover" % ops_lost)
-        witness = {
-            (group.partition, epoch): ackers
-            for group in ha.groups
-            for epoch, ackers in group.ack_witness.items()
-        }
-        brains = split_brain(witness)
-        violations.extend(brains)
-        regressions = sum(
-            role.hwm_regressions for node in ha.nodes for role in node.roles
-        )
-        if regressions:
-            violations.append(
-                "%d backup high-water-mark regressions" % regressions
-            )
-        # Fencing-epoch monotonicity: every config the monitor broadcast
-        # must carry a strictly larger epoch than the previous config of
-        # the same partition — a stalled epoch would let a deposed
-        # primary's acks survive fencing.
-        epoch_faults = 0
-        last_epoch: Dict[int, int] = {}
-        for partition, _primary, epoch in monitor.config_log:
-            prev = last_epoch.get(partition)
-            if prev is not None and epoch <= prev:
-                epoch_faults += 1
-                violations.append(
-                    "fencing epoch regressed on partition %d: %d after %d"
-                    % (partition, epoch, prev)
-                )
-            last_epoch[partition] = epoch
-        checker_verdict = (
-            "violated"
-            if (lin or ops_lost or brains or regressions or epoch_faults)
-            else "linearizable"
-        )
-        outage = monitor.outage_ns(up_to_ns=horizon_ns)
-        availability = max(0.0, 1.0 - outage / (ns * horizon_ns))
-        closed = [adopted - lost for (_p, lost, adopted) in monitor.outages]
-        failover_latency_ns = sum(closed) / len(closed) if closed else 0.0
-        promotions = monitor.promotions
-        stale_nacks = sum(c.stale_nacks for c in cluster.clients)
-        replays = sum(c.replays for c in cluster.clients)
-        if cluster.elastic is not None:
-            elastic_counters = cluster.elastic.counters()
-            reroutes = sum(c.reroutes for c in cluster.clients)
-            not_owner_nacks = sum(c.not_owner_nacks for c in cluster.clients)
-    expected_crashes = sum(1 for c in plan.crashes if c.at_ns < horizon_ns)
-    total_crashes = sum(s.crashes for s in cluster.servers)
-    total_recoveries = sum(s.recoveries for s in cluster.servers)
-    if total_crashes != expected_crashes or total_recoveries != expected_crashes:
-        violations.append(
-            "crash/recovery mismatch: planned %d, crashed %d, recovered %d"
-            % (expected_crashes, total_crashes, total_recoveries)
-        )
-
-    # -- overload metrics --------------------------------------------------
-    # The goodput floor and tenant-isolation band are *report fields*,
-    # asserted by the qos smoke / lab gate / tests — not violations, so
-    # a shedding-off control run is allowed to collapse and show it.
-    p999_us = _percentile(latencies, 99.9) / 1000.0
-    pre_burst_mops = burst_mops = 0.0
-    goodput_ratio = 1.0
-    tenant_p99_us: Dict[int, float] = {}
-    if overload_mode:
-        pre_burst_mops = pre_good[0] / (pre_end - pre_start) * 1e3
-        burst_mops = burst_good[0] / (measure_end - measure_start) * 1e3
-        goodput_ratio = burst_mops / pre_burst_mops if pre_burst_mops else 0.0
-        tenant_p99_us = {
-            tenant: _percentile(samples, 99.0) / 1000.0
-            for tenant, samples in sorted(tenant_latencies.items())
-        }
-
-    # -- fingerprint -------------------------------------------------------
-    digest = hashlib.sha256()
-    for record in records:
-        digest.update(record.encode())
-        digest.update(b"\n")
-    for name, count in sorted(injector.counts.items()):
-        digest.update(("%s=%d\n" % (name, count)).encode())
-    for client in cluster.clients:
-        digest.update(
-            (
-                "c%d issued=%d completed=%d retries=%d dup=%d late=%d abandoned=%d\n"
-                % (
-                    client.client_id,
-                    client.issued,
-                    client.completed,
-                    client.retries,
-                    client.duplicate_responses,
-                    client.late_responses,
-                    client.abandoned,
-                )
-            ).encode()
-        )
-    if ha_mode:
-        # the HA fingerprint also pins failover *timing*: outage windows,
-        # promotion counts, and every client's failover traffic
-        monitor = cluster.ha.monitor
-        digest.update(
-            (
-                "scenario=%s rf=%d ack=%s\n"
-                % (scenario, config.replication_factor, config.ack_policy)
-            ).encode()
-        )
-        for p, lost, adopted in monitor.outages:
-            digest.update(("outage p%d %.3f %.3f\n" % (p, lost, adopted)).encode())
-        digest.update(
-            (
-                "promotions=%d grants=%d configs=%d lease_misses=%d\n"
-                % (
-                    monitor.promotions,
-                    monitor.grants,
-                    monitor.configs_sent,
-                    monitor.lease_misses,
-                )
-            ).encode()
-        )
-        for client in cluster.clients:
-            digest.update(
-                (
-                    "c%d stale=%d replays=%d failovers=%d\n"
-                    % (
-                        client.client_id,
-                        client.stale_nacks,
-                        client.replays,
-                        client.failovers,
-                    )
-                ).encode()
-            )
-        for node in cluster.ha.nodes:
-            digest.update(
-                (
-                    "rep%d shipped=%d acks=%d hb=%d catchups=%d\n"
-                    % (
-                        node.replica_id,
-                        node.updates_shipped,
-                        node.acks_sent,
-                        node.heartbeats_sent,
-                        node.catchups_served,
-                    )
-                ).encode()
-            )
-        if cluster.elastic is not None:
-            # elastic runs additionally pin the resharding outcome: the
-            # final map, every migration, and each client's re-routing
-            digest.update(
-                (
-                    "shardmap v=%d done=%d aborted=%d sent=%d applied=%d "
-                    "adopted=%d\n"
-                    % (
-                        elastic_counters["map_version"],
-                        elastic_counters["migrations_done"],
-                        elastic_counters["migrations_aborted"],
-                        elastic_counters["records_sent"],
-                        elastic_counters["records_applied"],
-                        elastic_counters["maps_adopted"],
-                    )
-                ).encode()
-            )
-            for client in cluster.clients:
-                digest.update(
-                    (
-                        "c%d reroutes=%d notowner=%d maps=%d\n"
-                        % (
-                            client.client_id,
-                            client.reroutes,
-                            client.not_owner_nacks,
-                            client.map_refreshes,
-                        )
-                    ).encode()
-                )
-    if overload_mode:
-        # the overload fingerprint additionally pins the admission
-        # outcome: every shed (by reason and tenant) and every client's
-        # open-loop offered/dropped/nacked traffic
-        digest.update(
-            (
-                "scenario=%s shedding=%d burst=%g\n"
-                % (scenario, int(shedding), burst)
-            ).encode()
-        )
-        for line in cluster.qos_runtime.counter_lines():
-            digest.update((line + "\n").encode())
-        for server in cluster.servers:
-            digest.update(("s%d shed=%d\n" % (server.index, server.shed)).encode())
-        for client in cluster.clients:
-            digest.update(
-                (
-                    "c%d offered=%d overflow=%d paused=%d nacks=%d rejected=%d\n"
-                    % (
-                        client.client_id,
-                        client.offered,
-                        client.overflow_dropped,
-                        client.nack_pause_drops,
-                        client.retry_after_nacks,
-                        client.rejected,
-                    )
-                ).encode()
-            )
-
-    report = ChaosReport(
-        seed=seed,
-        plan=plan.describe(),
-        sim_ns=sim.now,
-        issued=sum(c.issued for c in cluster.clients),
-        completed=sum(c.completed for c in cluster.clients),
-        abandoned=sum(c.abandoned for c in cluster.clients),
-        retries=sum(c.retries for c in cluster.clients),
-        duplicate_responses=sum(c.duplicate_responses for c in cluster.clients),
-        late_responses=sum(c.late_responses for c in cluster.clients),
-        get_misses=sum(c.get_misses for c in cluster.clients),
-        server_crashes=total_crashes,
-        server_recoveries=total_recoveries,
-        recovered_slots=sum(s.recovered_slots for s in cluster.servers),
-        fault_counts=dict(injector.counts),
-        violations=violations,
-        fingerprint=digest.hexdigest(),
-        scenario=scenario,
-        replication_factor=config.replication_factor if ha_mode else 1,
-        ack_policy=config.ack_policy if ha_mode else "",
-        ops_acked=sum(c.completed for c in cluster.clients),
-        ops_lost=ops_lost,
-        checker=checker_verdict,
-        availability=availability,
-        failover_latency_ns=failover_latency_ns,
-        promotions=promotions,
-        stale_nacks=stale_nacks,
-        replays=replays,
-        tail_completed=tail_completed[0],
-        map_version=elastic_counters.get("map_version", 0),
-        migrations_done=elastic_counters.get("migrations_done", 0),
-        migrations_aborted=elastic_counters.get("migrations_aborted", 0),
-        records_migrated=elastic_counters.get("records_applied", 0),
-        reroutes=reroutes,
-        not_owner_nacks=not_owner_nacks,
-        p999_us=p999_us,
-        qos_enabled=overload_mode and shedding,
-        offered=sum(c.offered for c in cluster.clients),
-        shed=cluster.qos_runtime.total_shed if cluster.qos_runtime else 0,
-        retry_after_nacks=sum(c.retry_after_nacks for c in cluster.clients),
-        rejected=sum(c.rejected for c in cluster.clients),
-        overflow_dropped=sum(c.overflow_dropped for c in cluster.clients),
-        pre_burst_mops=pre_burst_mops,
-        burst_mops=burst_mops,
-        goodput_ratio=goodput_ratio,
-        tenant_p99_us=tenant_p99_us,
-    )
-    from repro.obs.report import RunReport  # deferred: optional layer
-
-    obs_report = RunReport.from_sim(sim, name="chaos-%d" % seed)
-    if obs_report is not None:
-        obs_report.outcomes.append(report.outcome_row())
-        report.obs = obs_report
-    return report
+    run = _Run(**locals())  # the arguments, under their own names
+    _build(run)
+    _run_and_drain(run)
+    for oracle in run.entry.oracles:
+        run.violations.extend(oracle(run))
+    return _report(run)

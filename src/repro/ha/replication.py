@@ -545,29 +545,49 @@ class ReplicaRole:
 
 
 class _StagingRing:
-    """The server's staging-buffer discipline, for the node's sends."""
+    """The server's staging-buffer discipline, for the node's sends: an
+    extent stays in flight until the NIC has fetched it, and a sender
+    that finds the ring full waits for a fetch (a catch-up replay stages
+    records far faster than the NIC drains them)."""
 
     def __init__(self, device: RdmaDevice, size: int) -> None:
+        self.sim = device.sim
         self.mr = device.register_memory(size)
         self.size = size
         self.cursor = 0
         self.inflight: List[Tuple[int, int]] = []
+        self._fetch = None  # the Event senders on a full ring wait on
 
-    def stage(self, payload: bytes) -> int:
+    def stage(self, payload: bytes):
+        """Copy ``payload`` into the ring, first waiting (a process
+        generator) while it is full; returns the extent to release."""
         size = len(payload)
-        start = self.cursor
-        if start + size > self.size:
-            start = 0
-        for in_start, in_end in self.inflight:
-            if start < in_end and start + size > in_start:
-                raise RuntimeError(
-                    "HA staging ring exhausted: [%d, %d) overlaps in-flight "
-                    "[%d, %d)" % (start, start + size, in_start, in_end)
-                )
-        self.inflight.append((start, start + size))
+        if size > self.size:
+            raise RuntimeError(
+                "HA record of %d B exceeds the %d B staging ring" % (size, self.size)
+            )
+        while True:
+            start = self.cursor if self.cursor + size <= self.size else 0
+            if not any(
+                start < in_end and start + size > in_start
+                for in_start, in_end in self.inflight
+            ):
+                break
+            if self._fetch is None:
+                self._fetch = self.sim.event()
+            yield self._fetch
+        extent = (start, start + size)
+        self.inflight.append(extent)
         self.mr.write(start, payload)
-        self.cursor = start + size
-        return start
+        self.cursor = extent[1]
+        return extent
+
+    def fetched(self, extent: Tuple[int, int]) -> None:
+        """The NIC has read ``extent``: free it and wake the waiters."""
+        self.inflight.remove(extent)
+        if self._fetch is not None:
+            fetch, self._fetch = self._fetch, None
+            fetch.succeed()
 
 
 class HaNode:
@@ -662,12 +682,12 @@ class HaNode:
             wr = WorkRequest.send(payload=payload, inline=True, signaled=False)
         else:
             yield self.sim.timeout(len(payload) / 16.0)  # staging memcpy
-            offset = self._staging.stage(payload)
+            staging = self._staging
+            extent = yield from staging.stage(payload)
             wr = WorkRequest.send(
-                local=(self._staging.mr, offset, len(payload)), signaled=False
+                local=(staging.mr, extent[0], len(payload)), signaled=False
             )
-            extent = (offset, offset + len(payload))
-            wr.on_fetched = lambda: self._staging.inflight.remove(extent)
+            wr.on_fetched = lambda: staging.fetched(extent)
         yield from self.device.post_send_timed(qp, wr)
 
     # -- receive loops -------------------------------------------------

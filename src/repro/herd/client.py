@@ -164,9 +164,14 @@ class HerdClientProcess:
         self.recv_mr = device.register_memory(
             self._ring * len(self.ud_qps) * self._recv_slot
         )
-        self._staging = device.register_memory(2 * config.window * config.slot_bytes)
+        #: one staging slot per (partition, window slot): an un-inlined
+        #: request's bytes leave host memory only when the NIC fetches
+        #: them, so no *other* op may restage there meanwhile — a retry
+        #: restages the same bytes, and a window slot holds one live op
+        self._staging = device.register_memory(
+            ns * config.window * config.slot_bytes
+        )
         self._recv_token = 0
-        self._retry_token = 0
         #: per-lane issue sequence; at most W requests per partition are
         #: outstanding, so sequence mod ``_ring`` can never alias a live
         #: receive buffer
@@ -458,7 +463,8 @@ class HerdClientProcess:
                 inline=True, signaled=False, ah=self.dct_ah,
             )
         else:
-            offset = (token % (2 * self.config.window)) * self.config.slot_bytes
+            cfg = self.config
+            offset = (server * cfg.window + window_slot) * cfg.slot_bytes
             self._staging.write(offset, payload)
             yield self.sim.timeout(len(payload) / 16.0)  # staging memcpy
             wr = WorkRequest.write(
@@ -594,8 +600,8 @@ class HerdClientProcess:
                 ah=self.dct_ah,
             )
         else:
-            offset = (self._retry_token % (2 * cfg.window)) * cfg.slot_bytes
-            self._retry_token += 1
+            # the op's own staging slot (see __init__): same bytes again
+            offset = (record.server * cfg.window + record.window_slot) * cfg.slot_bytes
             self._staging.write(offset, record.payload)
             wr = WorkRequest.write(
                 raddr=record.raddr, rkey=region.mr.rkey,

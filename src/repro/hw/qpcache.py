@@ -118,13 +118,3 @@ class QpContextCache:
         total = self.hits + self.misses
         return self.hits / total if total else 1.0
 
-    def stats(self) -> Dict[str, float]:
-        """Counter snapshot for reports and the metrics registry."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "hit_rate": self.hit_rate(),
-            "resident_contexts": self.resident_contexts,
-            "used_units": self.used_units,
-        }

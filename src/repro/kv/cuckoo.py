@@ -136,10 +136,6 @@ class CuckooTable(KeyValueStore):
         self._extent_tail += len(entry)
         return ptr
 
-    def extent_span(self, ptr: int, vlen: int) -> Tuple[int, int]:
-        """(offset, length) of a value entry in the extent buffer."""
-        return ptr, _EXTENT.size + vlen
-
     def read_value(self, ptr: int) -> bytes:
         """Read and verify a value from the extents (as a client would)."""
         return self.parse_extent(

@@ -259,5 +259,3 @@ class HopscotchTable(KeyValueStore):
                 return True
         return False
 
-    def load_factor(self) -> float:
-        return self.items / self.n_slots

@@ -39,8 +39,9 @@ def cmd_list(args) -> int:
     from repro.faults.chaos import SCENARIOS
 
     print("chaos scenarios (for the chaos/ha/elastic tasks):")
-    for name, blurb in SCENARIOS.items():
-        print("  %-18s %s" % (name, blurb))
+    for name, scenario in SCENARIOS.items():
+        if name:  # None: the classic run
+            print("  %-18s %s" % (name, scenario.blurb))
     print("(or pass a .json spec file; see docs/LAB.md)")
     return 0
 

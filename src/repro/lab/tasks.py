@@ -122,6 +122,23 @@ def run_chaos_task(params: Dict[str, Any], seed: int) -> Dict[str, float]:
     return metrics
 
 
+def _priced_chaos(params: Dict[str, Any], seed: int, scenario: str):
+    """One chaos scenario run plus the reference run it is priced
+    against — the scenario's own ``reference`` arm in
+    :data:`repro.faults.chaos.SCENARIOS`."""
+    from repro.faults.chaos import SCENARIOS, run_chaos
+
+    kwargs = dict(params)
+    kwargs.setdefault("seed", seed)
+    kwargs.setdefault("scenario", scenario)
+    with obs.capture(metrics=True) as session:
+        report = run_chaos(**kwargs)
+        reference = run_chaos(**SCENARIOS[kwargs["scenario"]].reference(kwargs))
+    metrics = {"ok": 1.0 if report.ok and reference.ok else 0.0}
+    metrics.update(_obs_metrics(session))
+    return report, reference, metrics
+
+
 def run_ha_task(params: Dict[str, Any], seed: int) -> Dict[str, float]:
     """One replicated chaos scenario plus an unreplicated reference run.
 
@@ -131,48 +148,24 @@ def run_ha_task(params: Dict[str, Any], seed: int) -> Dict[str, float]:
     replication overhead as ``goodput_overhead_pct``: how much goodput
     the replicated cluster gives up relative to the classic one.
     """
-    from repro.faults import run_chaos
-    from repro.faults.plan import FaultPlan
-
-    kwargs = dict(params)
-    kwargs.setdefault("seed", seed)
-    kwargs.setdefault("scenario", "kill-primary")
-    horizon_ns = float(kwargs.get("horizon_ns", 300_000.0))
-    with obs.capture(metrics=True) as session:
-        report = run_chaos(**kwargs)
-        ref_kwargs = {
-            key: kwargs[key]
-            for key in (
-                "seed",
-                "horizon_ns",
-                "drain_ns",
-                "n_clients",
-                "n_items",
-                "value_size",
-                "get_fraction",
-                "n_server_processes",
-            )
-            if key in kwargs
-        }
-        reference = run_chaos(plan=FaultPlan(seed=kwargs["seed"]), **ref_kwargs)
+    report, reference, metrics = _priced_chaos(params, seed, "kill-primary")
+    horizon_ns = float(params.get("horizon_ns", 300_000.0))
     goodput_kops = report.completed / horizon_ns * 1e6
     ref_kops = reference.completed / horizon_ns * 1e6
     overhead_pct = (
         (ref_kops - goodput_kops) / ref_kops * 100.0 if ref_kops else 0.0
     )
-    metrics = {
-        "ok": 1.0 if report.ok and reference.ok else 0.0,
-        "availability": report.availability,
-        "failover_latency_us": report.failover_latency_ns / 1000.0,
-        "goodput_kops": goodput_kops,
-        "goodput_overhead_pct": overhead_pct,
-        "ops_acked": float(report.ops_acked),
-        "ops_lost": float(report.ops_lost),
-        "stale_nacks": float(report.stale_nacks),
-        "replays": float(report.replays),
-        "promotions": float(report.promotions),
-    }
-    metrics.update(_obs_metrics(session))
+    metrics.update(
+        availability=report.availability,
+        failover_latency_us=report.failover_latency_ns / 1000.0,
+        goodput_kops=goodput_kops,
+        goodput_overhead_pct=overhead_pct,
+        ops_acked=float(report.ops_acked),
+        ops_lost=float(report.ops_lost),
+        stale_nacks=float(report.stale_nacks),
+        replays=float(report.replays),
+        promotions=float(report.promotions),
+    )
     return metrics
 
 
@@ -188,64 +181,24 @@ def run_elastic_task(params: Dict[str, Any], seed: int) -> Dict[str, float]:
     cluster it grew into, pricing the whole reshard (holds, reroutes,
     dual writes, the aborted attempt).  The acceptance bar is ~0.9.
     """
-    from repro.faults import run_chaos
-    from repro.herd.config import HerdConfig
-
-    kwargs = dict(params)
-    kwargs.setdefault("seed", seed)
-    kwargs.setdefault("scenario", "migrate-under-kill")
-    ns = int(kwargs.get("n_server_processes") or 3)
-    horizon_ns = float(kwargs.get("horizon_ns", 300_000.0))
-    with obs.capture(metrics=True) as session:
-        report = run_chaos(**kwargs)
-        ref_config = HerdConfig(
-            n_server_processes=ns,
-            n_active_partitions=ns,  # born full: no spare, no migration
-            window=4,
-            retry_timeout_ns=10_000.0,
-            adaptive_retry=True,
-            min_retry_timeout_ns=5_000.0,
-            replication_factor=int(kwargs.get("replication_factor", 3)),
-            ack_policy=str(kwargs.get("ack_policy", "majority")),
-            lease_us=float(kwargs.get("lease_us", 5.0)),
-            heartbeat_us=float(kwargs.get("heartbeat_us", 1.0)),
-        )
-        ref_kwargs = {
-            key: kwargs[key]
-            for key in (
-                "seed",
-                "horizon_ns",
-                "drain_ns",
-                "n_clients",
-                "n_items",
-                "value_size",
-                "get_fraction",
-                "intensity",
-            )
-            if key in kwargs
-        }
-        reference = run_chaos(
-            config=ref_config, scenario="migrate-under-kill", **ref_kwargs
-        )
-    tracking_ratio = (
-        report.completed / reference.completed if reference.completed else 0.0
+    report, reference, metrics = _priced_chaos(params, seed, "migrate-under-kill")
+    horizon_ns = float(params.get("horizon_ns", 300_000.0))
+    metrics.update(
+        tracking_ratio=(
+            report.completed / reference.completed if reference.completed else 0.0
+        ),
+        availability=report.availability,
+        ops_acked=float(report.ops_acked),
+        ops_lost=float(report.ops_lost),
+        tail_completed=float(report.tail_completed),
+        ref_tail_completed=float(reference.tail_completed),
+        goodput_kops=report.completed / horizon_ns * 1e6,
+        map_version=float(report.map_version),
+        migrations_done=float(report.migrations_done),
+        migrations_aborted=float(report.migrations_aborted),
+        records_migrated=float(report.records_migrated),
+        reroutes=float(report.reroutes),
     )
-    metrics = {
-        "ok": 1.0 if report.ok and reference.ok else 0.0,
-        "tracking_ratio": tracking_ratio,
-        "availability": report.availability,
-        "ops_acked": float(report.ops_acked),
-        "ops_lost": float(report.ops_lost),
-        "tail_completed": float(report.tail_completed),
-        "ref_tail_completed": float(reference.tail_completed),
-        "goodput_kops": report.completed / horizon_ns * 1e6,
-        "map_version": float(report.map_version),
-        "migrations_done": float(report.migrations_done),
-        "migrations_aborted": float(report.migrations_aborted),
-        "records_migrated": float(report.records_migrated),
-        "reroutes": float(report.reroutes),
-    }
-    metrics.update(_obs_metrics(session))
     return metrics
 
 
@@ -260,32 +213,24 @@ def run_qos_task(params: Dict[str, Any], seed: int) -> Dict[str, float]:
     be terrible for flash crowds).  For ``aggressor-tenant`` points the
     per-tenant tails come along, pricing the isolation band.
     """
-    from repro.faults import run_chaos
-
-    kwargs = dict(params)
-    kwargs.setdefault("seed", seed)
-    kwargs.setdefault("scenario", "flash-crowd")
-    kwargs.pop("shedding", None)
-    with obs.capture(metrics=True) as session:
-        report = run_chaos(shedding=True, **kwargs)
-        reference = run_chaos(shedding=False, **kwargs)
-    metrics = {
-        "ok": 1.0 if report.ok and reference.ok else 0.0,
-        "goodput_ratio": report.goodput_ratio,
-        "unprotected_ratio": reference.goodput_ratio,
-        "pre_burst_mops": report.pre_burst_mops,
-        "burst_mops": report.burst_mops,
-        "p999_us": report.p999_us,
-        "ops_lost": float(report.ops_lost),
-        "shed": float(report.shed),
-        "retry_after_nacks": float(report.retry_after_nacks),
-        "rejected": float(report.rejected),
-        "offered": float(report.offered),
-        "completed": float(report.completed),
-    }
+    report, reference, metrics = _priced_chaos(
+        dict(params, shedding=True), seed, "flash-crowd"
+    )
+    metrics.update(
+        goodput_ratio=report.goodput_ratio,
+        unprotected_ratio=reference.goodput_ratio,
+        pre_burst_mops=report.pre_burst_mops,
+        burst_mops=report.burst_mops,
+        p999_us=report.p999_us,
+        ops_lost=float(report.ops_lost),
+        shed=float(report.shed),
+        retry_after_nacks=float(report.retry_after_nacks),
+        rejected=float(report.rejected),
+        offered=float(report.offered),
+        completed=float(report.completed),
+    )
     for tenant, p99 in sorted(report.tenant_p99_us.items()):
         metrics["tenant%d_p99_us" % tenant] = p99
-    metrics.update(_obs_metrics(session))
     return metrics
 
 

@@ -22,10 +22,9 @@ Each adapter maps a schedule onto its dataplane's existing harness:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, List, Sequence
 
-from repro.faults.plan import FaultPlan
 from repro.nemesis.schedule import DATAPLANES, Schedule
 
 
@@ -63,23 +62,12 @@ class NemesisResult:
 Oracle = Callable[[NemesisResult], List[str]]
 
 
-def _strip_crashes(plan: FaultPlan) -> FaultPlan:
-    out = FaultPlan(seed=plan.seed)
-    out.link_rules = list(plan.link_rules)
-    out.nic_stalls = list(plan.nic_stalls)
-    out.qp_errors = list(plan.qp_errors)
-    out.rnr_rules = list(plan.rnr_rules)
-    out.flaps = list(plan.flaps)
-    return out
-
-
 def _run_chaos_schedule(schedule: Schedule) -> NemesisResult:
     from repro.faults import run_chaos
 
-    spec = DATAPLANES[schedule.dataplane]
     report = run_chaos(
         seed=schedule.seed,
-        horizon_ns=spec.horizon_ns,
+        horizon_ns=schedule.horizon_ns,
         plan=schedule.plan,
         **schedule.runner_params()
     )
@@ -111,7 +99,7 @@ def _run_txn_schedule(schedule: Schedule) -> NemesisResult:
             rule.at_ns,
             rule.down_ns,
         )
-        plan = _strip_crashes(plan)
+        plan = replace(plan, crashes=[])
     config = TxnConfig(crash=crash, **params)
     cluster = TxnCluster(
         config,

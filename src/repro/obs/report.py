@@ -29,17 +29,6 @@ class RunReport:
     #: ops lost, checker verdict — see ChaosReport.outcome_row()
     outcomes: List[Dict[str, Any]] = field(default_factory=list)
 
-    def to_dict(self) -> Dict[str, Any]:
-        payload = {
-            "name": self.name,
-            "sim_time_ns": self.sim_time_ns,
-            "trace_events": self.trace_events,
-            "metrics": self.metrics,
-        }
-        if self.outcomes:
-            payload["outcomes"] = self.outcomes
-        return payload
-
     @classmethod
     def from_sim(cls, sim: Any, name: str = "") -> Optional["RunReport"]:
         """Collect a report from ``sim``; None when nothing is attached."""

@@ -25,7 +25,6 @@ saturated partition.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -111,6 +110,3 @@ class QosConfig:
     def tenant_of(self, client: int) -> int:
         """Static tenant assignment: client id modulo ``n_tenants``."""
         return client % self.n_tenants
-
-    def replace(self, **kwargs) -> "QosConfig":
-        return dataclasses.replace(self, **kwargs)

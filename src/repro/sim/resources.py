@@ -280,7 +280,3 @@ class Resource:
             self._waiters.popleft().succeed(self)
         else:
             self._in_use -= 1
-
-    @property
-    def in_use(self) -> int:
-        return self._in_use

@@ -16,8 +16,9 @@ Each key owns a fixed slot inside the partition's registered region::
   atomically, as the NIC's DMA does per slot-sized payloads).
 
 Keys are spread round-robin: key *k* lives in partition ``k % P`` at
-local index ``k // P``.  Addresses are exposed so one-sided clients can
-compute ``slot_addr(k)`` with pure arithmetic — no RPC needed to locate
+local index ``k // P``.  The geometry is fixed so one-sided clients can
+compute a slot's address from the store's base address with pure
+arithmetic (``TxnClientProcess._slot_info``) — no RPC needed to locate
 data, which is the whole point of that dataplane.
 """
 
@@ -60,9 +61,6 @@ class TxnPartitionStore:
         if not self.owns(key):
             raise KeyError("key %d not owned by partition %d" % (key, self.partition))
         return (key // self.n_partitions) * self.slot_bytes
-
-    def slot_addr(self, key: int) -> int:
-        return self.mr.addr + self.slot_offset(key)
 
     def local_keys(self) -> Iterator[int]:
         return iter(range(self.partition, self.n_keys, self.n_partitions))
@@ -126,10 +124,6 @@ def parse_slot(raw: bytes, value_bytes: int) -> Tuple[int, int, bytes]:
 def pack_install(version: int, value: bytes) -> bytes:
     """The one-sided install image: lock released, version bumped, value."""
     return _HDR.pack(0, version) + value
-
-
-def pack_header(lock: int, version: int) -> bytes:
-    return _HDR.pack(lock, version)
 
 
 def parse_header(raw: bytes) -> Tuple[int, int]:

@@ -211,10 +211,6 @@ class HotKeyShiftStream:
         self._rng = rng
         self.redirected = 0
 
-    @property
-    def generated(self) -> int:
-        return self.inner.generated
-
     def _shifted(self) -> bool:
         if self.shift_ns is not None:
             return self._clock() >= self.shift_ns  # type: ignore[misc]
@@ -230,7 +226,3 @@ class HotKeyShiftStream:
         if op.op is OpType.PUT:
             value = value_for(item, self.workload.value_size)
         return Operation(op=op.op, key=keyhash(item), value=value, item=item)
-
-    def __iter__(self):
-        while True:
-            yield self.next_op()

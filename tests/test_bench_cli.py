@@ -78,6 +78,18 @@ def test_metrics_and_trace_flags_write_valid_json(monkeypatch, tmp_path):
     assert any(e["ph"] == "X" for e in trace["traceEvents"])
 
 
+def test_a_real_figure_exports_station_metrics_and_spans(tmp_path):
+    # the smallest real figure, full observability on: every run it
+    # makes carries station metrics, and the trace holds complete spans
+    m_path = tmp_path / "m.json"
+    t_path = tmp_path / "t.json"
+    assert cli.main(["fig2", "--metrics", str(m_path), "--trace", str(t_path)]) == 0
+    runs = json.loads(m_path.read_text())["runs"]
+    assert runs and all(run["stations"] for run in runs)
+    trace = json.loads(t_path.read_text())
+    assert any(e["ph"] == "X" for e in trace["traceEvents"])
+
+
 def test_trace_jsonl_suffix_writes_json_lines(monkeypatch, tmp_path):
     monkeypatch.setitem(cli.FIGURES, "figx", fake_figure)
     t_path = tmp_path / "t.jsonl"

@@ -245,3 +245,54 @@ def test_migrate_under_kill_fingerprint_is_pinned(acceptance_report):
     assert acceptance_report.fingerprint == (
         "552896d0c27ca411b20eb5a664b57a00855513e1927b24f4f8bf72788c5a17b7"
     )
+
+
+# ---------------------------------------------------------------------------
+# leave under load
+# ---------------------------------------------------------------------------
+
+
+def test_a_partition_leaves_under_load_and_loses_nothing(monkeypatch):
+    """``schedule_leave`` evacuates a live partition onto the survivors
+    while replicated traffic and background noise run: one more
+    membership function in the scenario table, every HA oracle on."""
+    import dataclasses
+
+    from repro.faults import chaos
+
+    runs = []
+
+    def leave(run):
+        runs.append(run)
+        run.cluster.elastic.coordinator.schedule_leave(2, at_ns=0.25 * run.horizon_ns)
+
+    monkeypatch.setitem(
+        chaos.SCENARIOS,
+        "nemesis",
+        dataclasses.replace(chaos.SCENARIOS["nemesis"], membership=leave),
+    )
+    config = HerdConfig(
+        n_server_processes=3,
+        n_active_partitions=3,
+        window=4,
+        retry_timeout_ns=10_000.0,
+        adaptive_retry=True,
+        min_retry_timeout_ns=5_000.0,
+        replication_factor=3,
+    )
+    report = run_chaos(
+        seed=11,
+        scenario="nemesis",
+        config=config,
+        n_clients=4,
+        n_items=64,
+        value_size=24,
+        intensity=0.5,
+    )
+    assert report.ok, report.violations
+    assert report.checker == "linearizable"
+    assert report.ops_lost == 0
+    assert report.migrations_done == 1 and report.records_migrated > 0
+    assert report.reroutes > 0
+    final_map = runs[0].cluster.elastic.shard_map
+    assert {owner for _start, owner in final_map.entries} == {0, 1}

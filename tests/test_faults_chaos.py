@@ -1,5 +1,7 @@
 """The chaos harness: seeded runs, invariants, and the CLI gate."""
 
+import json
+
 import pytest
 
 from repro.bench.cli import main
@@ -60,7 +62,8 @@ def test_chaos_report_summary_mentions_the_verdict():
     assert str(report.issued) in text
 
 
-def test_cli_chaos_smoke(capsys):
+def test_cli_chaos_smoke(capsys, tmp_path):
+    metrics = tmp_path / "metrics.json"
     rc = main(
         [
             "--chaos",
@@ -70,11 +73,16 @@ def test_cli_chaos_smoke(capsys):
             "1",
             "--chaos-horizon",
             str(HORIZON),
+            "--metrics",
+            str(metrics),
         ]
     )
     assert rc == 0
     out = capsys.readouterr().out
     assert "chaos" in out.lower()
+    # the injector's per-rule hit counts reach the metrics export
+    runs = json.loads(metrics.read_text())["runs"]
+    assert any(k.startswith("faults.") for r in runs for k in r.get("counters", {}))
 
 
 def test_outcome_table_aligns_columns():
@@ -153,3 +161,38 @@ def test_chaos_fingerprint_is_pinned():
     assert report.fingerprint == (
         "425ec5c68bd8318f4addf05d760ef82ae21741719da26ac1677cfcc4965e3748"
     )
+
+
+def _scenario_rows():
+    """docs/FAULTS.md's scenario table, one row per SCENARIOS entry."""
+    from repro.faults.chaos import SCENARIOS
+
+    for name, entry in SCENARIOS.items():
+        prepare = entry.prepare.__name__
+        if entry.membership is not None:
+            prepare += " + " + entry.membership.__name__
+        yield "| %s |" % " | ".join(
+            [
+                "`%s`" % name if name else "*(none)*",
+                "`%s`" % entry.config.__name__,
+                "`%s`" % prepare,
+                "`%s`" % entry.plan.__name__,
+                ", ".join(fn.__name__.replace("_oracle_", "") for fn in entry.oracles),
+                ", ".join(
+                    fn.__name__.replace("_section_", "") for fn in entry.fingerprint
+                ),
+                "`%s`" % entry.reference.__name__ if entry.reference else "—",
+            ]
+        )
+
+
+def test_docs_scenario_table_matches_the_code():
+    import pathlib
+
+    doc = pathlib.Path(__file__).parent.parent / "docs" / "FAULTS.md"
+    table = [
+        line
+        for line in doc.read_text().splitlines()
+        if line.startswith("| ") and not line.startswith("| scenario")
+    ]
+    assert table == list(_scenario_rows())

@@ -186,3 +186,59 @@ def test_kill_primary_fingerprint_is_pinned(acceptance_report):
     assert acceptance_report.fingerprint == (
         "5e41a96ad9f7c710ee5aa96d618454085eb6a3b852e1398f73ed8bb2b7f8d1c0"
     )
+
+
+# ---------------------------------------------------------------------------
+# un-inlined values: records and requests that leave host memory at DMA time
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("value_size", [300, 600, 1000])
+def test_replicated_puts_above_the_inline_limit(value_size):
+    # above max_inline (256 B) a mesh record is staged and fetched by
+    # the NIC later, and so is the client's request WRITE
+    report = run_chaos(
+        **dict(ACCEPTANCE, value_size=value_size, horizon_ns=150_000.0, seed=12)
+    )
+    assert report.ok, report.violations
+    assert report.checker == "linearizable"
+    assert report.ops_lost == 0
+    assert report.promotions >= 1
+
+
+@pytest.mark.parametrize("seed", [11, 13])
+def test_catchup_replay_waits_for_the_staging_ring(seed):
+    # Regression: the promoted primary's catch-up replay staged ~80
+    # records of 1 KiB in one loop, wrapped the 64 KiB ring onto extents
+    # the NIC had not fetched yet and raised "HA staging ring
+    # exhausted" — there was no back-pressure.
+    plan = FaultPlan(seed=seed).crash_server(0, at_ns=52_500.0, down_ns=45_000.0)
+    report = run_chaos(
+        seed=seed,
+        scenario="kill-primary",
+        horizon_ns=150_000.0,
+        n_clients=4,
+        n_items=64,
+        value_size=1000,
+        n_server_processes=2,
+        plan=plan,
+    )
+    assert report.ok, report.violations
+    assert report.checker == "linearizable"
+    assert report.ops_lost == 0
+
+
+@pytest.mark.parametrize("seed", [11, 13])
+def test_a_retry_never_restages_over_an_unfetched_request(seed):
+    # Regression: a retried un-inlined PUT was staged through its own
+    # counter into the staging slots first sends use, so it could
+    # overwrite a request the NIC had not fetched yet; that request then
+    # carried the *other* op's bytes into its window slot and the server
+    # acked a PUT it never executed.  At seed 11, client 3's PUT acked
+    # at 22 096 ns was invisible to a GET at 90 930 ns (no failover on
+    # that partition); at seed 13 one acked write was lost outright.
+    # Classic runs hid it: every PUT there carries value_for(item).
+    report = run_chaos(**dict(ACCEPTANCE, seed=seed, value_size=600, horizon_ns=150_000.0))
+    assert report.ok, report.violations
+    assert report.checker == "linearizable"
+    assert report.ops_lost == 0

@@ -12,7 +12,7 @@ with an aggressor keeps its p99 within 3x of an isolated run.  Each
 import pytest
 
 from repro.faults import FaultPlan
-from repro.faults.chaos import OVERLOAD_SCENARIOS, SCENARIOS, run_chaos
+from repro.faults.chaos import SCENARIOS, run_chaos
 from repro.herd import HerdCluster, HerdConfig
 from repro.obs import MetricsRegistry
 from repro.workloads import Workload
@@ -43,8 +43,10 @@ def aggressor_on():
 
 
 def test_overload_scenarios_are_registered():
-    for name in OVERLOAD_SCENARIOS:
-        assert name in SCENARIOS
+    for name in ("flash-crowd", "aggressor-tenant", "slow-client"):
+        # open-loop entries: goodput windows, and shedding-off to price against
+        assert SCENARIOS[name].windows is not None
+        assert SCENARIOS[name].reference({"seed": 1})["shedding"] is False
 
 
 # ---------------------------------------------------------------------------

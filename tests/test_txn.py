@@ -103,6 +103,21 @@ def test_contention_hurts_onesided_more_than_rpc():
     assert hot_rpc.abort_rate < hot.abort_rate
 
 
+def test_throughput_crossover_between_the_dataplanes():
+    # What the abort storm costs, in Mops, at the figure's own size
+    # (docs/TXN.md): uncontended, one-sided commits win by skipping the
+    # server CPU; on hot keys the RPC path wins by more than 2x.
+    from repro.bench.figures import run_txn
+
+    cold_rpc = run_txn(dataplane="rpc", hot_fraction=0.0)
+    cold_one = run_txn(dataplane="onesided", hot_fraction=0.0)
+    hot_rpc = run_txn(dataplane="rpc", hot_fraction=0.9)
+    hot_one = run_txn(dataplane="onesided", hot_fraction=0.9)
+    assert all(r.ok for r in (cold_rpc, cold_one, hot_rpc, hot_one))
+    assert cold_one.result.mops > cold_rpc.result.mops
+    assert hot_rpc.result.mops > 2 * hot_one.result.mops
+
+
 def test_read_only_workload_never_aborts_onesided():
     report = run_cluster(seed=2, dataplane="onesided", read_only_fraction=1.0)
     assert report.ok
