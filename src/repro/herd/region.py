@@ -93,7 +93,7 @@ class RequestRegion:
         epoch byte: ``(operation, epoch)``."""
         offset = self.slot_offset(server, client, window_slot)
         return decode_request(
-            self.mr.read(offset, self.config.slot_bytes), with_epoch=with_epoch
+            self.mr.buf, with_epoch, start=offset, end=offset + self.config.slot_bytes
         )
 
     def clear_slot(self, server: int, client: int, window_slot: int) -> None:

@@ -70,28 +70,34 @@ def request_write_offset(slot_bytes: int, payload: bytes) -> int:
     return slot_bytes - len(payload)
 
 
-def decode_request(slot: bytes, with_epoch: bool = False):
+def decode_request(slot, with_epoch: bool = False, start: int = 0, end: Optional[int] = None):
     """Decode a request slot; None if the slot is free (zero keyhash).
+
+    ``slot`` is the slot's bytes, or any buffer that holds the slot at
+    ``[start, end)`` — the request region decodes its slots in place,
+    copying out the keyhash and the value and nothing else.
 
     With ``with_epoch`` (loss mode) returns ``(operation, epoch)``; the
     epoch byte sits just before LEN (see :func:`encode_get`).
     """
-    keyhash = slot[-KEYHASH_BYTES:]
+    if end is None:
+        end = len(slot)
+    keyhash = slot[end - KEYHASH_BYTES : end]
     if keyhash == b"\x00" * KEYHASH_BYTES:
         return (None, 0) if with_epoch else None
-    (length,) = _LEN.unpack(slot[-TRAILER_BYTES:-KEYHASH_BYTES])
-    body_end = len(slot) - TRAILER_BYTES
+    body_end = end - TRAILER_BYTES
+    (length,) = _LEN.unpack_from(slot, body_end)
     epoch = 0
     if with_epoch:
-        epoch = slot[body_end - 1]
         body_end -= 1
+        epoch = slot[body_end]
     if length == GET_MARKER:
         op = Operation(OpType.GET, keyhash, None)
     else:
-        start = body_end - length
-        if start < 0:
+        value_start = body_end - length
+        if value_start < start:
             raise ValueError("corrupt request: LEN overruns the slot")
-        op = Operation(OpType.PUT, keyhash, slot[start:body_end])
+        op = Operation(OpType.PUT, keyhash, slot[value_start:body_end])
     return (op, epoch) if with_epoch else op
 
 

@@ -21,14 +21,16 @@ from random import Random
 from typing import List, Optional, Tuple
 
 from repro.kv.hashing import hash_key
-from repro.kv.interface import KeyValueStore
+from repro.kv.interface import KEY_BYTES, KeyValueStore, padded_key
 
-KEY_BYTES = 16
 BUCKET_BYTES = 32
 #: bucket: 16-byte key, u32 extent pointer, u16 value length, u16 flags,
 #: u64 checksum -> 32 bytes, matching the paper's alignment assumption.
 _BUCKET = struct.Struct("<16sIHHQ")
 _FLAG_OCCUPIED = 1
+
+_CHECKSUM = struct.Struct("<Q")
+_CHECKSUM_AT = BUCKET_BYTES - _CHECKSUM.size
 
 #: extent entry header: u64 value checksum, u16 value length
 _EXTENT = struct.Struct("<QH")
@@ -82,6 +84,8 @@ class CuckooTable(KeyValueStore):
 
     def buckets_for(self, key: bytes) -> List[int]:
         """The 3 candidate bucket indices for ``key`` (orthogonal hashes)."""
+        if len(key) != KEY_BYTES:
+            key = padded_key(key)
         return [hash_key(key, salt) % self.n_buckets for salt in range(self.HASHES)]
 
     def bucket_span(self, index: int) -> Tuple[int, int]:
@@ -100,7 +104,7 @@ class CuckooTable(KeyValueStore):
         checksum does not match — a torn read under a concurrent PUT,
         which a Pilaf client handles by retrying.
         """
-        key, ptr, vlen, flags, cksum = _BUCKET.unpack(data)
+        key, ptr, vlen, flags, cksum = _BUCKET.unpack_from(data)
         if not flags & _FLAG_OCCUPIED:
             return None
         expect = checksum64(_BUCKET.pack(key, ptr, vlen, flags, 0))
@@ -113,15 +117,15 @@ class CuckooTable(KeyValueStore):
     ) -> None:
         flags = _FLAG_OCCUPIED if occupied else 0
         body = _BUCKET.pack(key, ptr, vlen, flags, 0)
-        cksum = checksum64(body) if occupied else 0
-        packed = _BUCKET.pack(key, ptr, vlen, flags, cksum)
         offset = index * BUCKET_BYTES
-        self.table[offset : offset + BUCKET_BYTES] = packed
+        self.table[offset : offset + BUCKET_BYTES] = body
+        if occupied:
+            # the checksum covers the bucket with a zero checksum field
+            _CHECKSUM.pack_into(self.table, offset + _CHECKSUM_AT, checksum64(body))
 
     def _load_bucket(self, index: int) -> Tuple[bytes, int, int, bool]:
-        offset = index * BUCKET_BYTES
-        key, ptr, vlen, flags, _cksum = _BUCKET.unpack(
-            bytes(self.table[offset : offset + BUCKET_BYTES])
+        key, ptr, vlen, flags, _cksum = _BUCKET.unpack_from(
+            self.table, index * BUCKET_BYTES
         )
         return key, ptr, vlen, bool(flags & _FLAG_OCCUPIED)
 
@@ -138,13 +142,12 @@ class CuckooTable(KeyValueStore):
 
     def read_value(self, ptr: int) -> bytes:
         """Read and verify a value from the extents (as a client would)."""
-        return self.parse_extent(
-            bytes(self.extents[ptr : ptr + _EXTENT.size + self._extent_vlen(ptr)])
-        )
-
-    def _extent_vlen(self, ptr: int) -> int:
-        _cksum, vlen = _EXTENT.unpack(bytes(self.extents[ptr : ptr + _EXTENT.size]))
-        return vlen
+        cksum, vlen = _EXTENT.unpack_from(self.extents, ptr)
+        start = ptr + _EXTENT.size
+        value = bytes(self.extents[start : start + vlen])
+        if checksum64(value) != cksum:
+            raise ValueError("extent checksum mismatch (torn read)")
+        return value
 
     #: bytes of extent-entry header a remote reader must fetch with the value
     EXTENT_HEADER_BYTES = _EXTENT.size
@@ -153,7 +156,7 @@ class CuckooTable(KeyValueStore):
     def parse_extent(data: bytes) -> bytes:
         """Decode an extent entry (header + value), verifying its
         checksum — what a Pilaf client does after READing the extent."""
-        cksum, vlen = _EXTENT.unpack(data[: _EXTENT.size])
+        cksum, vlen = _EXTENT.unpack_from(data)
         value = data[_EXTENT.size : _EXTENT.size + vlen]
         if len(value) != vlen:
             raise ValueError("short extent read")
@@ -165,13 +168,15 @@ class CuckooTable(KeyValueStore):
 
     def get(self, key: bytes) -> Optional[bytes]:
         """Probe up to 3 buckets (1.6 on average at 75% load)."""
-        key = key.ljust(KEY_BYTES, b"\x00")
-        probes = 0
+        if len(key) != KEY_BYTES:
+            key = padded_key(key)
         self.total_gets += 1
-        for index in self.buckets_for(key):
-            probes += 1
-            stored, ptr, vlen, occupied = self._load_bucket(index)
-            if occupied and stored == key:
+        # A salt is hashed only when its bucket is about to be probed.
+        for probes in range(1, self.HASHES + 1):
+            stored, ptr, _vlen, flags, _cksum = _BUCKET.unpack_from(
+                self.table, hash_key(key, probes - 1) % self.n_buckets * BUCKET_BYTES
+            )
+            if flags & _FLAG_OCCUPIED and stored == key:
                 self.last_op_probes = probes
                 self.total_probes += probes
                 self.last_op_accesses = probes + 1  # + extent read
@@ -182,40 +187,43 @@ class CuckooTable(KeyValueStore):
         return None
 
     def put(self, key: bytes, value: bytes) -> bool:
-        key = key.ljust(KEY_BYTES, b"\x00")
-        candidates = self.buckets_for(key)
-        # Overwrite in place if present.
-        for index in candidates:
-            stored, _ptr, _vlen, occupied = self._load_bucket(index)
-            if occupied and stored == key:
-                ptr = self._alloc_value(value)
-                self._store_bucket(index, key, ptr, len(value))
-                self.last_op_accesses = 2
-                return True
-        # Insert into a free candidate bucket.
-        for index in candidates:
-            _stored, _ptr, _vlen, occupied = self._load_bucket(index)
-            if not occupied:
-                ptr = self._alloc_value(value)
-                self._store_bucket(index, key, ptr, len(value))
-                self.items += 1
-                self.last_op_accesses = 2
-                return True
-        # Cuckoo relocation: kick a random victim along a random walk.
-        return self._insert_with_kicks(key, value)
+        if len(key) != KEY_BYTES:
+            key = padded_key(key)
+        free = None
+        # As in get: the scan ends, and stops hashing, at the key's bucket.
+        for salt in range(self.HASHES):
+            index = hash_key(key, salt) % self.n_buckets
+            stored, _ptr, _vlen, flags, _cksum = _BUCKET.unpack_from(
+                self.table, index * BUCKET_BYTES
+            )
+            if not flags & _FLAG_OCCUPIED:
+                if free is None:
+                    free = index
+            elif stored == key:
+                free = index  # overwrite in place
+                break
+        else:
+            if free is None:
+                # Cuckoo relocation: kick a random victim along a random walk.
+                return self._insert_with_kicks(key, value)
+            self.items += 1
+        ptr = self._alloc_value(value)
+        self._store_bucket(free, key, ptr, len(value))
+        self.last_op_accesses = 2
+        return True
 
     def _insert_with_kicks(self, key: bytes, value: bytes) -> bool:
         ptr = self._alloc_value(value)
         cur_key, cur_ptr, cur_vlen = key, ptr, len(value)
         index = self._rng.choice(self.buckets_for(cur_key))
-        for _kick in range(self.MAX_KICKS):
+        for kick in range(1, self.MAX_KICKS + 1):
             victim = self._load_bucket(index)
             self._store_bucket(index, cur_key, cur_ptr, cur_vlen)
             self.kicks += 1
             v_key, v_ptr, v_vlen, v_occupied = victim
             if not v_occupied:
                 self.items += 1
-                self.last_op_accesses = 2 + self.kicks  # approximate
+                self.last_op_accesses = 2 + kick  # approximate
                 return True
             cur_key, cur_ptr, cur_vlen = v_key, v_ptr, v_vlen
             # Move the victim to one of its *other* buckets.
@@ -228,7 +236,8 @@ class CuckooTable(KeyValueStore):
         raise CuckooFullError("relocation budget exhausted; table too full")
 
     def delete(self, key: bytes) -> bool:
-        key = key.ljust(KEY_BYTES, b"\x00")
+        if len(key) != KEY_BYTES:
+            key = padded_key(key)
         for index in self.buckets_for(key):
             stored, _ptr, _vlen, occupied = self._load_bucket(index)
             if occupied and stored == key:

@@ -9,9 +9,12 @@ avalanching.
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 
 _MASK = (1 << 64) - 1
+_TWO_WORDS = struct.Struct("<QQ")
 
 
 def mix64(x: int) -> int:
@@ -37,9 +40,27 @@ def mix64_array(x: "np.ndarray") -> "np.ndarray":
     return x ^ (x >> np.uint64(31))
 
 
+#: ``mix64(salt * golden ratio)`` for the salts the tables use
+_SALT_SEEDS = tuple(mix64(salt * 0x9E3779B97F4A7C15) for salt in range(8))
+
+
 def hash_key(key: bytes, salt: int = 0) -> int:
     """A salted 64-bit hash of ``key``; distinct salts are independent."""
-    h = mix64(salt * 0x9E3779B97F4A7C15)
+    if 0 <= salt < len(_SALT_SEEDS):
+        h = _SALT_SEEDS[salt]
+    else:
+        h = mix64(salt * 0x9E3779B97F4A7C15)
+    if len(key) == 16:
+        # The tables' key width: the loop below, unrolled for two words
+        # (both operands of each XOR are already below 2**64).
+        low, high = _TWO_WORDS.unpack(key)
+        x = h ^ low
+        x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
+        x = (x ^ (x >> 27)) * 0x94D049BB133111EB & _MASK
+        x ^= (x >> 31) ^ high
+        x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
+        x = (x ^ (x >> 27)) * 0x94D049BB133111EB & _MASK
+        return x ^ (x >> 31)
     # Mix each 64-bit chunk in (a plain XOR-fold would cancel repeated
     # chunks, colliding keys like b"x"*64 and b"y"*64).
     for offset in range(0, len(key), 8):

@@ -18,9 +18,8 @@ import struct
 import zlib
 from typing import Optional, Tuple
 
-from repro.kv.interface import KeyValueStore
+from repro.kv.interface import KEY_BYTES, KeyValueStore, padded_key
 
-KEY_BYTES = 16
 #: slot header: 16-byte key, u16 value length, u16 flags
 _SLOT_HEADER = struct.Struct("<16sHH")
 _FLAG_OCCUPIED = 1
@@ -54,10 +53,9 @@ class HopscotchTable(KeyValueStore):
         self.n_slots = 1 << (n_slots - 1).bit_length()
         self.inline = inline
         self.value_capacity = value_capacity
-        if inline:
-            self.slot_bytes = _SLOT_HEADER.size + value_capacity
-        else:
-            self.slot_bytes = _VAR_SLOT.size
+        #: what the head of a slot decodes as: (key, vlen, flags[, ptr])
+        self._slot = _SLOT_HEADER if inline else _VAR_SLOT
+        self.slot_bytes = self._slot.size + (value_capacity if inline else 0)
         if table_buffer is None:
             table_buffer = bytearray(self.n_slots * self.slot_bytes)
         if len(table_buffer) < self.n_slots * self.slot_bytes:
@@ -74,6 +72,8 @@ class HopscotchTable(KeyValueStore):
     # -- layout ---------------------------------------------------------
 
     def home_of(self, key: bytes) -> int:
+        if len(key) != KEY_BYTES:
+            key = padded_key(key)
         return zlib.crc32(key, 0x5BD1E995) % self.n_slots
 
     def neighborhood_span(self, key: bytes) -> Tuple[int, int]:
@@ -88,13 +88,14 @@ class HopscotchTable(KeyValueStore):
 
     def read_neighborhood(self, key: bytes) -> bytes:
         """The actual bytes of the 6 neighborhood slots (wrap-aware)."""
-        home = self.home_of(key)
-        out = bytearray()
-        for i in range(self.NEIGHBORHOOD):
-            slot = (home + i) % self.n_slots
-            offset = slot * self.slot_bytes
-            out += self.table[offset : offset + self.slot_bytes]
-        return bytes(out)
+        offset, length = self.neighborhood_span(key)
+        wrapped = offset + length - self.n_slots * self.slot_bytes
+        if wrapped <= 0:
+            return bytes(self.table[offset : offset + length])
+        # what runs off the end of the table is at its start
+        return bytes(self.table[offset : offset + length - wrapped]) + bytes(
+            self.table[:wrapped]
+        )
 
     def parse_neighborhood(self, key: bytes, data: bytes) -> Optional[Tuple[bytes, int]]:
         """Client-side decode of neighborhood bytes.
@@ -102,30 +103,37 @@ class HopscotchTable(KeyValueStore):
         Inline mode returns ``(value, -1)``; VAR mode returns
         ``(b"", extent_pointer)`` and the client issues a second READ.
         """
-        key = key.ljust(KEY_BYTES, b"\x00")
-        for i in range(self.NEIGHBORHOOD):
-            chunk = data[i * self.slot_bytes : (i + 1) * self.slot_bytes]
-            if self.inline:
-                skey, vlen, flags = _SLOT_HEADER.unpack(chunk[: _SLOT_HEADER.size])
-                if flags & _FLAG_OCCUPIED and skey == key:
-                    value = chunk[_SLOT_HEADER.size : _SLOT_HEADER.size + vlen]
-                    return bytes(value), -1
-            else:
-                skey, vlen, flags, ptr = _VAR_SLOT.unpack(chunk)
-                if flags & _FLAG_OCCUPIED and skey == key:
-                    return b"", ptr
+        if len(key) != KEY_BYTES:
+            key = padded_key(key)
+        for offset in range(0, self.NEIGHBORHOOD * self.slot_bytes, self.slot_bytes):
+            slot = self._slot.unpack_from(data, offset)
+            if slot[2] & _FLAG_OCCUPIED and slot[0] == key:
+                if not self.inline:
+                    return b"", slot[3]
+                offset += _SLOT_HEADER.size
+                return bytes(data[offset : offset + slot[1]]), -1
         return None
 
     # -- slot access ------------------------------------------------------
 
-    def _load(self, slot: int) -> Tuple[bytes, int, bool, int]:
-        offset = slot * self.slot_bytes
-        chunk = bytes(self.table[offset : offset + self.slot_bytes])
-        if self.inline:
-            key, vlen, flags = _SLOT_HEADER.unpack(chunk[: _SLOT_HEADER.size])
-            return key, vlen, bool(flags & _FLAG_OCCUPIED), -1
-        key, vlen, flags, ptr = _VAR_SLOT.unpack(chunk)
-        return key, vlen, bool(flags & _FLAG_OCCUPIED), ptr
+    def _head(self, slot: int) -> tuple:
+        """The decoded head of ``slot``: (key, vlen, flags[, ptr])."""
+        return self._slot.unpack_from(self.table, slot * self.slot_bytes)
+
+    def _find(self, key: bytes) -> Optional[Tuple[int, tuple]]:
+        """Scan ``key``'s neighborhood — one locality-friendly access —
+        for its ``(slot, decoded head)``."""
+        if len(key) != KEY_BYTES:
+            key = padded_key(key)
+        home = self.home_of(key)
+        self.last_op_accesses = 1
+        unpack_from, table, slot_bytes = self._slot.unpack_from, self.table, self.slot_bytes
+        for slot in range(home, home + self.NEIGHBORHOOD):
+            slot %= self.n_slots
+            head = unpack_from(table, slot * slot_bytes)
+            if head[2] & _FLAG_OCCUPIED and head[0] == key:
+                return slot, head
+        return None
 
     def _store(
         self, slot: int, key: bytes, value: bytes, ptr: int = 0, occupied: bool = True
@@ -137,16 +145,11 @@ class HopscotchTable(KeyValueStore):
             body = value.ljust(self.value_capacity, b"\x00")
             self.table[offset : offset + self.slot_bytes] = packed + body
         else:
-            self.table[offset : offset + self.slot_bytes] = _VAR_SLOT.pack(
-                key, len(value), flags, ptr
-            )
+            _VAR_SLOT.pack_into(self.table, offset, key, len(value), flags, ptr)
 
-    def _value_at(self, slot: int) -> bytes:
-        key, vlen, occupied, ptr = self._load(slot)
-        if self.inline:
-            offset = slot * self.slot_bytes + _SLOT_HEADER.size
-            return bytes(self.table[offset : offset + vlen])
-        return self.read_extent(ptr, vlen)
+    def _inline_value_at(self, slot: int, vlen: int) -> bytes:
+        offset = slot * self.slot_bytes + _SLOT_HEADER.size
+        return bytes(self.table[offset : offset + vlen])
 
     # -- extents (VAR mode) -------------------------------------------------
 
@@ -164,35 +167,28 @@ class HopscotchTable(KeyValueStore):
     # -- KV interface -----------------------------------------------------
 
     def get(self, key: bytes) -> Optional[bytes]:
-        """Scan the 6-slot neighborhood: one locality-friendly read."""
-        key = key.ljust(KEY_BYTES, b"\x00")
-        home = self.home_of(key)
-        self.last_op_accesses = 1
-        for i in range(self.NEIGHBORHOOD):
-            slot = (home + i) % self.n_slots
-            skey, vlen, occupied, ptr = self._load(slot)
-            if occupied and skey == key:
-                if not self.inline:
-                    self.last_op_accesses = 2
-                return self._value_at(slot)
-        return None
+        found = self._find(key)
+        if found is None:
+            return None
+        slot, head = found
+        if self.inline:
+            return self._inline_value_at(slot, head[1])
+        self.last_op_accesses = 2
+        return self.read_extent(head[3], head[1])
 
     def put(self, key: bytes, value: bytes) -> bool:
-        key = key.ljust(KEY_BYTES, b"\x00")
+        if len(key) != KEY_BYTES:
+            key = padded_key(key)
         if len(value) > self.value_capacity and self.inline:
             raise ValueError(
                 "value of %d bytes exceeds inline capacity %d"
                 % (len(value), self.value_capacity)
             )
+        found = self._find(key)
+        if found is not None:
+            self._write_item(found[0], key, value)  # overwrite in place
+            return True
         home = self.home_of(key)
-        self.last_op_accesses = 1
-        # Overwrite in place.
-        for i in range(self.NEIGHBORHOOD):
-            slot = (home + i) % self.n_slots
-            skey, _vlen, occupied, _ptr = self._load(slot)
-            if occupied and skey == key:
-                self._write_item(slot, key, value)
-                return True
         free = self._find_free_slot(home)
         if free is None:
             raise HopscotchFullError("no free slot within probe range")
@@ -216,7 +212,7 @@ class HopscotchTable(KeyValueStore):
     def _find_free_slot(self, home: int) -> Optional[int]:
         for i in range(min(self.MAX_PROBE, self.n_slots)):
             slot = (home + i) % self.n_slots
-            if not self._load(slot)[2]:
+            if not self._head(slot)[2] & _FLAG_OCCUPIED:
                 return slot
         return None
 
@@ -229,33 +225,27 @@ class HopscotchTable(KeyValueStore):
         """
         for back in range(self.NEIGHBORHOOD - 1, 0, -1):
             candidate = (free - back) % self.n_slots
-            key, vlen, occupied, ptr = self._load(candidate)
-            if not occupied:
+            head = self._head(candidate)
+            key, vlen = head[0], head[1]
+            if not head[2] & _FLAG_OCCUPIED:
                 continue
             item_home = self.home_of(key)
             if self._distance(item_home, free) < self.NEIGHBORHOOD:
                 # Hop: move the candidate's item into the free slot.
                 if self.inline:
-                    value = self._value_at(candidate)
-                    self._store(free, key, value)
+                    self._store(free, key, self._inline_value_at(candidate, vlen))
                 else:
                     # Move the pointer; the header keeps the true length.
-                    self._store(free, key, b"\x00" * vlen, ptr=ptr)
+                    self._store(free, key, b"\x00" * vlen, ptr=head[3])
                 self._store(candidate, b"\x00" * KEY_BYTES, b"", occupied=False)
                 self.displacements += 1
                 return candidate
         raise HopscotchFullError("displacement impossible; rebuild required")
 
     def delete(self, key: bytes) -> bool:
-        key = key.ljust(KEY_BYTES, b"\x00")
-        home = self.home_of(key)
-        self.last_op_accesses = 1
-        for i in range(self.NEIGHBORHOOD):
-            slot = (home + i) % self.n_slots
-            skey, _vlen, occupied, _ptr = self._load(slot)
-            if occupied and skey == key:
-                self._store(slot, b"\x00" * KEY_BYTES, b"", occupied=False)
-                self.items -= 1
-                return True
-        return False
-
+        found = self._find(key)
+        if found is None:
+            return False
+        self._store(found[0], b"\x00" * KEY_BYTES, b"", occupied=False)
+        self.items -= 1
+        return True

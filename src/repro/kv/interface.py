@@ -10,6 +10,19 @@ from __future__ import annotations
 import abc
 from typing import Optional
 
+#: key width of the fixed-slot tables (cuckoo, hopscotch)
+KEY_BYTES = 16
+
+
+def padded_key(key: bytes) -> bytes:
+    """A shorter ``key`` zero-padded to ``KEY_BYTES``.  A longer one has
+    no slot: packing it through ``16s`` would silently truncate it."""
+    if len(key) > KEY_BYTES:
+        raise ValueError(
+            "key of %d bytes exceeds the %d-byte key width" % (len(key), KEY_BYTES)
+        )
+    return key.ljust(KEY_BYTES, b"\x00")
+
 
 class KeyValueStore(abc.ABC):
     """GET/PUT/DELETE over byte keys and byte values."""

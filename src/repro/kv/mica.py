@@ -68,13 +68,19 @@ class CircularLog:
 
     def read(self, pos: int) -> Optional[Tuple[bytes, bytes]]:
         """Read the (key, value) at ``pos``; None if overwritten."""
-        if not self.alive(pos, _HEADER.size):
+        if pos < self.tail - self.capacity or pos + _HEADER.size > self.tail:
             return None
-        header = self._read_bytes(pos, _HEADER.size)
-        key_len, value_len = _HEADER.unpack(header)
+        offset = pos % self.capacity
+        if offset + _HEADER.size <= self.capacity:
+            key_len, value_len = _HEADER.unpack_from(self.buf, offset)
+        else:
+            key_len, value_len = _HEADER.unpack(self._read_bytes(pos, _HEADER.size))
         total = _HEADER.size + key_len + value_len
-        if not self.alive(pos, total):
-            return None
+        if pos + total > self.tail:
+            return None  # not the position of an entry
+        if offset + total <= self.capacity:
+            split = offset + _HEADER.size + key_len
+            return self.buf[offset + _HEADER.size : split], self.buf[split : offset + total]
         body = self._read_bytes(pos + _HEADER.size, key_len + value_len)
         return body[:key_len], body[key_len:]
 

@@ -1,5 +1,7 @@
 """Tests for HERD's request/response wire formats and the request region."""
 
+import mmap
+
 import pytest
 
 from repro.herd import HerdConfig, RequestRegion, partition_of
@@ -75,6 +77,44 @@ def test_slot_roundtrip_put():
 
 def test_free_slot_decodes_to_none():
     assert decode_request(bytes(1024)) is None
+
+
+@pytest.mark.parametrize("epoch", [None, 0, 7, 255], ids=lambda e: "epoch=%r" % e)
+@pytest.mark.parametrize(
+    "value", [None, b"v", b"hello-world", b"\x00" * 40, bytes(range(256)) * 3 + b"tail"]
+)
+def test_decoding_in_place_equals_decoding_a_copy(value, epoch):
+    """``RequestRegion.read_slot`` decodes inside the region's ``mmap``
+    at the slot's bounds; the answer is the one the slot's own bytes
+    give — loss-mode epoch byte included, neighbours ignored."""
+    region = mmap.mmap(-1, 3 * 1024, access=mmap.ACCESS_COPY)
+    region[:] = b"\xa5" * len(region)  # live-looking neighbours on both sides
+    region[1024:2048] = bytes(1024)
+    payload = encode_get(KH, epoch) if value is None else encode_put(KH, value, epoch)
+    region[2048 - len(payload) : 2048] = payload
+    with_epoch = epoch is not None
+    copy = decode_request(region[1024:2048], with_epoch)
+    assert decode_request(region, with_epoch, start=1024, end=2048) == copy
+    slot = mmap.mmap(-1, 1024, access=mmap.ACCESS_COPY)
+    slot[:] = region[1024:2048]
+    assert decode_request(slot, with_epoch) == copy
+    op, got_epoch = copy if with_epoch else (copy, 0)
+    assert (op.key, op.value, got_epoch) == (KH, value, epoch or 0)
+    assert type(op.key) is bytes and (value is None or type(op.value) is bytes)
+    # a free slot between live neighbours
+    region[2048 - 16 : 2048] = bytes(16)
+    free = (None, 0) if with_epoch else None
+    assert decode_request(region, with_epoch, start=1024, end=2048) == free
+
+
+def test_in_place_len_overrunning_the_slot_is_corrupt_not_a_neighbours_bytes():
+    region = bytearray(b"\xa5" * 2048)
+    payload = encode_put(KH, b"x" * 1010)  # 1028 bytes: more than a slot
+    region[2048 - len(payload) :] = payload
+    with pytest.raises(ValueError):
+        decode_request(region, start=1024, end=2048)
+    with pytest.raises(ValueError):
+        decode_request(bytes(region[1024:]))
 
 
 def test_keyhash_occupies_rightmost_bytes():

@@ -147,21 +147,79 @@ def test_extent_exhaustion():
             t.put(key(i), b"x" * 30)
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    st.dictionaries(
-        st.integers(min_value=0, max_value=200),
-        st.binary(min_size=1, max_size=40),
+def _model_ops(max_key, max_value):
+    """PUTs and DELETEs (value ``None``) over a small key space."""
+    return st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=max_key),
+            st.one_of(st.none(), st.binary(min_size=1, max_size=max_value)),
+        ),
         min_size=1,
-        max_size=100,
+        max_size=150,
     )
-)
-def test_matches_dict_model(model_ops):
+
+
+@settings(max_examples=30, deadline=None)
+@given(_model_ops(max_key=200, max_value=40))
+def test_matches_dict_model(ops):
     """Property: at moderate load the table is exactly a dict."""
     t = CuckooTable(n_buckets=1024, seed=2)
-    for i, value in model_ops.items():
-        t.put(key(i), value)
-    for i, value in model_ops.items():
-        assert t.get(key(i)) == value
-    assert t.items == len(model_ops)
-    assert t.load_factor() <= 0.75 + 1e-9 or True
+    model = {}
+    for i, value in ops:
+        if value is None:
+            assert t.delete(key(i)) == (model.pop(i, None) is not None)
+        else:
+            assert t.put(key(i), value)
+            model[i] = value
+        assert t.get(key(i)) == model.get(i)
+    for i in range(201):
+        assert t.get(key(i)) == model.get(i)
+    assert t.items == len(model)
+
+
+def _blocked_put(table):
+    """PUT a key whose three candidates are all taken; returns
+    ``(last_op_accesses, kicks it made)``."""
+    wanted = table.buckets_for(key(0))
+    assert len(set(wanted)) == 3
+    for bucket in wanted:
+        blocker = next(
+            key(i) for i in range(1, 100_000)
+            if table.buckets_for(key(i))[0] == bucket and table.get(key(i)) is None
+        )
+        table.put(blocker, b"blocker")
+    before = table.kicks
+    assert table.put(key(0), b"v")
+    return table.last_op_accesses, table.kicks - before
+
+
+def test_relocating_put_is_charged_its_own_kicks_not_the_tables_lifetime():
+    """``last_op_accesses`` was ``2 + self.kicks`` with ``kicks`` cumulative:
+    after a preload one relocation was priced as hundreds of accesses."""
+    fresh = CuckooTable(n_buckets=1024, seed=3)
+    aged = CuckooTable(n_buckets=1024, seed=3)
+    for i in range(200_000, 200_768):  # 75 % load, then empty again
+        aged.put(key(i), b"v")
+    assert aged.kicks > 100
+    for i in range(200_000, 200_768):
+        assert aged.delete(key(i))
+    assert aged.items == 0
+    assert _blocked_put(fresh) == _blocked_put(aged) == (4, 2)
+
+
+@pytest.mark.parametrize("n", [17, 40])
+def test_overlong_key_is_refused_not_truncated(n):
+    """``16s`` packing used to cut the key: the PUT "succeeded", the GET
+    missed, and a second PUT of the same key counted a second item."""
+    t = CuckooTable()
+    long_key = b"x" * n
+    for call in (
+        lambda: t.put(long_key, b"v"),
+        lambda: t.get(long_key),
+        lambda: t.delete(long_key),
+        lambda: t.buckets_for(long_key),
+    ):
+        with pytest.raises(ValueError):
+            call()
+    assert t.items == 0
+    assert t.put(b"short", b"v") and t.get(b"short") == b"v"  # padded, as before

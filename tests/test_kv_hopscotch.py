@@ -60,8 +60,8 @@ def test_neighborhood_invariant_holds_under_load():
         home = t.home_of(key(i))
         found = False
         for d in range(t.NEIGHBORHOOD):
-            skey, _vlen, occ, _ptr = t._load((home + d) % t.n_slots)
-            if occ and skey == key(i):
+            skey, _vlen, flags = t._head((home + d) % t.n_slots)
+            if flags & 1 and skey == key(i):
                 found = True
                 break
         assert found, "key %d outside its neighborhood" % i
@@ -144,17 +144,80 @@ def test_wrap_around_neighborhood():
 
 @settings(max_examples=30, deadline=None)
 @given(
-    st.dictionaries(
-        st.integers(min_value=0, max_value=300),
-        st.binary(min_size=1, max_size=16),
+    st.booleans(),
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=40),
+            st.one_of(st.none(), st.binary(min_size=1, max_size=16)),  # None: DELETE
+        ),
         min_size=1,
         max_size=150,
-    )
+    ),
 )
-def test_matches_dict_model(model_ops):
-    t = HopscotchTable(n_slots=2048, value_capacity=16, inline=True)
-    for i, value in model_ops.items():
-        t.put(key(i), value)
-    for i, value in model_ops.items():
-        assert t.get(key(i)) == value
-    assert t.items == len(model_ops)
+def test_matches_dict_model(inline, ops):
+    """Property: the table is exactly a dict — on 64 slots, so that
+    neighborhoods wrap the end of the table and items get displaced —
+    and a remote reader decodes what a local GET returns."""
+    t = HopscotchTable(n_slots=64, value_capacity=16, inline=inline, extent_bytes=1 << 12)
+    assert any(t.home_of(key(i)) > t.n_slots - t.NEIGHBORHOOD for i in range(41))
+    model = {}
+    for i, value in ops:
+        if value is None:
+            assert t.delete(key(i)) == (model.pop(i, None) is not None)
+        else:
+            try:
+                assert t.put(key(i), value)
+            except HopscotchFullError:
+                continue  # refused whole: every other key must be intact
+            model[i] = value
+        assert t.get(key(i)) == model.get(i)
+    for i in range(41):
+        assert t.get(key(i)) == model.get(i)
+        parsed = t.parse_neighborhood(key(i), t.read_neighborhood(key(i)))
+        if i not in model:
+            assert parsed is None
+        elif inline:
+            assert parsed == (model[i], -1)
+        else:
+            assert t.read_extent(parsed[1], len(model[i])) == model[i]
+    assert t.items == len(model)
+
+
+@pytest.mark.parametrize("lent", [None, 64 * 28 + 100], ids=["own", "lent-and-longer"])
+def test_read_neighborhood_is_the_six_slots_in_order_wrapped_or_not(lent):
+    t = HopscotchTable(
+        n_slots=64, value_capacity=8, inline=True,
+        table_buffer=None if lent is None else bytearray(b"\xa5" * lent),
+    )
+    for slot in range(t.n_slots):  # a lent buffer is not zeroed by the table
+        t._store(slot, bytes(16), b"", occupied=False)
+    for i in range(40):
+        t.put(key(i), b"v%d" % i)
+    homes = set()
+    for i in range(2000):
+        home = t.home_of(key(i))
+        homes.add(home)
+        slots = [(home + d) % t.n_slots for d in range(t.NEIGHBORHOOD)]
+        expected = b"".join(
+            bytes(t.table[s * t.slot_bytes : (s + 1) * t.slot_bytes]) for s in slots
+        )
+        assert t.read_neighborhood(key(i)) == expected
+    assert homes == set(range(t.n_slots))
+
+
+def test_overlong_key_is_refused_not_truncated(table):
+    """``16s`` packing used to cut the key: the PUT "succeeded", the GET
+    missed, and a second PUT of the same key counted a second item."""
+    long_key = b"x" * 17
+    for call in (
+        lambda: table.put(long_key, b"v"),
+        lambda: table.get(long_key),
+        lambda: table.delete(long_key),
+        lambda: table.home_of(long_key),
+        lambda: table.neighborhood_span(long_key),
+        lambda: table.read_neighborhood(long_key),
+    ):
+        with pytest.raises(ValueError):
+            call()
+    assert table.items == 0
+    assert table.put(b"short", b"v") and table.get(b"short") == b"v"  # padded, as before

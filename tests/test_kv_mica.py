@@ -46,6 +46,29 @@ def test_log_wrapped_entry_reads_back_correctly():
     assert log.read(pos) == (b"A" * 10, b"B" * 30)
 
 
+@pytest.mark.parametrize(
+    "lead, what",
+    [(45, "header"), (44, "header"), (43, "header"), (38, "key"), (35, "value"), (31, "value")],
+)
+def test_log_entry_straddling_the_wrap_reads_back(lead, what):
+    """The header (one, two or three of its four bytes before the
+    physical end), the key, and the value (from its first byte, or
+    part-way) may each cross the end."""
+    log = CircularLog(50)
+    log.append(b"", b"p" * lead)  # tail at lead + 4
+    pos = log.append(b"K" * 7, b"V" * 9)  # 20 bytes
+    offset = pos % log.capacity
+    assert (offset + 4 > log.capacity) == (what == "header") and offset + 20 > log.capacity
+    assert log.read(pos) == (b"K" * 7, b"V" * 9)
+    assert log.wraps == 1
+    # and the entry that ends exactly at the physical end does not wrap
+    flush = CircularLog(50)
+    flush.append(b"", b"p" * 26)
+    pos = flush.append(b"K" * 7, b"V" * 9)
+    assert flush.tail == 50 and flush.wraps == 0
+    assert flush.read(pos) == (b"K" * 7, b"V" * 9)
+
+
 def test_log_rejects_oversized_entry():
     log = CircularLog(32)
     with pytest.raises(ValueError):
@@ -182,7 +205,10 @@ def test_values_up_to_1000_bytes():
 @settings(max_examples=30, deadline=None)
 @given(
     st.lists(
-        st.tuples(st.integers(min_value=0, max_value=50), st.binary(min_size=1, max_size=32)),
+        st.tuples(
+            st.integers(min_value=0, max_value=50),
+            st.one_of(st.none(), st.binary(min_size=1, max_size=32)),  # None: DELETE
+        ),
         min_size=1,
         max_size=200,
     )
@@ -192,10 +218,15 @@ def test_matches_dict_model_when_not_evicting(ops):
     cache = MicaCache(index_entries=2 ** 16, log_bytes=1 << 20)
     model = {}
     for i, value in ops:
-        cache.put(key(i), value)
-        model[key(i)] = value
-    for k, expect in model.items():
-        assert cache.get(k) == expect
+        if value is None:
+            assert cache.delete(key(i)) == (model.pop(key(i), None) is not None)
+        else:
+            cache.put(key(i), value)
+            model[key(i)] = value
+        assert cache.get(key(i)) == model.get(key(i))
+    for i in range(51):
+        assert cache.get(key(i)) == model.get(key(i))
+    assert dict(cache.items()) == model
 
 
 @settings(max_examples=20, deadline=None)
