@@ -258,14 +258,19 @@ def check_serializable(
     store: repeatedly pick a *minimal* committed transaction (invoked
     before every remaining committed transaction's response — real-time
     order is respected, so this checks strict serializability), require
-    its reads to match the simulated store, apply its writes, recurse.
+    its reads to match the simulated store, apply its writes, go on.
     Pending transactions may serialise at any point after their
     invocation (their reads must still have been valid — both commit
     dataplanes validate before installing) or never.  Aborted
     transactions are excluded; that their writes leaked is caught by
     the ``final`` read (pass the post-run store scan).
+
+    One serialization step costs what is concurrent with it, not what
+    the history holds: the search keeps one store, one active flag per
+    transaction and cursors into three sorted orders, restores all of
+    them from one undo trail when it backtracks, and iterates over an
+    explicit stack of choice points (docs/TXN.md has the bounds).
     """
-    base: Dict[int, bytes] = dict(initial or {})
     completed: List[TxnRecord] = []
     pending: List[TxnRecord] = []
     for txn in txns:
@@ -278,150 +283,180 @@ def check_serializable(
         elif txn.status == "committed":
             # committed but no response time recorded: treat as pending
             pending.append(txn)
-    final_idx: Optional[int] = None
     if final is not None:
-        final_idx = len(completed)
         completed.append(final_read_txn(completed + pending, final))
     if not completed:
         return None
 
-    # Partial-order reduction: a committed transaction is a *forced*
-    # step — committed greedily, no choice point — when every other
-    # still-active transaction touching one of its keys was invoked
-    # after its response.  Real-time order already pins all those
-    # touchers after it, and key-disjoint transactions commute with it,
-    # so in any valid serialization it can be moved to the front: if
-    # its reads match the current store it is safe to commit now, and
-    # if they mismatch no other order can fix it.  A key contended
-    # *concurrently* still branches, but a key merely reused later in
-    # the run no longer blocks the reduction — low-contention histories
-    # verify in near-linear time and the exponential search only runs
-    # over genuinely overlapping conflict clusters.  The synthetic
-    # final read (which touches every key but starts after every
-    # response) is excluded from the toucher index: it can never
-    # precede anything, so it never blocks a forced step.
-    keyset = [
-        frozenset(k for k, _ in txn.reads) | frozenset(k for k, _ in txn.writes)
-        for txn in completed
-    ]
-    pend_keyset = [
-        frozenset(k for k, _ in txn.reads) | frozenset(k for k, _ in txn.writes)
-        for txn in pending
-    ]
+    # Transactions are numbered completed first (the synthetic final
+    # read, if any, last of them), pending after.
+    records = completed + pending
     n_completed = len(completed)
-    invoke_of = [txn.invoke for txn in completed] + [txn.invoke for txn in pending]
-    touchers: Dict[int, Set[int]] = {}
-    for i, ks in enumerate(keyset):
-        if i == final_idx:
-            continue
-        for k in ks:
-            touchers.setdefault(k, set()).add(i)
-    for j, ks in enumerate(pend_keyset):
-        for k in ks:
-            touchers.setdefault(k, set()).add(n_completed + j)
+    final_id = n_completed - 1 if final is not None else None
+    invoke_of = [txn.invoke for txn in records]
+    respond_of = [txn.respond for txn in completed]
+    reads_of = [txn.reads for txn in records]
+    writes_of = [txn.writes for txn in records]
+    by_respond = sorted(range(n_completed), key=respond_of.__getitem__)
+    by_invoke = sorted(range(n_completed), key=invoke_of.__getitem__)
+    # Who touches each key, earliest invoked first.  The final read
+    # touches every key but starts after every response: it can never
+    # precede anything, so it is left out and never blocks a forced step.
+    keys_of: List[Iterable[int]] = [()] * len(records)
+    by_key: Dict[int, List[int]] = {}
+    for i in sorted(range(len(records)), key=invoke_of.__getitem__):
+        if i != final_id:
+            keys_of[i] = dict(reads_of[i]).keys() | dict(writes_of[i]).keys()
+            for k in keys_of[i]:
+                by_key.setdefault(k, []).append(i)
 
-    def forced_eligible(i: int) -> bool:
-        bound = completed[i].respond
-        for k in keyset[i]:
-            for t in touchers.get(k, ()):
-                if t != i and invoke_of[t] < bound:
-                    return False
+    # The search state.  Every change to it is logged on ``trail`` as
+    # (container, index, previous value); backtracking pops the log.
+    store: Dict[int, Optional[bytes]] = dict(initial or {})
+    active = bytearray(b"\x01") * len(records)
+    key_cursor = dict.fromkeys(by_key, 0)  # first active toucher per key
+    cursor = [0, 0]  # first active entry of by_respond, of by_invoke
+    trail: List[tuple] = []
+    #: choice points: [candidates, next one to try, trail length on arrival]
+    stack: List[list] = []
+    #: states from which the search has failed
+    memo: Set[tuple] = set()
+    #: keys whose earliest active toucher has not been examined yet
+    dirty = list(by_key)
+
+    def reads_match(i: int) -> bool:
+        for k, v in reads_of[i]:
+            if store.get(k) != v:
+                return False
         return True
 
-    memo: Set[Tuple[frozenset, frozenset, frozenset]] = set()
+    def take(i: int) -> None:
+        trail.append((active, i, 1))
+        active[i] = 0
+        for k, v in writes_of[i]:
+            trail.append((store, k, store.get(k)))
+            store[k] = v
+        dirty.extend(keys_of[i])
 
-    def lookup(state: Dict[int, bytes], key: int) -> Optional[bytes]:
-        if key in state:
-            return state[key]
-        return base.get(key)
+    def state_key() -> tuple:
+        return bytes(active), tuple(map(store.get, by_key))
 
-    def reads_match(txn: TxnRecord, state: Dict[int, bytes]) -> bool:
-        return all(lookup(state, k) == v for k, v in txn.reads)
-
-    def search(
-        remaining: frozenset, pend: frozenset, state: Dict[int, bytes]
-    ) -> bool:
-        # the toucher index is shared and mutated along the current
-        # search path; every False exit must undo this frame's removals
-        # so sibling branches in the caller see accurate conflicts.
-        forced_taken: List[int] = []
-
-        def fail() -> bool:
-            for i in forced_taken:
-                for k in keyset[i]:
-                    touchers[k].add(i)
-            return False
-
-        while remaining:
-            forced = None
-            for i in remaining:
-                if i == final_idx:
+    def choice_point() -> Optional[List[int]]:
+        """Serialize up to the next choice: its candidates, ``[]`` at a
+        dead end, None once every completed transaction is serialized."""
+        while True:
+            # Rule 1, forced steps.  A committed transaction is committed
+            # greedily, no choice point, when every other active
+            # transaction touching one of its keys was invoked after its
+            # response: real-time order already pins those behind it and
+            # key-disjoint transactions commute with it, so in any valid
+            # serialization it can be moved to the front — if its reads
+            # match the store it is safe to commit now, and if they do
+            # not no other order can fix it.  Only the earliest-invoked
+            # active toucher of a key can be in that position, and
+            # taking a transaction changes who that is for its own keys
+            # only, so those are all that is looked at again.
+            while dirty:
+                k = dirty.pop()
+                touchers = by_key[k]
+                at = key_cursor[k]
+                while at < len(touchers) and not active[touchers[at]]:
+                    at += 1
+                if at != key_cursor[k]:
+                    trail.append((key_cursor, k, key_cursor[k]))
+                    key_cursor[k] = at
+                if at == len(touchers) or touchers[at] >= n_completed:
                     continue
-                if forced_eligible(i):
-                    forced = i
-                    break
-            if forced is None:
-                break
-            if not reads_match(completed[forced], state):
-                return fail()  # no order puts a concurrent toucher first
-            state = dict(state)
-            state.update(completed[forced].writes)
-            remaining = remaining - {forced}
-            forced_taken.append(forced)
-            for k in keyset[forced]:
-                touchers[k].discard(forced)
-        if not remaining:
-            return True
-        key = (remaining, pend, frozenset(state.items()))
-        if key in memo:
-            return fail()
-        if len(memo) > _MEMO_LIMIT:
-            raise RuntimeError("serializability search exceeded the memo limit")
-        memo.add(key)
-        horizon = min(completed[i].respond for i in remaining)
-        for i in sorted(remaining, key=lambda i: completed[i].respond):
-            txn = completed[i]
-            if txn.invoke > horizon:
-                continue
-            if reads_match(txn, state):
-                child = dict(state)
-                child.update(txn.writes)
-                if i != final_idx:
-                    for k in keyset[i]:
-                        touchers[k].discard(i)
-                hit = search(remaining - {i}, pend, child)
-                if i != final_idx:
-                    for k in keyset[i]:
-                        touchers[k].add(i)
-                if hit:
-                    return True
-        for j in sorted(pend):
-            txn = pending[j]
-            if txn.invoke > horizon:
-                continue
-            if reads_match(txn, state):
-                child = dict(state)
-                child.update(txn.writes)
-                for k in pend_keyset[j]:
-                    touchers[k].discard(n_completed + j)
-                hit = search(remaining, pend - {j}, child)
-                for k in pend_keyset[j]:
-                    touchers[k].add(n_completed + j)
-                if hit:
-                    return True
-        return fail()
+                i = touchers[at]
+                forced = True
+                for shared in keys_of[i]:
+                    others = by_key[shared]
+                    for at in range(key_cursor[shared], len(others)):
+                        t = others[at]
+                        if t != i and active[t]:
+                            forced = invoke_of[t] >= respond_of[i]
+                            break
+                    if not forced:
+                        break
+                if forced:
+                    if not reads_match(i):
+                        dirty.clear()
+                        return []  # no order puts a concurrent toucher first
+                    take(i)
 
-    if search(
-        frozenset(range(len(completed))),
-        frozenset(range(len(pending))),
-        {},
-    ):
-        return None
-    return (
-        "no serial order of %d committed txns (%d pending) respects the "
-        "real-time order and explains the observed reads"
-        % (len(completed), len(pending))
-    )
+            # The horizon is the earliest response still outstanding;
+            # the transactions invoked by then are the minimal ones.
+            at = cursor[0]
+            while at < n_completed and not active[by_respond[at]]:
+                at += 1
+            if at == n_completed:
+                return None
+            if at != cursor[0]:
+                trail.append((cursor, 0, cursor[0]))
+                cursor[0] = at
+            horizon = respond_of[by_respond[at]]
+            # Rule 3: a state the search failed from fails however it is
+            # reached.  Keys are built once there is one to compare with:
+            # a search that never fails never pays for the memo.
+            if memo and state_key() in memo:
+                return []
+            at = cursor[1]
+            while not active[by_invoke[at]]:
+                at += 1
+            if at != cursor[1]:
+                trail.append((cursor, 1, cursor[1]))
+                cursor[1] = at
+            minimal = []
+            while at < n_completed and invoke_of[by_invoke[at]] <= horizon:
+                if active[by_invoke[at]]:
+                    minimal.append(by_invoke[at])
+                at += 1
+            minimal.sort(key=respond_of.__getitem__)
+            for j in range(n_completed, len(records)):
+                if active[j] and invoke_of[j] <= horizon:
+                    minimal.append(j)
+            candidates = []
+            for i in minimal:
+                if reads_match(i):
+                    if not writes_of[i]:
+                        # Rule 2: a minimal read-only transaction whose
+                        # reads match is taken with no sibling branch —
+                        # it writes nothing and nothing must precede it,
+                        # so a serialization that exists without it
+                        # first exists with it first.
+                        take(i)
+                        break
+                    candidates.append(i)
+            else:
+                return candidates
+
+    while True:
+        candidates = choice_point()
+        if candidates is None:
+            return None
+        if candidates:
+            stack.append([candidates, 0, len(trail)])
+        # Undo to the newest choice point with a candidate left (the one
+        # just pushed, if any) and take it.
+        while stack:
+            candidates, at, mark = frame = stack[-1]
+            while len(trail) > mark:
+                box, index, before = trail.pop()
+                box[index] = before
+            if at < len(candidates):
+                frame[1] = at + 1
+                take(candidates[at])
+                break
+            stack.pop()
+            if len(memo) > _MEMO_LIMIT:
+                raise RuntimeError("serializability search exceeded the memo limit")
+            memo.add(state_key())
+        else:
+            return (
+                "no serial order of %d committed txns (%d pending) respects the "
+                "real-time order and explains the observed reads"
+                % (len(completed), len(pending))
+            )
 
 
 def split_brain(ack_witness: Dict[Tuple[int, int], Set[int]]) -> List[str]:
