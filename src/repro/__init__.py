@@ -17,13 +17,40 @@ The packages, bottom-up:
 * :mod:`repro.analysis` — closed-form bottleneck cross-validation
 
 Start at :class:`repro.herd.HerdCluster` or ``examples/quickstart.py``.
+The names below are resolved on first access, so ``import repro.sim``
+loads the kernel and nothing above it.
 """
 
-from repro.herd import HerdCluster, HerdConfig
-from repro.hw import APT, SUSITNA, HardwareProfile
-from repro.workloads import Workload
+import importlib
+import sys
 
 __version__ = "1.0.0"
+
+
+def _lazy_surface(package, sources):
+    """PEP 562 ``(__getattr__, __dir__)`` for ``package``: each name in
+    ``sources`` (submodule -> names) is imported from its submodule on
+    first access and then kept as a plain attribute."""
+    home = {name: module for module, names in sources.items() for name in names}
+
+    def __getattr__(name):
+        if name not in home:
+            raise AttributeError("module %r has no attribute %r" % (package, name))
+        value = getattr(importlib.import_module(home[name], package), name)
+        setattr(sys.modules[package], name, value)
+        return value
+
+    def __dir__():
+        return sorted(set(vars(sys.modules[package])) | set(home))
+
+    return __getattr__, __dir__
+
+
+__getattr__, __dir__ = _lazy_surface(__name__, {
+    ".herd": ("HerdCluster", "HerdConfig"),
+    ".hw": ("APT", "SUSITNA", "HardwareProfile"),
+    ".workloads": ("Workload",),
+})
 
 __all__ = [
     "APT",

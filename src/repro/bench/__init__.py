@@ -1,5 +1,7 @@
 """Experiment harness: runners, figure definitions, report printing."""
 
-from repro.bench.result import RunResult, collect
+from repro import _lazy_surface
+
+__getattr__, __dir__ = _lazy_surface(__name__, {".result": ("RunResult", "collect")})
 
 __all__ = ["RunResult", "collect"]

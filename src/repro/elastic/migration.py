@@ -46,8 +46,6 @@ MIG_WINDOW = 8
 #: fruitless retransmission rounds before the source gives up (the
 #: coordinator will abort the move anyway once it detects the stall)
 MAX_RETRANSMIT_ROUNDS = 25
-#: simulated ns/byte for a local (same-machine) record handoff
-_LOCAL_COPY_NS_PER_BYTE = 1 / 16.0
 
 
 class MigrationSource:
@@ -383,7 +381,8 @@ class ElasticAgent:
         NIC round-trip (the RC mesh has no self-loop QP).
         """
         if peer == self.node.replica_id:
-            yield self.node.sim.timeout(len(payload) * _LOCAL_COPY_NS_PER_BYTE)
+            node = self.node
+            yield node.sim.timeout(len(payload) / node.profile.memcpy_bytes_per_ns)
             yield from self.on_mesh(wire.ha_kind(payload), payload, peer)
         else:
             yield from self.node.send_mesh(peer, payload)

@@ -6,22 +6,20 @@
 the safety invariants behind the paper's reliability argument
 (Section 2.2.3).  ``repro.faults.rng`` provides the named child RNG
 streams everything here draws from.
+
+The names resolve on first access: ``repro.herd`` draws its RNG streams
+from ``repro.faults.rng`` while the chaos harness sits above
+``repro.herd``, and ``import repro.faults.rng`` must not load either.
 """
 
-from repro.faults.injector import FaultInjector
-from repro.faults.plan import FaultPlan
-from repro.faults.rng import child_rng, derive_seed
+from repro import _lazy_surface
 
-
-def __getattr__(name):
-    # The chaos harness sits above repro.herd, which itself draws its
-    # RNG streams from repro.faults.rng — resolve it lazily so both
-    # import orders work.
-    if name in ("ChaosReport", "run_chaos"):
-        from repro.faults import chaos
-
-        return getattr(chaos, name)
-    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+__getattr__, __dir__ = _lazy_surface(__name__, {
+    ".chaos": ("ChaosReport", "run_chaos"),
+    ".injector": ("FaultInjector",),
+    ".plan": ("FaultPlan",),
+    ".rng": ("child_rng", "derive_seed"),
+})
 
 __all__ = [
     "ChaosReport",

@@ -36,8 +36,13 @@ from functools import partial
 from types import SimpleNamespace
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
+# Loaded with the harness so that a replicated run imports nothing:
+# ``Testbed.install_faults`` takes the injector, and ``HerdCluster``
+# wires ``repro.ha``, from ``sys.modules``.
+import repro.faults.injector  # noqa: F401
 from repro.faults.plan import FaultPlan
 from repro.faults.rng import child_rng
+from repro.ha import HaOp, check_histories, lost_acked_writes, split_brain
 from repro.herd.cluster import HerdCluster
 from repro.herd.config import HerdConfig, partition_of, route_key
 from repro.obs.report import RunReport
@@ -302,8 +307,6 @@ def _tagged_clients(run: _Run) -> None:
     invoke/response history per key for the linearizability checker.  An
     op is its (client, partition, window slot, slot epoch) — exactly the
     token the wire protocol matches responses by."""
-    from repro.ha import HaOp
-
     if run.value_size < 8:
         raise ValueError("HA chaos tags PUT values; value_size must be >= 8")
     if run.config.replication_factor < 2:
@@ -544,8 +547,6 @@ def _oracle_replication(run: _Run) -> List[str]:
     Final state is read from each partition's *current* primary — the
     replica a client would reach after the run — routed through the
     final shard map when the cluster is elastic."""
-    from repro.ha import check_histories, lost_acked_writes, split_brain
-
     cluster = run.cluster
     ha = cluster.ha
     final_map = cluster.elastic.shard_map if cluster.elastic is not None else None

@@ -10,9 +10,12 @@ closed-loop window of a few clients stay small.
 :func:`check_key` runs a Wing–Gong style search: repeatedly pick a
 *minimal* operation (one that was invoked before every remaining
 completed operation's response — any legal linearization must start
-with one of these), apply it to the simulated register, and recurse.
-Memoisation on (remaining-set, register-state) keeps the search
-polynomial in practice.
+with one of these), apply it to the simulated register, and go one
+level deeper (on an explicit stack, so history length is not bounded
+by the recursion limit).  Memoisation on (remaining-set,
+register-state) keeps the search polynomial in practice; each level
+still sorts what remains, so even a history already in legal order
+costs O(n² log n) in its n completed ops (docs/HA.md).
 
 Operations that never got a response (client abandoned, primary died)
 are *pending*: a pending write may be linearized at any point after
@@ -34,7 +37,7 @@ invariants the replication design promises:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 #: cap on the memo table per key — a pathological history degenerates
 #: to an error rather than unbounded memory
@@ -88,17 +91,9 @@ def check_key(
     # only reached by genuinely contended interleavings.
     memo: Set[Tuple[frozenset, frozenset, Optional[bytes]]] = set()
 
-    def search(
+    def children(
         remaining: frozenset, pend: frozenset, state: Optional[bytes]
-    ) -> bool:
-        if not remaining:
-            return True
-        key = (remaining, pend, state)
-        if key in memo:
-            return False
-        if len(memo) > _MEMO_LIMIT:
-            raise RuntimeError("linearizability search exceeded the memo limit")
-        memo.add(key)
+    ) -> Iterator[Tuple[frozenset, frozenset, Optional[bytes]]]:
         horizon = min(completed[i].respond for i in remaining)
         for i in sorted(remaining, key=lambda i: completed[i].respond):
             op = completed[i]
@@ -106,25 +101,34 @@ def check_key(
                 continue
             if op.kind == "r":
                 if op.value == state:
-                    if search(remaining - {i}, pend, state):
-                        return True
+                    yield remaining - {i}, pend, state
             else:
-                if search(remaining - {i}, pend, op.value):
-                    return True
+                yield remaining - {i}, pend, op.value
         for j in sorted(pend):
             op = pending_writes[j]
-            if op.invoke > horizon:
-                continue
-            if search(remaining, pend - {j}, op.value):
-                return True
-        return False
+            if op.invoke <= horizon:
+                yield remaining, pend - {j}, op.value
 
-    if search(
+    # Depth-first on an explicit stack of child iterators: the search
+    # goes one level deeper per completed op, so recursion would die on
+    # a key with ~1 000 of them.
+    root = (
         frozenset(range(len(completed))),
         frozenset(range(len(pending_writes))),
         initial,
-    ):
-        return None
+    )
+    stack = [iter([root])]
+    while stack:
+        node = next(stack[-1], None)
+        if node is None:
+            stack.pop()
+        elif not node[0]:
+            return None
+        elif node not in memo:
+            if len(memo) > _MEMO_LIMIT:
+                raise RuntimeError("linearizability search exceeded the memo limit")
+            memo.add(node)
+            stack.append(children(*node))
     reads = [o for o in completed if o.kind == "r"]
     return (
         "no linearization of %d completed ops (%d reads, %d pending writes) "

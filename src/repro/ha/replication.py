@@ -681,7 +681,7 @@ class HaNode:
         if len(payload) <= self.profile.max_inline:
             wr = WorkRequest.send(payload=payload, inline=True, signaled=False)
         else:
-            yield self.sim.timeout(len(payload) / 16.0)  # staging memcpy
+            yield self.sim.timeout(len(payload) / self.profile.memcpy_bytes_per_ns)
             staging = self._staging
             extent = yield from staging.stage(payload)
             wr = WorkRequest.send(

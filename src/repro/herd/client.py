@@ -466,7 +466,7 @@ class HerdClientProcess:
             cfg = self.config
             offset = (server * cfg.window + window_slot) * cfg.slot_bytes
             self._staging.write(offset, payload)
-            yield self.sim.timeout(len(payload) / 16.0)  # staging memcpy
+            yield self.sim.timeout(len(payload) / self.profile.memcpy_bytes_per_ns)
             wr = WorkRequest.write(
                 raddr=raddr, rkey=region.mr.rkey,
                 local=(self._staging, offset, len(payload)), signaled=False,

@@ -270,7 +270,7 @@ class HerdServerProcess:
         if self.config.prefetch:
             # Issue the prefetch for this request's index bucket; it
             # completes while we respond to the pipeline's oldest entry.
-            yield sim.timeout(1.0)
+            yield sim.timeout(p.prefetch_issue_ns)
             if self.epoch != epoch:
                 return
         completed = self.pipeline.push((client, window_slot, op, req_epoch))
@@ -512,7 +512,7 @@ class HerdServerProcess:
         else:
             # Large values go out un-inlined: DMA beats PIO for large
             # payloads (Figure 4b), so HERD switches at 144 B on Apt.
-            yield self.sim.timeout(len(payload) / 16.0)  # staging memcpy
+            yield self.sim.timeout(len(payload) / p.memcpy_bytes_per_ns)
             if epoch is not None and self.epoch != epoch:
                 return
             offset = self._stage(payload)

@@ -135,7 +135,7 @@ class _UdServerProcess:
             if len(payload) <= p.herd_inline_cutoff:
                 wr = WorkRequest.send(payload=payload, inline=True, signaled=False, ah=ah)
             else:
-                yield self.sim.timeout(len(payload) / 16.0)
+                yield self.sim.timeout(len(payload) / p.memcpy_bytes_per_ns)
                 if self._staging_cursor + len(payload) > 1 << 16:
                     self._staging_cursor = 0
                 staged = self._staging_cursor
@@ -213,7 +213,7 @@ class _UdClientProcess:
         else:
             staged = slot * 1024
             self._staging.write(staged, payload)
-            yield self.sim.timeout(len(payload) / 16.0)
+            yield self.sim.timeout(len(payload) / self.profile.memcpy_bytes_per_ns)
             wr = WorkRequest.send(
                 local=(self._staging, staged, len(payload)),
                 signaled=False, ah=self.server_ahs[server],

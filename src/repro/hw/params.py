@@ -114,6 +114,9 @@ class HardwareProfile:
     prefetch_hit_ns: float = 10.0  # access already covered by a prefetch
     poll_check_ns: float = 2.5     # checking one request slot (L3-resident)
     cq_poll_ns: float = 30.0       # polling a completion queue entry
+    #: CPU memcpy into a registered staging buffer (un-inlined sends)
+    memcpy_bytes_per_ns: float = 16.0
+    prefetch_issue_ns: float = 1.0  # issuing one software prefetch
 
     # ---- HERD policy ----------------------------------------------------
     #: value size at which HERD switches responses to non-inlined SENDs

@@ -4,13 +4,51 @@ Experiments follow the paper's methodology: run with a warm-up period,
 then measure operations completed inside a window and report millions of
 operations per second (Mops) plus average / 5th / 95th percentile
 latency (Figure 11's error bars are the 5th and 95th percentiles).
+
+Means and percentiles are computed in pure Python with NumPy's own
+arithmetic, so they are bit-identical to ``np.mean`` / ``np.percentile``
+(the oracle in ``tests/test_sim_stats.py``) without importing NumPy.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+import math
+from functools import reduce
+from operator import add
+from typing import List, Optional, Sequence
 
-import numpy as np
+
+def _pairwise_sum(xs: Sequence[float], lo: int, n: int) -> float:
+    """``xs[lo:lo + n]`` summed in NumPy's pairwise order: up to 128
+    values in eight interleaved accumulators, longer runs split at
+    ``n // 2`` rounded down to a multiple of 8.  (``sum`` is not used:
+    since Python 3.12 it compensates, NumPy does not.)"""
+    if n < 8:
+        return reduce(add, xs[lo:lo + n], 0.0)
+    if n <= 128:
+        stop = lo + n - n % 8
+        r = [reduce(add, xs[j + 8:stop:8], xs[j]) for j in range(lo, lo + 8)]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        return reduce(add, xs[stop:lo + n], total)
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(xs, lo, half) + _pairwise_sum(xs, lo + half, n - half)
+
+
+def _percentile(ordered: Sequence[float], q: float) -> float:
+    """NumPy's default (``linear``) percentile of sorted values."""
+    if not 0 <= q <= 100:
+        raise ValueError("percentile q must be in [0, 100]; got %r" % (q,))
+    if not ordered:
+        return 0.0
+    index = (len(ordered) - 1) * (q / 100)
+    if index >= len(ordered) - 1:
+        return ordered[-1]
+    below = math.floor(index)
+    a, b = ordered[below], ordered[below + 1]
+    t = index - below
+    # NumPy's _lerp: from the nearer end, so t = 1 gives exactly b
+    return a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t)
 
 
 class LatencyRecorder:
@@ -39,33 +77,23 @@ class LatencyRecorder:
         """Average latency in ns (0 when empty)."""
         if not self.samples:
             return 0.0
-        return float(np.mean(self.samples))
+        xs = list(map(float, self.samples))
+        return _pairwise_sum(xs, 0, len(xs)) / len(xs)
 
     def percentile(self, q: float) -> float:
         """The ``q``-th percentile latency in ns (0 when empty)."""
-        if not self.samples:
-            return 0.0
-        return float(np.percentile(self.samples, q))
+        return _percentile(sorted(map(float, self.samples)), q)
 
     def summary(self) -> dict:
         """Mean / p5 / p50 / p95 / p99 / p99.9 in microseconds."""
-        if not self.samples:
-            return {
-                "mean_us": 0.0,
-                "p5_us": 0.0,
-                "p50_us": 0.0,
-                "p95_us": 0.0,
-                "p99_us": 0.0,
-                "p999_us": 0.0,
-            }
-        arr = np.asarray(self.samples)
+        ordered = sorted(map(float, self.samples))
         return {
-            "mean_us": float(arr.mean()) / 1e3,
-            "p5_us": float(np.percentile(arr, 5)) / 1e3,
-            "p50_us": float(np.percentile(arr, 50)) / 1e3,
-            "p95_us": float(np.percentile(arr, 95)) / 1e3,
-            "p99_us": float(np.percentile(arr, 99)) / 1e3,
-            "p999_us": float(np.percentile(arr, 99.9)) / 1e3,
+            "mean_us": self.mean() / 1e3,
+            "p5_us": _percentile(ordered, 5) / 1e3,
+            "p50_us": _percentile(ordered, 50) / 1e3,
+            "p95_us": _percentile(ordered, 95) / 1e3,
+            "p99_us": _percentile(ordered, 99) / 1e3,
+            "p999_us": _percentile(ordered, 99.9) / 1e3,
         }
 
 

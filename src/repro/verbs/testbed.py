@@ -98,7 +98,15 @@ class Testbed:
 
         Clients start in cid order, then the servers — the order fixes
         the calendar's tie-breaks, so it is part of every pinned result.
+        A ``sim.tracer`` swapped in after the stations were built (they
+        cache it) would trace nothing, so that raises.
         """
+        if getattr(self.sim, "tracer", None) is not self.fabric.tracer:
+            raise RuntimeError(
+                "sim.tracer changed after the testbed was built; its stations "
+                "keep the tracer they were built with. Attach it first: build "
+                "inside repro.obs.capture(trace=True)"
+            )
         window_end = warmup_ns + measure_ns
         meter = RateMeter(warmup_ns, window_end)
         latencies = LatencyRecorder(warmup_ns, window_end)

@@ -1,5 +1,9 @@
 """Determinism and seed robustness of whole-system experiments."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.bench.microbench import inbound_throughput, tune_window
@@ -85,3 +89,44 @@ def test_tune_window_finds_the_saturating_window():
     best_window, best_mops = tune_window(measure, candidates=(1, 4, 16, 48))
     assert best_window >= 16
     assert best_mops > measure(1)
+
+
+#: one run per case, printed as its fingerprint by a fresh interpreter
+PROCESS_CASES = {
+    "chaos-kill-primary": (
+        "from repro.faults import run_chaos\n"
+        "print(run_chaos(seed=3, scenario='kill-primary', horizon_ns=100_000).fingerprint)"
+    ),
+    "chaos-classic": (
+        "from repro.faults import run_chaos\n"
+        "print(run_chaos(seed=4, horizon_ns=100_000).fingerprint)"
+    ),
+    "txn-rpc": (
+        "from repro.bench.figures import run_txn\n"
+        "print(run_txn('rpc', hot_fraction=0.9, measure_ns=50_000, seed=5).fingerprint)"
+    ),
+    "txn-onesided": (
+        "from repro.bench.figures import run_txn\n"
+        "print(run_txn('onesided', hot_fraction=0.9, measure_ns=50_000, seed=5).fingerprint)"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PROCESS_CASES))
+def test_fingerprint_does_not_depend_on_the_hash_seed(case):
+    """Sets and dicts sit on the hot paths (free window slots, quarantine
+    maps, the checkers' memos): no result may depend on the order str /
+    bytes hashing gives them, which ``PYTHONHASHSEED`` changes per
+    process."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    fingerprints = set()
+    for hash_seed in ("0", "1", "12345"):
+        out = subprocess.run(
+            [sys.executable, "-c", PROCESS_CASES[case]],
+            env=dict(env, PYTHONHASHSEED=hash_seed),
+            stdout=subprocess.PIPE, check=True, text=True, timeout=60,
+        ).stdout
+        fingerprints.add(out.strip())
+    assert len(fingerprints) == 1, fingerprints
