@@ -34,6 +34,7 @@ from repro.verbs import (
     QueuePair,
     RdmaDevice,
     RecvRequest,
+    StagingRing,
     Testbed,
     Transport,
     WorkRequest,
@@ -257,8 +258,7 @@ class _EchoServerProcess:
         self.clients: List[dict] = []
         #: UD requests: map a sender's (machine, qpn) to its client state
         self.ah_index: Dict[Tuple[str, int], int] = {}
-        self._staging = device.register_memory(1 << 16)
-        self._staging_cursor = 0
+        self._staging = StagingRing(device, 1 << 16)
         self._recvs_since_doorbell = 0
         self.echoes = 0
 
@@ -315,44 +315,36 @@ class _EchoServerProcess:
     def _respond(self, local_index: int, slot: int, payload: bytes):
         cfg = self.config
         state = self.clients[local_index]
+        signaled = not cfg.unsignaled
+        staging = self._staging
         if cfg.response == "WRITE":
+            qp = state["conn_qp"]
             raddr = state["resp_addr"] + slot * max(cfg.payload_bytes, 1)
+            rkey = state["resp_rkey"]
             if cfg.inline:
                 wr = WorkRequest.write(
-                    raddr=raddr, rkey=state["resp_rkey"], payload=payload,
-                    inline=True, signaled=not cfg.unsignaled,
+                    raddr=raddr, rkey=rkey, payload=payload,
+                    inline=True, signaled=signaled,
                 )
             else:
-                offset = self._stage(payload)
-                wr = WorkRequest.write(
-                    raddr=raddr, rkey=state["resp_rkey"],
-                    local=(self._staging, offset, len(payload)),
-                    signaled=not cfg.unsignaled,
-                )
-            yield from self.device.post_send_timed(state["conn_qp"], wr)
+                wr = staging.write(payload, raddr, rkey, signaled)
+                while wr is None:
+                    yield staging.wait()
+                    wr = staging.write(payload, raddr, rkey, signaled)
         else:
             ud = cfg.send_transport is Transport.UD
             qp = self.ud_qp if ud else state["conn_qp"]
             ah = state["client_ah"] if ud else None
             if cfg.inline:
                 wr = WorkRequest.send(
-                    payload=payload, inline=True, signaled=not cfg.unsignaled, ah=ah
+                    payload=payload, inline=True, signaled=signaled, ah=ah
                 )
             else:
-                offset = self._stage(payload)
-                wr = WorkRequest.send(
-                    local=(self._staging, offset, len(payload)),
-                    signaled=not cfg.unsignaled, ah=ah,
-                )
-            yield from self.device.post_send_timed(qp, wr)
-
-    def _stage(self, payload: bytes) -> int:
-        if self._staging_cursor + len(payload) > 1 << 16:
-            self._staging_cursor = 0
-        offset = self._staging_cursor
-        self._staging.write(offset, payload)
-        self._staging_cursor += len(payload)
-        return offset
+                wr = staging.send(payload, ah, signaled)
+                while wr is None:
+                    yield staging.wait()
+                    wr = staging.send(payload, ah, signaled)
+        yield from self.device.post_send_timed(qp, wr)
 
     def _drain_send_completions(self) -> None:
         for state in self.clients:

@@ -46,6 +46,7 @@ from repro.verbs import (
     QueuePair,
     RdmaDevice,
     RecvRequest,
+    StagingRing,
     Transport,
     WorkRequest,
 )
@@ -66,8 +67,6 @@ CTRL_RING = 128
 #: log entries replayed per CATCHUP request; the requester re-asks
 #: (from its advanced hwm) until it is caught up
 CATCHUP_BURST = 256
-
-NODE_STAGING_BYTES = 1 << 16
 
 
 class InflightUpdate:
@@ -544,52 +543,6 @@ class ReplicaRole:
         if we still believe we are primary of an old epoch)."""
 
 
-class _StagingRing:
-    """The server's staging-buffer discipline, for the node's sends: an
-    extent stays in flight until the NIC has fetched it, and a sender
-    that finds the ring full waits for a fetch (a catch-up replay stages
-    records far faster than the NIC drains them)."""
-
-    def __init__(self, device: RdmaDevice, size: int) -> None:
-        self.sim = device.sim
-        self.mr = device.register_memory(size)
-        self.size = size
-        self.cursor = 0
-        self.inflight: List[Tuple[int, int]] = []
-        self._fetch = None  # the Event senders on a full ring wait on
-
-    def stage(self, payload: bytes):
-        """Copy ``payload`` into the ring, first waiting (a process
-        generator) while it is full; returns the extent to release."""
-        size = len(payload)
-        if size > self.size:
-            raise RuntimeError(
-                "HA record of %d B exceeds the %d B staging ring" % (size, self.size)
-            )
-        while True:
-            start = self.cursor if self.cursor + size <= self.size else 0
-            if not any(
-                start < in_end and start + size > in_start
-                for in_start, in_end in self.inflight
-            ):
-                break
-            if self._fetch is None:
-                self._fetch = self.sim.event()
-            yield self._fetch
-        extent = (start, start + size)
-        self.inflight.append(extent)
-        self.mr.write(start, payload)
-        self.cursor = extent[1]
-        return extent
-
-    def fetched(self, extent: Tuple[int, int]) -> None:
-        """The NIC has read ``extent``: free it and wake the waiters."""
-        self.inflight.remove(extent)
-        if self._fetch is not None:
-            fetch, self._fetch = self._fetch, None
-            fetch.succeed()
-
-
 class HaNode:
     """The replication dataplane on one replica machine."""
 
@@ -614,7 +567,7 @@ class HaNode:
         self.mesh_qps: Dict[int, QueuePair] = {}  # peer replica -> RC QP
         self._qp_peer: Dict[int, int] = {}  # qpn -> peer replica
         self.mesh_mr = None  # sized in start() once peers are wired
-        self._staging = _StagingRing(device, NODE_STAGING_BYTES)
+        self._staging = StagingRing(device, 1 << 16)
 
         self.ctrl_cq = CompletionQueue(self.sim, "ha.rep%d.ctrl" % replica_id)
         self.ctrl_qp = device.create_qp(Transport.UD, recv_cq=self.ctrl_cq)
@@ -682,12 +635,12 @@ class HaNode:
             wr = WorkRequest.send(payload=payload, inline=True, signaled=False)
         else:
             yield self.sim.timeout(len(payload) / self.profile.memcpy_bytes_per_ns)
-            staging = self._staging
-            extent = yield from staging.stage(payload)
-            wr = WorkRequest.send(
-                local=(staging.mr, extent[0], len(payload)), signaled=False
-            )
-            wr.on_fetched = lambda: staging.fetched(extent)
+            # a catch-up replay stages records far faster than the NIC
+            # drains them: a full ring waits for the next fetch
+            wr = self._staging.send(payload)
+            while wr is None:
+                yield self._staging.wait()
+                wr = self._staging.send(payload)
         yield from self.device.post_send_timed(qp, wr)
 
     # -- receive loops -------------------------------------------------

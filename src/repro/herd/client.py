@@ -389,12 +389,6 @@ class HerdClientProcess:
         #    lane of the partition's current primary replica.
         replica = self.ha_map.primary[server] if self._ha else 0
         lane = replica * self._ns + server
-        token = self._recv_token
-        self._recv_token += 1
-        seq = self._sent_to_server[lane]
-        self._sent_to_server[lane] = seq + 1
-        recv_offset = (seq % self._ring) * self._recv_slot * len(self.ud_qps)
-        recv_offset += lane * self._recv_slot
 
         loss_mode = self.config.retry_timeout_ns is not None
         if loss_mode:
@@ -427,13 +421,7 @@ class HerdClientProcess:
         # WRITE below is posted because matching requires this slot
         # epoch, and the deadline stays infinite until the WRITE is
         # out so the retry watchdog ignores the half-sent op.
-        self.device.post_recv(
-            self.ud_qps[lane],
-            RecvRequest(
-                wr_id=token, local=(self.recv_mr, recv_offset, self._recv_slot)
-            ),
-        )
-        self._recv_order[lane].append(recv_offset)
+        recv_offset = self._arm_recv(lane)
         record: Optional[_Pending] = None
         if loss_mode:
             record = _Pending(
@@ -501,6 +489,27 @@ class HerdClientProcess:
             self.ha_event_hook(
                 "invoke", op, server, window_slot, epoch, None, None, now
             )
+
+    def _arm_recv(self, lane: int) -> int:
+        """Post and mirror a RECV at ``lane``'s next ring offset (returned).
+
+        Every RECV — a first send's, a replay's, or one re-armed after a
+        duplicate or a nack — takes its buffer from this rotation: a
+        re-arm at the consumed offset could collide with a later send's
+        rotation while the op waits, aiming two RECVs at one buffer.
+        """
+        token = self._recv_token
+        self._recv_token += 1
+        seq = self._sent_to_server[lane]
+        self._sent_to_server[lane] = seq + 1
+        offset = (seq % self._ring) * self._recv_slot * len(self.ud_qps)
+        offset += lane * self._recv_slot
+        self.device.post_recv(
+            self.ud_qps[lane],
+            RecvRequest(wr_id=token, local=(self.recv_mr, offset, self._recv_slot)),
+        )
+        self._recv_order[lane].append(offset)
+        return offset
 
     @staticmethod
     def _take_by_slot(
@@ -656,22 +665,11 @@ class HerdClientProcess:
             return  # already re-aimed by a racing stale nack
         record.replica = replica
         self.replays += 1
-        lane = replica * self._ns + server
-        token = self._recv_token
-        self._recv_token += 1
-        seq = self._sent_to_server[lane]
-        self._sent_to_server[lane] = seq + 1
-        recv_offset = (seq % self._ring) * self._recv_slot * len(self.ud_qps)
-        recv_offset += lane * self._recv_slot
-        # mirror-append before the timed yield (see _send_op)
-        self._recv_order[lane].append(recv_offset)
-        record.recv_offset = recv_offset
-        yield from self.device.post_recv_timed(
-            self.ud_qps[lane],
-            RecvRequest(
-                wr_id=token, local=(self.recv_mr, recv_offset, self._recv_slot)
-            ),
-        )
+        # posted and mirrored before the timed yield (see _send_op)
+        record.recv_offset = self._arm_recv(replica * self._ns + server)
+        # post_recv_timed's cost
+        yield self.sim.timeout(self.device.profile.post_recv_ns)
+        yield self.device.machine.pcie.doorbell()
         region = self.ha_regions[replica]
         record.raddr = (
             region.slot_addr(server, self.client_id, record.window_slot)
@@ -740,31 +738,17 @@ class HerdClientProcess:
                 # A duplicate response (retry raced the original).  Put
                 # a fresh RECV in place of the one this duplicate ate so
                 # the still-pending request it belonged to can complete.
-                # Allocated through the ring rotation, not at the
-                # consumed offset: a same-offset re-arm can collide with
-                # a later send's rotation while it waits, aiming two
-                # RECVs at one buffer.
                 self.duplicate_responses += 1
-                seq = self._sent_to_server[lane]
-                self._sent_to_server[lane] = seq + 1
-                offset = (seq % self._ring) * self._recv_slot * len(self.ud_qps)
-                offset += lane * self._recv_slot
-                self.device.post_recv(
-                    self.ud_qps[lane],
-                    RecvRequest(
-                        wr_id=0, local=(self.recv_mr, offset, self._recv_slot)
-                    ),
-                )
-                self._recv_order[lane].append(offset)
+                self._arm_recv(lane)
                 return
             if status == RESP_STALE_EPOCH:
-                self._on_stale_nack(record, lane, offset)
+                self._on_stale_nack(record, lane)
                 return
             if status == RESP_NOT_OWNER:
-                self._on_not_owner(record, lane, offset)
+                self._on_not_owner(record, lane)
                 return
             if status == RESP_RETRY_AFTER:
-                self._on_retry_after(record, lane, offset)
+                self._on_retry_after(record, lane)
                 return
         self.outstanding -= 1
         self.completed += 1
@@ -790,7 +774,7 @@ class HerdClientProcess:
                 record.epoch, success, value, self.sim.now,
             )
 
-    def _on_stale_nack(self, record: _Pending, lane: int, offset: int) -> None:
+    def _on_stale_nack(self, record: _Pending, lane: int) -> None:
         """A replica refused the request: it no longer owns the partition.
 
         The op stays pending (it was never executed) and is re-aimed at
@@ -815,18 +799,11 @@ class HerdClientProcess:
                 name="herd-client-%d-replay" % self.client_id,
             )
         else:
-            self.device.post_recv(
-                self.ud_qps[lane],
-                RecvRequest(
-                    wr_id=0, local=(self.recv_mr, offset, self._recv_slot)
-                ),
-            )
-            self._recv_order[lane].append(offset)
-            record.recv_offset = offset
+            record.recv_offset = self._arm_recv(lane)
 
     # -- overload nacks (repro.qos) ------------------------------------
 
-    def _on_retry_after(self, record: _Pending, lane: int, offset: int) -> None:
+    def _on_retry_after(self, record: _Pending, lane: int) -> None:
         """The server shed this request: back off before re-sending.
 
         The op was never executed (the nack is the whole answer) and
@@ -838,13 +815,6 @@ class HerdClientProcess:
         is rejected outright: slot freed (nothing is in flight, so no
         quarantine is needed) and the RECV this nack consumed is not
         replaced, keeping the ring accounting exact.
-
-        The replacement RECV is allocated through the same ring
-        rotation as first sends — re-arming the just-consumed offset
-        would let a later send's rotation wrap onto it while the nacked
-        op still waits out its backoff, leaving two RECVs aimed at one
-        buffer (the second message then overwrites the first's bytes
-        before it is read).
         """
         qos = self.config.qos
         self.retry_after_nacks += 1
@@ -870,16 +840,7 @@ class HerdClientProcess:
             self.outstanding -= 1
             self._slot_free[record.server].add(record.window_slot)
             return
-        seq = self._sent_to_server[lane]
-        self._sent_to_server[lane] = seq + 1
-        offset = (seq % self._ring) * self._recv_slot * len(self.ud_qps)
-        offset += lane * self._recv_slot
-        self.device.post_recv(
-            self.ud_qps[lane],
-            RecvRequest(wr_id=0, local=(self.recv_mr, offset, self._recv_slot)),
-        )
-        self._recv_order[lane].append(offset)
-        record.recv_offset = offset
+        record.recv_offset = self._arm_recv(lane)
         backoff = qos.retry_after_backoff ** (record.nacks - 1)
         record.attempts = 0
         record.deadline = now + qos.retry_after_ns * backoff * jitter
@@ -900,7 +861,7 @@ class HerdClientProcess:
             self.shard_map = shard_map
             self.map_refreshes += 1
 
-    def _on_not_owner(self, record: _Pending, lane: int, offset: int) -> None:
+    def _on_not_owner(self, record: _Pending, lane: int) -> None:
         """The partition no longer owns the key's range: re-route.
 
         The op was never executed there (the nack is the whole answer),
@@ -930,9 +891,4 @@ class HerdClientProcess:
             return
         record.deadline = now + (self._rto() or 0.0)
         self._pending[server].append(record)
-        self.device.post_recv(
-            self.ud_qps[lane],
-            RecvRequest(wr_id=0, local=(self.recv_mr, offset, self._recv_slot)),
-        )
-        self._recv_order[lane].append(offset)
-        record.recv_offset = offset
+        record.recv_offset = self._arm_recv(lane)

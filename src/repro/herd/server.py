@@ -22,7 +22,7 @@ from typing import Callable, Generator, List, Optional, Tuple
 
 from repro.kv.mica import MicaCache
 from repro.sim import Event, Simulator
-from repro.verbs import QueuePair, RdmaDevice, Transport, WorkRequest
+from repro.verbs import QueuePair, RdmaDevice, StagingRing, Transport, WorkRequest
 from repro.workloads.ycsb import Operation, OpType
 from repro.herd.config import HerdConfig
 from repro.herd.pipeline import RequestPipeline
@@ -41,9 +41,6 @@ PipelineEntry = Tuple[int, int, Operation, int]
 
 #: observer called as fn(client_id, op, now) when a response is posted
 CompletionHook = Callable[[int, Operation, float], None]
-
-#: staging buffer for non-inlined responses
-_STAGING_BYTES = 1 << 16
 
 
 class HerdServerProcess:
@@ -70,12 +67,7 @@ class HerdServerProcess:
         self.pipeline: RequestPipeline[PipelineEntry] = RequestPipeline(
             config.pipeline_depth
         )
-        self._staging = device.register_memory(_STAGING_BYTES)
-        self._staging_cursor = 0
-        #: staging extents (start, end) whose responses the NIC has not
-        #: yet DMA-read out of host memory — a wrapped cursor must not
-        #: overwrite these (it would corrupt an in-flight response)
-        self._staging_inflight: List[Tuple[int, int]] = []
+        self._staging = StagingRing(device, 1 << 16)
         self.completion_hook: Optional[CompletionHook] = None
         #: replication role (repro.ha.ReplicaRole) when this process
         #: serves a replicated partition; None = classic HERD
@@ -507,51 +499,26 @@ class HerdServerProcess:
         """
         p = self.profile
         ah = self.client_ahs[client]
-        if len(payload) <= p.herd_inline_cutoff:
-            wr = WorkRequest.send(payload=payload, inline=True, signaled=False, ah=ah)
-        else:
+        inline = len(payload) <= p.herd_inline_cutoff
+        if not inline:
             # Large values go out un-inlined: DMA beats PIO for large
             # payloads (Figure 4b), so HERD switches at 144 B on Apt.
             yield self.sim.timeout(len(payload) / p.memcpy_bytes_per_ns)
             if epoch is not None and self.epoch != epoch:
                 return
-            offset = self._stage(payload)
-            wr = WorkRequest.send(
-                local=(self._staging, offset, len(payload)), signaled=False, ah=ah
-            )
-            extent = (offset, offset + len(payload))
-            wr.on_fetched = lambda: self._staging_inflight.remove(extent)
         yield self.sim.timeout(p.post_send_ns)
         if epoch is not None and self.epoch != epoch:
             return
+        if inline:
+            wr = WorkRequest.send(payload=payload, inline=True, signaled=False, ah=ah)
+        else:
+            # Staged after the last fence, so a fenced return never
+            # strands an extent the NIC will not fetch.
+            staging = self._staging
+            wr = staging.send(payload, ah)
+            while wr is None:
+                yield staging.wait()
+                if epoch is not None and self.epoch != epoch:
+                    return
+                wr = staging.send(payload, ah)
         yield self.device.post_send(self.ud_qp, wr)
-
-    def _stage(self, payload: bytes) -> int:
-        """Copy a response into the staging MR; returns its offset.
-
-        The cursor wraps like a ring buffer, but an extent is only
-        handed out once it cannot overlap a response the NIC is still
-        DMA-reading (sends are unsignaled, so the DMA-fetch callback —
-        not a CQE — retires extents).
-        """
-        size = len(payload)
-        if size > _STAGING_BYTES:
-            raise ValueError(
-                "response payload of %d B exceeds the %d B staging buffer; "
-                "values this large cannot be sent un-inlined" % (size, _STAGING_BYTES)
-            )
-        start = self._staging_cursor
-        if start + size > _STAGING_BYTES:
-            start = 0
-        for in_start, in_end in self._staging_inflight:
-            if start < in_end and start + size > in_start:
-                raise RuntimeError(
-                    "staging buffer exhausted: extent [%d, %d) overlaps "
-                    "in-flight response [%d, %d) (%d responses awaiting "
-                    "DMA fetch)"
-                    % (start, start + size, in_start, in_end, len(self._staging_inflight))
-                )
-        self._staging_inflight.append((start, start + size))
-        self._staging.write(start, payload)
-        self._staging_cursor = start + size
-        return start

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Generator, List, Optional, Tuple
+from typing import Deque, Dict, Generator, List, Optional, Tuple
 
 from repro.bench.result import RunResult, collect
 from repro.hw import APT, HardwareProfile
@@ -31,6 +31,7 @@ from repro.verbs import (
     QueuePair,
     RdmaDevice,
     RecvRequest,
+    StagingRing,
     Testbed,
     Transport,
     WorkRequest,
@@ -88,8 +89,7 @@ class _UdServerProcess:
                 RecvRequest(wr_id=slot, local=(self.recv_mr, slot * _RECV_SLOT, _RECV_SLOT)),
             )
         self.store = MicaCache(config.index_entries, config.log_bytes)
-        self._staging = device.register_memory(1 << 16)
-        self._staging_cursor = 0
+        self._staging = StagingRing(device, 1 << 16)
         self._recvs_since_doorbell = 0
         self.gets = 0
         self.puts = 0
@@ -136,14 +136,10 @@ class _UdServerProcess:
                 wr = WorkRequest.send(payload=payload, inline=True, signaled=False, ah=ah)
             else:
                 yield self.sim.timeout(len(payload) / p.memcpy_bytes_per_ns)
-                if self._staging_cursor + len(payload) > 1 << 16:
-                    self._staging_cursor = 0
-                staged = self._staging_cursor
-                self._staging.write(staged, payload)
-                self._staging_cursor += len(payload)
-                wr = WorkRequest.send(
-                    local=(self._staging, staged, len(payload)), signaled=False, ah=ah
-                )
+                wr = self._staging.send(payload, ah)
+                while wr is None:
+                    yield self._staging.wait()
+                    wr = self._staging.send(payload, ah)
             yield from self.device.post_send_timed(self.qp, wr)
             self.responses += 1
 
@@ -172,9 +168,12 @@ class _UdClientProcess:
         self.stream = stream
         self.qp = device.create_qp(Transport.UD)
         self.recv_mr = device.register_memory(2 * config.window * _RECV_SLOT)
-        self._staging = device.register_memory(2 * config.window * 1024)
+        #: un-inlined requests are staged here; a request is a 22 B
+        #: header plus a value of up to 1 KiB
+        self._staging = StagingRing(device, 2 * config.window * 1024)
         #: filled by the cluster: per server process (machine, qpn)
         self.server_ahs: List[Tuple[str, int]] = []
+        self._server_of: Dict[Tuple[str, int], int] = {}
         self._pending: List[Deque[_Pending]] = []
         self._seq = 0
         self.response_hook = None
@@ -185,6 +184,7 @@ class _UdClientProcess:
 
     def start(self) -> None:
         self._pending = [deque() for _ in self.server_ahs]
+        self._server_of = {ah: s for s, ah in enumerate(self.server_ahs)}
         self.sim.process(self.run(), name="herd-ud-client-%d" % self.client_id)
 
     def run(self) -> Generator[Event, None, None]:
@@ -206,18 +206,15 @@ class _UdClientProcess:
             RecvRequest(wr_id=server, local=(self.recv_mr, slot * _RECV_SLOT, _RECV_SLOT)),
         )
         payload = encode_ud_request(op, self.qp.qpn)
+        ah = self.server_ahs[server]
         if len(payload) <= self.profile.max_inline:
-            wr = WorkRequest.send(
-                payload=payload, inline=True, signaled=False, ah=self.server_ahs[server]
-            )
+            wr = WorkRequest.send(payload=payload, inline=True, signaled=False, ah=ah)
         else:
-            staged = slot * 1024
-            self._staging.write(staged, payload)
             yield self.sim.timeout(len(payload) / self.profile.memcpy_bytes_per_ns)
-            wr = WorkRequest.send(
-                local=(self._staging, staged, len(payload)),
-                signaled=False, ah=self.server_ahs[server],
-            )
+            wr = self._staging.send(payload, ah)
+            while wr is None:
+                yield self._staging.wait()
+                wr = self._staging.send(payload, ah)
         yield from self.device.post_send_timed(self.qp, wr)
         self._pending[server].append(_Pending(op, self.sim.now))
         self.issued += 1
@@ -225,10 +222,7 @@ class _UdClientProcess:
     def _absorb(self, cqe) -> None:
         # Responses arrive from the server process's UD QP; match FIFO
         # per server (each server process serves this client in order).
-        server = next(
-            s for s, (machine, qpn) in enumerate(self.server_ahs)
-            if (machine, qpn) == cqe.src
-        )
+        server = self._server_of[cqe.src]
         record = self._pending[server].popleft()
         self.completed += 1
         success, _value = decode_response(record.op.op, self._read_response(cqe))

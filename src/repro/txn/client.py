@@ -41,6 +41,7 @@ from repro.verbs import (
     QueuePair,
     RdmaDevice,
     RecvRequest,
+    StagingRing,
     Transport,
     WorkRequest,
 )
@@ -80,7 +81,8 @@ class RpcChannel:
     """
 
     def __init__(self, device: RdmaDevice, name: str, timeout_ns: float,
-                 recv_slots: int = 64, recv_bytes: int = 1024) -> None:
+                 recv_slots: int = 64, recv_bytes: int = 1024,
+                 staging_bytes: int = 4096) -> None:
         self.device = device
         self.sim = device.sim
         self.name = name
@@ -91,8 +93,9 @@ class RpcChannel:
         self._recv_slot = _GRH + recv_bytes
         self.recv_mr = device.register_memory(recv_slots * self._recv_slot)
         self._recv_slots = recv_slots
-        self._staging = device.register_memory(4096)
-        self._staging_cursor = 0
+        #: un-inlined requests are staged here; one :meth:`call` stages
+        #: up to one request per partition
+        self._staging = StagingRing(device, staging_bytes)
         #: partition -> (raddr of my request slot, rkey)
         self.req_slots: Dict[int, Tuple[int, int]] = {}
         self.inbox: Store = Store(self.sim)
@@ -128,15 +131,10 @@ class RpcChannel:
                 raddr=raddr, rkey=rkey, payload=payload, inline=True, signaled=False
             )
         else:
-            if self._staging_cursor + len(payload) > 4096:
-                self._staging_cursor = 0
-            off = self._staging_cursor
-            self._staging.write(off, payload)
-            self._staging_cursor += len(payload)
-            wr = WorkRequest.write(
-                raddr=raddr, rkey=rkey,
-                local=(self._staging, off, len(payload)), signaled=False,
-            )
+            wr = self._staging.write(payload, raddr, rkey)
+            while wr is None:
+                yield self._staging.wait()
+                wr = self._staging.write(payload, raddr, rkey)
         yield from self.device.post_send_timed(self.uc_qp, wr)
 
     def call(self, targets: Dict[int, Tuple[int, bytes]], seq: int
@@ -208,6 +206,7 @@ class TxnClientProcess:
             self.rpc = RpcChannel(
                 device, "txn-c%d" % cid, cfg.rpc_timeout_ns,
                 recv_bytes=cfg.resp_slot_bytes,
+                staging_bytes=cfg.n_partitions * cfg.req_slot_bytes,
             )
         else:
             self.rpc = None

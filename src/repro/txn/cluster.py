@@ -36,7 +36,7 @@ from repro.faults.rng import child_rng
 from repro.ha.checker import TxnRecord, check_serializable
 from repro.hw import APT, HardwareProfile
 from repro.sim import LatencyRecorder, RateMeter
-from repro.txn.client import TxnClientProcess, parse_value
+from repro.txn.client import VALUE_TAG_BYTES, TxnClientProcess, parse_value
 from repro.txn.server import TxnServerProcess
 from repro.txn.store import TxnPartitionStore
 from repro.verbs import Testbed, Transport
@@ -75,6 +75,12 @@ class TxnConfig:
             )
         if self.writes_per_txn > self.keys_per_txn:
             raise ValueError("writes_per_txn cannot exceed keys_per_txn")
+        if self.value_bytes < VALUE_TAG_BYTES:
+            raise ValueError("value_bytes must be >= %d" % VALUE_TAG_BYTES)
+        if self.dataplane == "onesided" and self.value_bytes % 8:
+            # slots are value + header back to back, and each one's lock
+            # word is the target of an 8-byte-aligned atomic
+            raise ValueError("one-sided value_bytes must be a multiple of 8")
         if self.hot_fraction > 0 and self.n_hot < self.keys_per_txn:
             # a hot transaction draws all its (distinct) keys from the
             # hot set, so a smaller set can never complete the draw
@@ -143,9 +149,14 @@ class TxnCluster(Testbed):
         n_client_machines: int = 4,
         seed: int = 0,
     ) -> None:
-        self.config = config if config is not None else TxnConfig()
+        self.config = cfg = config if config is not None else TxnConfig()
+        if cfg.dataplane == "rpc" and cfg.resp_slot_bytes + profile.grh_bytes > profile.mtu:
+            raise ValueError(
+                "%d B response slots plus the %d B GRH exceed the %d B MTU "
+                "of the UD SEND a response rides" % (
+                    cfg.resp_slot_bytes, profile.grh_bytes, profile.mtu)
+            )
         super().__init__(profile, n_client_machines, seed)
-        cfg = self.config
         self.stores = [
             TxnPartitionStore(
                 self.server_device, p, cfg.n_partitions, cfg.n_keys, cfg.value_bytes

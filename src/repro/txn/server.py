@@ -36,10 +36,7 @@ from typing import Deque, Dict, Generator, List, Optional, Set, Tuple
 from repro.sim import Event, Store
 from repro.txn import wire
 from repro.txn.store import TxnPartitionStore
-from repro.verbs import QueuePair, RdmaDevice, WorkRequest
-
-#: staging buffer for non-inline UD responses
-_STAGING_BYTES = 1 << 16
+from repro.verbs import QueuePair, RdmaDevice, StagingRing, WorkRequest
 
 
 class TxnServerProcess:
@@ -67,8 +64,7 @@ class TxnServerProcess:
         #: per client: (machine, ud_qpn) for responses
         self.client_ahs: List[Tuple[str, int]] = []
         self.ud_qp: Optional[QueuePair] = None
-        self._staging = device.register_memory(_STAGING_BYTES)
-        self._staging_cursor = 0
+        self._staging = StagingRing(device, 1 << 16)
         #: 2PC state: (client, seq) -> [(key, value), ...] staged writes
         self._staged: Dict[Tuple[int, int], List[Tuple[int, bytes]]] = {}
         #: commits already applied, for idempotent duplicate COMMITs
@@ -312,12 +308,8 @@ class TxnServerProcess:
         if len(payload) <= p.max_inline:
             wr = WorkRequest.send(payload=payload, inline=True, signaled=False, ah=ah)
         else:
-            if self._staging_cursor + len(payload) > _STAGING_BYTES:
-                self._staging_cursor = 0
-            off = self._staging_cursor
-            self._staging.write(off, payload)
-            self._staging_cursor += len(payload)
-            wr = WorkRequest.send(
-                local=(self._staging, off, len(payload)), signaled=False, ah=ah
-            )
+            wr = self._staging.send(payload, ah)
+            while wr is None:
+                yield self._staging.wait()
+                wr = self._staging.send(payload, ah)
         yield from self.device.post_send_timed(self.ud_qp, wr)

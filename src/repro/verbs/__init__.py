@@ -28,6 +28,7 @@ from repro.verbs.cq import CompletionQueue
 from repro.verbs.device import RdmaDevice, connect_pair
 from repro.verbs.mr import MemoryRegion
 from repro.verbs.qp import QueuePair
+from repro.verbs.staging import StagingRing
 from repro.verbs.testbed import Testbed
 from repro.verbs.types import (
     Cqe,
@@ -51,6 +52,7 @@ __all__ = [
     "QueuePair",
     "RdmaDevice",
     "RecvRequest",
+    "StagingRing",
     "Testbed",
     "Transport",
     "VerbError",

@@ -265,6 +265,9 @@ class RdmaDevice:
                     qp.send_cq,
                     Cqe(wr.wr_id, opcode, status=CqeStatus.FLUSH_ERROR),
                 )
+            if wr.on_fetched is not None:
+                # nothing will fetch a flushed WR: its buffer is free now
+                wr.on_fetched(wr)
             return self.sim.timeout(0.0)
         tracer = self.tracer
         if tracer is not None:
@@ -466,7 +469,7 @@ class RdmaDevice:
             mr, offset, length = wr.local
             payload = mr.read(offset, length)
             if wr.on_fetched is not None:
-                wr.on_fetched()
+                wr.on_fetched(wr)
         if self.enforce_rc_ordering and plan.acked:
             # Sequential PSNs let the responder deliver in post order
             # and the requester match ACKs cumulatively (go-back-N).

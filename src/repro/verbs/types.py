@@ -241,10 +241,11 @@ class WorkRequest:
         self.ah = ah
         #: bookkeeping the application may attach (e.g. timestamps)
         self.context = context
-        #: called once the NIC's DMA read has snapshotted a non-inlined
-        #: payload out of host memory — from then on the local buffer may
-        #: be reused (true zero-copy semantics; HERD's staging buffer
-        #: recycles extents off this)
+        #: called as fn(wr) once the NIC's DMA read has snapshotted a
+        #: non-inlined payload out of host memory, or when the WR is
+        #: flushed at post on an ERROR-state QP — from then on the local
+        #: buffer may be reused (true zero-copy semantics; a
+        #: StagingRing frees extents off this)
         self.on_fetched = on_fetched
         #: atomic operands (ibv_wr naming): the compare value for
         #: ATOMIC_CMP_AND_SWP or the addend for ATOMIC_FETCH_ADD ...

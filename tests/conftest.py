@@ -3,6 +3,7 @@
 import pytest
 
 from repro.herd.client import HerdClientProcess
+from repro.verbs import StagingRing
 
 
 @pytest.fixture(scope="module")
@@ -28,4 +29,35 @@ def parked_count_checked():
             patch.setattr(
                 HerdClientProcess, name, checked(getattr(HerdClientProcess, name))
             )
+        yield
+
+
+@pytest.fixture(scope="module")
+def staging_checked():
+    """Every WR staged through a ``StagingRing`` carries its own bytes.
+
+    Each staged payload is remembered by (ring, offset); when the NIC
+    fetches the WR (or the device flushes it) the bytes still in the
+    ring at that extent must equal the bytes that were posted — a
+    sender that overwrote an unfetched extent fails the run there.
+    """
+    staged = {}
+    claim, fetched = StagingRing._claim, StagingRing._fetched
+
+    def checked_claim(ring, payload):
+        offset = claim(ring, payload)
+        if offset is not None:
+            staged[ring, offset] = bytes(payload)
+        return offset
+
+    def checked_fetched(ring, wr):
+        mr, offset, length = wr.local
+        assert mr.read(offset, length) == staged.pop((ring, offset)), (
+            "the NIC fetched bytes other than the ones staged at %d" % offset
+        )
+        fetched(ring, wr)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(StagingRing, "_claim", checked_claim)
+        patch.setattr(StagingRing, "_fetched", checked_fetched)
         yield

@@ -5,6 +5,8 @@ import pytest
 from repro.baselines import EchoCluster, EchoConfig
 from repro.verbs import Transport
 
+pytestmark = pytest.mark.usefixtures("staging_checked")
+
 
 def run_echo(config, n_clients=6, measure_ns=60_000.0):
     cluster = EchoCluster(config, n_clients=n_clients, n_client_machines=3)
@@ -73,6 +75,24 @@ def test_echo_payloads_roundtrip_exactly(config):
     assert result.ops > 50
     assert result.extra["echo_mismatches"] == 0
     assert sum(c.echoed_bytes_ok for c in cluster.clients) > 50
+
+
+@pytest.mark.parametrize(
+    "preset", [EchoConfig.wr_send, EchoConfig.wr_wr, EchoConfig.send_send],
+    ids=["wr-send", "wr-wr", "send-send"],
+)
+def test_unfetched_responses_are_never_overwritten(preset):
+    """1 KiB non-inlined echoes from 96 clients into two server cores
+    outrun the NIC's fetches.  The servers' staging cursors used to wrap
+    onto responses still awaiting their DMA read, and about 60 % of the
+    echoes came back carrying another echo's bytes; now a full ring
+    waits for the next fetch."""
+    config = preset(payload_bytes=1024, n_server_processes=2)
+    cluster = EchoCluster(config.at_optimization_level("+unsignaled"), n_clients=96)
+    result = cluster.run()
+    assert result.ops > 100
+    assert result.extra["echo_mismatches"] == 0
+    assert sum(s._staging.waits for s in cluster.servers) > 0
 
 
 def test_all_verb_pairs_make_progress_at_every_level():

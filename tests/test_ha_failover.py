@@ -9,9 +9,11 @@ reproducible from the seed.
 
 import pytest
 
-from repro.faults import FaultPlan, run_chaos
+from repro.faults import FaultPlan, chaos, run_chaos
 from repro.herd import HerdCluster, HerdConfig
 from repro.workloads import Workload
+
+pytestmark = pytest.mark.usefixtures("staging_checked")
 
 #: the ha-smoke configuration (Makefile) — one primary kill at 35% of a
 #: 300 us horizon, majority acks, background noise at half intensity
@@ -242,3 +244,27 @@ def test_a_retry_never_restages_over_an_unfetched_request(seed):
     assert report.ok, report.violations
     assert report.checker == "linearizable"
     assert report.ops_lost == 0
+
+
+def test_a_fenced_response_leaves_no_extent_behind(monkeypatch):
+    # Regression: the server staged an un-inlined response, charged
+    # post_send_ns, and then returned on the epoch fence without posting
+    # it.  At seed 6 one extent stayed "in flight" forever — a ring that
+    # waits when full would have wedged on it.  Staging now happens
+    # after the last fence, right before post_send.
+    clusters = []
+    report_of = chaos._report
+
+    def keep_cluster(run):
+        clusters.append(run.cluster)
+        return report_of(run)
+
+    monkeypatch.setattr(chaos, "_report", keep_cluster)
+    report = run_chaos(
+        **dict(ACCEPTANCE, seed=6, value_size=300, horizon_ns=150_000.0, intensity=1.0)
+    )
+    assert report.ok, report.violations
+    (cluster,) = clusters
+    rings = [s._staging for servers in cluster.ha.replica_servers for s in servers]
+    rings += [node._staging for node in cluster.ha.nodes]
+    assert [ring.in_flight for ring in rings] == [0] * len(rings)

@@ -96,11 +96,14 @@ def _wired_client():
 def test_stale_nack_with_an_unmoved_map_requeues_without_replay():
     cluster, client, record, lane = _wired_client()
     assert client.ha_map.primary[0] == record.replica == 0
-    client._on_stale_nack(record, lane, record.recv_offset)
+    consumed = record.recv_offset
+    client._on_stale_nack(record, lane)
     cluster.sim.run(until=cluster.sim.now + 50_000.0)
     # the op is still pending at the same replica — the retry/CONFIG
     # path owns the actual move — and nothing was replayed
     assert record in client._pending[0]
+    # its fresh RECV came from the lane's rotation, not the consumed buffer
+    assert record.recv_offset != consumed
     assert record.replica == 0
     assert client.stale_nacks == 1
     assert client.replays == 0
@@ -110,7 +113,7 @@ def test_stale_nack_after_a_config_move_replays_to_the_new_primary():
     cluster, client, record, lane = _wired_client()
     # the monitor's CONFIG landed first: partition 0 moved to replica 1
     assert client.ha_map.update(0, 1, epoch=1) is True
-    client._on_stale_nack(record, lane, record.recv_offset)
+    client._on_stale_nack(record, lane)
     cluster.sim.run(until=cluster.sim.now + 50_000.0)
     # the nacked op chased the partition to its new primary
     assert record in client._pending[0]

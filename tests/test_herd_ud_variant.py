@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.herd import HerdConfig
+from repro.herd import HerdConfig, ud_variant
 from repro.herd.ud_variant import (
     SendSendHerdCluster,
     decode_ud_request,
@@ -10,7 +10,9 @@ from repro.herd.ud_variant import (
 )
 from repro.verbs import Transport
 from repro.workloads import OpType, Workload
-from repro.workloads.ycsb import Operation, keyhash
+from repro.workloads.ycsb import Operation, keyhash, value_for
+
+pytestmark = pytest.mark.usefixtures("staging_checked")
 
 
 def small_cluster(ns=2, clients=4, get_fraction=0.5, value_size=32, n_keys=256):
@@ -69,6 +71,39 @@ def test_puts_reach_the_store():
         kh = keyhash(item)
         server = cluster.servers[partition_of(kh, len(cluster.servers))]
         assert server.store.get(kh) == value_for(item, 24)
+
+
+@pytest.mark.parametrize("value_size", [1010, 1024])
+def test_values_up_to_1_kib_travel_intact(value_size, monkeypatch):
+    """A request is 22 B of header plus the value.  Requests used to be
+    staged at ``slot * 1024``: above 1 002 B neighbouring slots
+    overlapped, and at 1 010 B the last slot ran off the MR
+    (``MrAccessError``).  Through the staging ring every size up to the
+    1 KiB value limit goes out intact."""
+    seen = []
+
+    def spy(op_type, payload):
+        success, value = decode(op_type, payload)
+        if op_type is OpType.GET and success:
+            seen.append(value)
+        return success, value
+
+    decode = ud_variant.decode_response
+    monkeypatch.setattr(ud_variant, "decode_response", spy)
+    n_keys = 256
+    cluster = SendSendHerdCluster(
+        HerdConfig(n_server_processes=2, window=2), n_client_machines=4, seed=5
+    )
+    cluster.add_clients(
+        64, Workload(get_fraction=0.5, value_size=value_size, n_keys=n_keys)
+    )
+    cluster.preload(range(n_keys), value_size)
+    result = cluster.run(warmup_ns=0, measure_ns=60_000)
+    assert result.ops > 100
+    assert sum(c.failures for c in cluster.clients) == 0
+    assert result.extra["get_misses"] == 0
+    values = {value_for(item, value_size) for item in range(n_keys)}
+    assert seen and all(value in values for value in seen)
 
 
 def test_recv_rings_never_underflow():

@@ -8,7 +8,10 @@ correctness claims.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.hw import APT
 from repro.obs import capture
 from repro.txn import (
     DATAPLANES,
@@ -20,6 +23,9 @@ from repro.txn import (
     parse_value,
 )
 from repro.txn import wire
+from repro.verbs import Opcode, RdmaDevice
+
+pytestmark = pytest.mark.usefixtures("staging_checked")
 
 QUICK = dict(warmup_ns=10_000.0, measure_ns=80_000.0)
 
@@ -65,6 +71,85 @@ def test_wire_roundtrips():
     assert (kind, seq, decoded) == (wire.TXN_PREPARE, 7, body)
     resp = wire.encode_response(wire.TXN_COMMIT, 7, wire.ST_OK, 1, b"zz")
     assert wire.decode_response(resp) == (wire.TXN_COMMIT, 7, wire.ST_OK, 1, b"zz")
+
+
+@pytest.mark.parametrize(
+    "keys, writes, value_bytes", [(4, 4, 1400), (6, 6, 900)]
+)
+def test_a_response_over_one_mtu_is_rejected_at_construction(keys, writes, value_bytes):
+    # Both shapes used to be accepted and then crash mid-run: the first
+    # with MrAccessError (a 5 643 B request in a fixed 4 KiB staging MR),
+    # the second with VerbError (a UD response over one MTU).
+    config = TxnConfig(
+        keys_per_txn=keys, writes_per_txn=writes, value_bytes=value_bytes
+    )
+    with pytest.raises(ValueError, match="4096 B MTU"):
+        TxnCluster(config)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    dataplane=st.sampled_from(DATAPLANES),
+    keys=st.integers(1, 8),
+    write_share=st.floats(0.0, 1.0),
+    value_bytes=st.integers(1, 1500),
+    n_partitions=st.integers(1, 4),
+)
+def test_every_accepted_shape_runs(dataplane, keys, write_share, value_bytes, n_partitions):
+    # what the checks below stand for: a value names its writer in 16 B,
+    # one-sided slots are locked with aligned 8-byte atomics, and an RPC
+    # response is one UD SEND into a GRH-prefixed receive buffer
+    shape = dict(
+        dataplane=dataplane,
+        keys_per_txn=keys,
+        writes_per_txn=int(write_share * keys),
+        value_bytes=value_bytes,
+        n_partitions=n_partitions,
+    )
+    response_slot = max(256, -(-(16 + keys * (12 + value_bytes)) // 64) * 64)
+    unsendable = (
+        value_bytes < 16
+        or (dataplane == "onesided" and value_bytes % 8 != 0)
+        or (dataplane == "rpc" and response_slot + APT.grh_bytes > APT.mtu)
+    )
+    try:
+        cluster = TxnCluster(TxnConfig(**shape), n_clients=2, n_client_machines=2)
+    except ValueError:
+        assert unsendable
+        return
+    assert not unsendable
+    cluster.run(warmup_ns=0.0, measure_ns=20_000.0)
+
+
+def test_a_call_never_restages_over_an_unfetched_request(monkeypatch):
+    # Regression: RpcChannel staged every request through a bare cursor
+    # in a fixed 4 KiB MR.  One call stages a request per partition, and
+    # four ~2.9 KiB PREPAREs wrapped onto requests the NIC had not
+    # fetched yet: 1 of 394 staged posts carried another request's bytes.
+    posted, fetched = {}, []
+    post_send, transmit = RdmaDevice.post_send, RdmaDevice._transmit_wr
+
+    def snapshot(device, qp, wr):
+        if not wr.inline and wr.opcode in (Opcode.SEND, Opcode.WRITE):
+            mr, offset, length = wr.local
+            posted[wr] = mr.read(offset, length)
+        return post_send(device, qp, wr)
+
+    def compare(device, qp, wr, plan):
+        if wr in posted:
+            mr, offset, length = wr.local
+            fetched.append(mr.read(offset, length) == posted.pop(wr))
+        return transmit(device, qp, wr, plan)
+
+    monkeypatch.setattr(RdmaDevice, "post_send", snapshot)
+    monkeypatch.setattr(RdmaDevice, "_transmit_wr", compare)
+    report = run_cluster(
+        seed=0, n_clients=12, keys_per_txn=4, writes_per_txn=4,
+        value_bytes=700, n_partitions=4,
+    )
+    assert report.ok, report.violation
+    assert len(fetched) > 300
+    assert all(fetched)
 
 
 # ---------------------------------------------------------------------------
