@@ -23,6 +23,8 @@ loads the kernel and nothing above it.
 
 import importlib
 import sys
+from functools import reduce
+from operator import add
 
 __version__ = "1.0.0"
 
@@ -44,6 +46,28 @@ def _lazy_surface(package, sources):
         return sorted(set(vars(sys.modules[package])) | set(home))
 
     return __getattr__, __dir__
+
+
+def _pairwise_sum(block, lo, n):
+    """The ``n`` values ``block(lo, lo + n)`` (a list of floats) summed
+    in NumPy's pairwise order: up to 128 values in eight interleaved
+    accumulators, longer runs split at ``n // 2`` rounded down to a
+    multiple of 8.  ``block`` is asked only for runs of at most 128, so
+    a long series need never exist as one list.  (``sum`` is not used:
+    since Python 3.12 it compensates, NumPy does not.)  Shared by
+    :mod:`repro.sim.stats` and :func:`repro.workloads.zipf.zeta`, and
+    kept here so that neither loads the other's layer."""
+    if n > 128:
+        half = n // 2
+        half -= half % 8
+        return _pairwise_sum(block, lo, half) + _pairwise_sum(block, lo + half, n - half)
+    xs = block(lo, lo + n)
+    if n < 8:
+        return reduce(add, xs, 0.0)
+    stop = n - n % 8
+    r = [reduce(add, xs[j + 8:stop:8], xs[j]) for j in range(8)]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    return reduce(add, xs[stop:], total)
 
 
 __getattr__, __dir__ = _lazy_surface(__name__, {

@@ -10,8 +10,8 @@ avalanching.
 from __future__ import annotations
 
 import struct
-
-import numpy as np
+from functools import lru_cache
+from typing import Any, Sequence, Tuple
 
 _MASK = (1 << 64) - 1
 _TWO_WORDS = struct.Struct("<QQ")
@@ -25,19 +25,46 @@ def mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def mix64_array(x: "np.ndarray") -> "np.ndarray":
-    """Vectorised :func:`mix64` over a ``uint64`` array.
+# Many words at once, without numpy: ``count`` 64-bit words ride in one
+# Python integer, word ``i`` in the low half of the 128-bit *lane* ``i``
+# (bits 128 i .. 128 i + 127).  A 64 x 64-bit product fits in a lane,
+# so one big-integer multiply is ``count`` independent ones, and a mask
+# after every shift drops the bits it pulled down from the lane above.
 
-    ``uint64`` arithmetic wraps modulo 2**64, which is exactly the
-    ``& _MASK`` in the scalar version, so the two agree bit for bit.
-    The workload generator leans on this to synthesise keyhashes and
-    values in batches.
-    """
-    x = x ^ (x >> np.uint64(30))
-    x = x * np.uint64(0xBF58476D1CE4E5B9)
-    x = x ^ (x >> np.uint64(27))
-    x = x * np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31))
+
+@lru_cache(maxsize=16)
+def lanes(word: int, count: int) -> int:
+    """``word`` (below 2**64) in each of ``count`` lanes."""
+    return int.from_bytes(struct.pack("<Q8x", word) * count, "little")
+
+
+@lru_cache(maxsize=16)
+def _lane_format(fmt: str, count: int) -> struct.Struct:
+    return struct.Struct("<" + fmt * count)
+
+
+def to_lanes(words: Sequence[int]) -> int:
+    """``words`` (each in ``[0, 2**64)``), one per lane."""
+    return int.from_bytes(_lane_format("Q8x", len(words)).pack(*words), "little")
+
+
+def from_lanes(x: int, count: int, fmt: str = "Q8x") -> Tuple[Any, ...]:
+    """The ``count`` lanes of ``x``, each read with the 16-byte
+    ``struct`` format ``fmt``: by default the low 64 bits as an
+    integer; ``"16s"`` gives each whole lane as bytes, ``"8s8x"`` its
+    low half."""
+    return _lane_format(fmt, count).unpack(x.to_bytes(count << 4, "little"))
+
+
+def mix64_lanes(x: int, count: int) -> int:
+    """:func:`mix64` of every lane of ``x`` at once, bit for bit."""
+    mask = lanes(_MASK, count)
+    x &= mask
+    x = (x ^ (x >> 30)) & mask
+    x = x * 0xBF58476D1CE4E5B9 & mask
+    x = (x ^ (x >> 27)) & mask
+    x = x * 0x94D049BB133111EB & mask
+    return (x ^ (x >> 31)) & mask
 
 
 #: ``mix64(salt * golden ratio)`` for the salts the tables use

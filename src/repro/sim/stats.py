@@ -13,26 +13,9 @@ arithmetic, so they are bit-identical to ``np.mean`` / ``np.percentile``
 from __future__ import annotations
 
 import math
-from functools import reduce
-from operator import add
 from typing import List, Optional, Sequence
 
-
-def _pairwise_sum(xs: Sequence[float], lo: int, n: int) -> float:
-    """``xs[lo:lo + n]`` summed in NumPy's pairwise order: up to 128
-    values in eight interleaved accumulators, longer runs split at
-    ``n // 2`` rounded down to a multiple of 8.  (``sum`` is not used:
-    since Python 3.12 it compensates, NumPy does not.)"""
-    if n < 8:
-        return reduce(add, xs[lo:lo + n], 0.0)
-    if n <= 128:
-        stop = lo + n - n % 8
-        r = [reduce(add, xs[j + 8:stop:8], xs[j]) for j in range(lo, lo + 8)]
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        return reduce(add, xs[stop:lo + n], total)
-    half = n // 2
-    half -= half % 8
-    return _pairwise_sum(xs, lo, half) + _pairwise_sum(xs, lo + half, n - half)
+from repro import _pairwise_sum
 
 
 def _percentile(ordered: Sequence[float], q: float) -> float:
@@ -78,7 +61,7 @@ class LatencyRecorder:
         if not self.samples:
             return 0.0
         xs = list(map(float, self.samples))
-        return _pairwise_sum(xs, 0, len(xs)) / len(xs)
+        return _pairwise_sum(lambda lo, hi: xs[lo:hi], 0, len(xs)) / len(xs)
 
     def percentile(self, q: float) -> float:
         """The ``q``-th percentile latency in ns (0 when empty)."""

@@ -220,6 +220,12 @@ class TxnClientProcess:
             self._atomic_off = self._hdr_base + cfg.keys_per_txn * SLOT_HDR_BYTES
             self.sink = device.register_memory(self._atomic_off + 64)
             self._cq_inbox: Store = Store(self.sim)
+            #: un-inlined installs (one per write key) are staged here;
+            #: only shapes whose slot image exceeds the inline limit
+            #: register one
+            self._staging: Optional[StagingRing] = None
+            if slot > self.profile.max_inline:
+                self._staging = StagingRing(device, cfg.keys_per_txn * slot)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -442,10 +448,15 @@ class TxnClientProcess:
             raddr, rkey = self._slot_info(k)
             payload = pack_install(versions[k] + 1, val)
             last = j == len(wvals) - 1
-            wr = WorkRequest.write(
-                raddr=raddr, rkey=rkey, payload=payload,
-                inline=len(payload) <= self.profile.max_inline, signaled=last,
-            )
+            if len(payload) <= self.profile.max_inline:
+                wr = WorkRequest.write(
+                    raddr=raddr, rkey=rkey, payload=payload, inline=True, signaled=last
+                )
+            else:
+                wr = self._staging.write(payload, raddr, rkey, signaled=last)
+                while wr is None:
+                    yield self._staging.wait()
+                    wr = self._staging.write(payload, raddr, rkey, signaled=last)
             yield from self.device.post_send_timed(self.rc_qp, wr)
         yield from self._await_cqes(1)
         return True, reads, wvals

@@ -21,9 +21,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Iterator, Optional
 
-import numpy as np
-
-from repro.kv.hashing import mix64, mix64_array
+from repro.kv.hashing import from_lanes, lanes, mix64, mix64_lanes, to_lanes
 from repro.workloads.zipf import ZipfianGenerator
 
 KEYHASH_BYTES = 16
@@ -117,14 +115,16 @@ class WorkloadStream:
     Operations are produced in batches of :data:`BATCH`: the RNG draws
     happen in exactly the order the scalar path would make them (so a
     trace is bit-for-bit reproducible from the seed), but the keyhash
-    and value synthesis — three splitmix64 rounds per op — run
-    vectorised over the whole batch.  Mixing direct :meth:`next_item`
-    calls *between* :meth:`next_op` calls on the same uniform stream is
-    unsupported: the batch pre-draws from the shared RNG.
+    and value synthesis — three splitmix64 rounds per op — run over the
+    whole batch at once, one 128-bit lane per op of a Python integer
+    (:func:`repro.kv.hashing.mix64_lanes`).  Mixing direct
+    :meth:`next_item` calls *between* :meth:`next_op` calls on the same
+    uniform stream is unsupported: the batch pre-draws from the shared
+    RNG.
     """
 
-    #: ops synthesised per refill; large enough to amortise the numpy
-    #: calls, small enough that a short run wastes little work
+    #: ops synthesised per refill; large enough to amortise the lane
+    #: arithmetic, small enough that a short run wastes little work
     BATCH = 256
 
     def __init__(self, workload: Workload, seed: int) -> None:
@@ -174,33 +174,33 @@ class WorkloadStream:
             for i in range(count):
                 items[i] = randrange(n_keys)
                 coins[i] = rand()
-        arr = np.asarray(items, dtype=np.uint64)
-        # keyhash(): low = mix64(item), high = mix64(item ^ DEADBEEF)|1,
-        # little-endian concatenated — one (count, 2) u64 buffer.
-        pair = np.empty((count, 2), dtype="<u8")
-        pair[:, 0] = mix64_array(arr)
-        pair[:, 1] = mix64_array(arr ^ np.uint64(0xDEADBEEF)) | np.uint64(1)
-        keys = pair.tobytes()
-        # value_for(): pattern = mix64(item * 31), repeated to size.
-        vpatterns = mix64_array(arr * np.uint64(31)).astype("<u8").tobytes()
+        x = to_lanes(items)
+        # keyhash(): low = mix64(item), high = mix64(item ^ DEADBEEF)|1;
+        # lane i of low | high << 64 is key i, little-endian.
+        low = mix64_lanes(x, count)
+        high = mix64_lanes(x ^ lanes(0xDEADBEEF, count), count) | lanes(1, count)
+        keys = from_lanes(low | high << 64, count, "16s")
+        # value_for(): pattern = mix64(item * 31), the low half of a lane
+        patterns = from_lanes(mix64_lanes(x * 31, count), count, "8s8x")
         reps = -(-value_size // 8)
-        ops = self._ops
-        get = OpType.GET
-        put = OpType.PUT
-        for i in range(count):
+        append = self._ops.append
+        # one field dict per kind, copied into each op's __dict__:
+        # cheaper than the frozen dataclass's __init__, or than a new
+        # keyword dict per op
+        get_fields = {"op": OpType.GET, "key": b"", "value": None, "item": 0}
+        put_fields = {"op": OpType.PUT, "key": b"", "value": b"", "item": 0}
+        for item, coin, key, pattern in zip(items, coins, keys, patterns):
             op = _new_op(Operation)
-            base = i << 4
-            if coins[i] < get_fraction:
-                op.__dict__.update(
-                    op=get, key=keys[base : base + 16], value=None, item=items[i]
-                )
+            if coin < get_fraction:
+                get_fields["key"] = key
+                get_fields["item"] = item
+                op.__dict__.update(get_fields)
             else:
-                vbase = i << 3
-                value = (vpatterns[vbase : vbase + 8] * reps)[:value_size]
-                op.__dict__.update(
-                    op=put, key=keys[base : base + 16], value=value, item=items[i]
-                )
-            ops.append(op)
+                put_fields["key"] = key
+                put_fields["value"] = (pattern * reps)[:value_size]
+                put_fields["item"] = item
+                op.__dict__.update(put_fields)
+            append(op)
 
     def __iter__(self) -> Iterator[Operation]:
         while True:

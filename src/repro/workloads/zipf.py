@@ -16,23 +16,36 @@ land on different partitions.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
+from itertools import repeat
 from typing import List
 
-import numpy as np
+from repro import _pairwise_sum
+from repro.kv.hashing import from_lanes, mix64, mix64_lanes, to_lanes
 
-from repro.kv.hashing import mix64, mix64_array
+#: terms per pairwise-summed chunk of :func:`zeta`
+_ZETA_CHUNK = 10_000_000
 
 
+@lru_cache(maxsize=64)
 def zeta(n: int, theta: float) -> float:
-    """The generalized harmonic number sum_{i=1..n} 1/i^theta."""
-    # Vectorised: exact and fast enough even for the paper's 480M-key
-    # trace sizes when chunked.
+    """The generalized harmonic number sum_{i=1..n} 1/i^theta.
+
+    Each term is Python's correctly rounded ``i ** -theta``, and the
+    terms are summed in NumPy's pairwise order, 10M at a time, so the
+    sum is the same double as ``np.sum`` of the same terms (the test
+    oracle) on every machine.  Memoised: every client's
+    stream builds its own :class:`ZipfianGenerator`, and one HERD
+    cluster runs 51 of them over the same ``(n, theta)``.
+    """
+    power = -theta
+
+    def terms(lo: int, hi: int) -> List[float]:
+        return list(map(pow, range(lo + 1, hi + 1), repeat(power)))
+
     total = 0.0
-    chunk = 10_000_000
-    for start in range(1, n + 1, chunk):
-        stop = min(n + 1, start + chunk)
-        i = np.arange(start, stop, dtype=np.float64)
-        total += float(np.sum(i ** -theta))
+    for start in range(0, n, _ZETA_CHUNK):
+        total += _pairwise_sum(terms, start, min(_ZETA_CHUNK, n - start))
     return total
 
 
@@ -84,7 +97,7 @@ class ZipfianGenerator:
         returns bit-for-bit the items the scalar method would have: the
         rank transform stays scalar (so the ``**`` uses the very same
         libm ``pow``), while the mix64 scramble — the expensive half —
-        is vectorised.
+        runs over all ``count`` ranks in one pass.
         """
         rand = self._rng.random
         zetan = self._zetan
@@ -104,8 +117,8 @@ class ZipfianGenerator:
                 ranks[i] = int(n * (eta * u - eta + 1.0) ** alpha)
         if not self.scrambled:
             return ranks
-        scrambled = mix64_array(np.asarray(ranks, dtype=np.uint64)) % np.uint64(n)
-        return scrambled.tolist()
+        mixed = from_lanes(mix64_lanes(to_lanes(ranks), count), count)
+        return [m % n for m in mixed]
 
     def probability_of_rank(self, rank: int) -> float:
         """Analytic P(rank) under the target distribution."""

@@ -4,8 +4,9 @@ Cold start is one of the benchmark's end-to-end metrics (``setup_s``),
 and most of it is ``import``.  Every entry point loads its own layer
 stack and nothing above it: the package surfaces (``repro``,
 ``repro.bench``, ``repro.faults``) resolve their names on first access,
-``repro.sim`` computes its statistics without numpy, and no workload of
-``benchmarks/perf`` imports anything inside its timed ``run`` phase.
+no module of ``repro`` needs numpy (it is a test-only oracle), and no
+workload of ``benchmarks/perf`` imports anything inside its timed
+``run`` phase.
 These are module counts, not clocks, so they hold on any machine.
 """
 
@@ -74,7 +75,7 @@ def test_the_microbenchmarks_load_only_their_layers_and_no_numpy():
 def test_kv_and_workloads_load_no_simulator():
     modules, numpy = modules_after("import repro.kv, repro.workloads")
     assert layers(modules) == {"kv", "workloads"}
-    assert numpy  # their hot loops compute with it
+    assert not numpy
 
 
 def test_every_exported_name_resolves():
@@ -95,6 +96,78 @@ def test_every_exported_name_resolves():
     from repro.herd.cluster import HerdCluster as defined
 
     assert HerdCluster is defined
+
+
+WITHOUT_NUMPY = """
+import importlib, json, pkgutil, sys
+
+
+class NoNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "numpy":
+            raise ImportError("numpy is not installed")
+        return None
+
+
+sys.meta_path.insert(0, NoNumpy())
+import repro
+
+names = [info.name for info in pkgutil.walk_packages(repro.__path__, "repro.")]
+for name in names:
+    importlib.import_module(name)
+
+from repro.faults.chaos import run_chaos
+from repro.herd import HerdCluster, HerdConfig
+from repro.kv import CuckooTable, HopscotchTable, MicaCache
+from repro.workloads import Workload
+
+skewed = Workload(get_fraction=0.5, value_size=32, n_keys=1024, distribution="zipfian")
+cluster = HerdCluster(HerdConfig(n_server_processes=2, window=2), n_client_machines=2, seed=1)
+cluster.add_clients(4, skewed)
+cluster.preload(range(1024), 32)
+result = cluster.run(warmup_ns=5_000.0, measure_ns=20_000.0)
+herd_failed = sum(int(result.extra[k]) for k in ("get_misses", "retries", "abandoned"))
+
+report = run_chaos(seed=11, scenario="kill-primary", horizon_ns=60_000.0)
+chaos_failed = report.abandoned + report.ops_lost + len(report.violations)
+
+next_op = skewed.stream(0).next_op
+ops = [next_op() for _ in range(5_000)]
+tables = [MicaCache(index_entries=1 << 14, log_bytes=1 << 20),
+          CuckooTable(n_buckets=1 << 13, extent_bytes=1 << 20),
+          HopscotchTable(n_slots=1 << 13, value_capacity=64)]
+kv_failed = 0
+for table in tables:
+    oracle = {}
+    for op in ops:
+        if op.value is None:
+            kv_failed += table.get(op.key) != oracle.get(op.key)
+        else:
+            table.put(op.key, op.value)
+            oracle[op.key] = op.value
+print(json.dumps({
+    "modules": len(names),
+    "numpy": "numpy" in sys.modules,
+    "herd": [result.ops, herd_failed],
+    "chaos": [report.completed, chaos_failed, report.checker],
+    "kv": [len(ops) * len(tables), kv_failed],
+}))
+"""
+
+
+def test_every_module_imports_and_runs_without_numpy():
+    """With ``import numpy`` failing, every ``repro`` module imports,
+    and a Zipf HERD cluster, a kill-primary chaos run and a
+    ``kv_offline``-shaped trace over the three indexes complete with
+    no failed operation."""
+    out = fresh_python(WITHOUT_NUMPY)
+    assert out["modules"] > 80
+    assert not out["numpy"]
+    ops, failed = out["herd"]
+    assert ops > 0 and failed == 0
+    completed, failed, checker = out["chaos"]
+    assert completed > 0 and failed == 0 and checker == "linearizable"
+    assert out["kv"] == [15_000, 0]
 
 
 RUN_PHASE = """

@@ -121,6 +121,21 @@ def test_every_accepted_shape_runs(dataplane, keys, write_share, value_bytes, n_
     cluster.run(warmup_ns=0.0, measure_ns=20_000.0)
 
 
+def test_onesided_installs_above_the_inline_limit_are_staged():
+    # Regression: an install image above the inline limit was posted as
+    # a non-inline WRITE with no local buffer, and the NIC's fetch
+    # crashed; hypothesis found it only now and then.
+    config = TxnConfig(
+        dataplane="onesided", keys_per_txn=4, writes_per_txn=2, value_bytes=488,
+        n_partitions=2, hot_fraction=0.9,
+    )
+    cluster = TxnCluster(config, n_clients=4, n_client_machines=2, seed=3)
+    report = cluster.run(warmup_ns=10_000.0, measure_ns=60_000.0)
+    assert report.ok and report.torn_writes == 0
+    assert report.commits > 0
+    assert all(c._staging.in_flight == 0 for c in cluster.clients)
+
+
 def test_a_call_never_restages_over_an_unfetched_request(monkeypatch):
     # Regression: RpcChannel staged every request through a bare cursor
     # in a fixed 4 KiB MR.  One call stages a request per partition, and

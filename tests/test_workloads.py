@@ -269,3 +269,72 @@ def test_batched_operations_support_dataclass_replace():
     clone = dataclasses.replace(op, item=123)
     assert clone.item == 123
     assert clone.key == op.key and clone.value == op.value
+
+
+# ---------------------------------------------------------------------------
+# pure-Python arithmetic: lanes, zeta
+# ---------------------------------------------------------------------------
+
+
+def test_mix64_lanes_is_mix64_in_every_lane():
+    import random as _random
+
+    from repro.kv.hashing import from_lanes, mix64_lanes, to_lanes
+
+    rng = _random.Random(5)
+    for count in (0, 1, 2, 7, 256):
+        words = [rng.getrandbits(64) for _ in range(count)]
+        words[:2] = [0, (1 << 64) - 1][:count]
+        x = to_lanes(words)
+        assert from_lanes(x, count) == tuple(words)
+        mixed = mix64_lanes(x, count)
+        assert from_lanes(mixed, count) == tuple(mix64(w) for w in words)
+        assert from_lanes(mixed, count, "8s8x") == tuple(
+            mix64(w).to_bytes(8, "little") for w in words
+        )
+        # wider than 64 bits in a lane: masked first, as mix64 does
+        assert from_lanes(mix64_lanes(x * 31, count), count) == tuple(
+            mix64(w * 31) for w in words
+        )
+
+
+def _pairwise_oracle(terms):
+    """NumPy's own pairwise order: ``np.sum`` of the very same terms."""
+    np = pytest.importorskip("numpy")
+    return float(np.sum(np.array(terms, dtype=np.float64)))
+
+
+@pytest.mark.parametrize("theta", [0.5, 0.9, 0.99])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 127, 128, 129, 1000, 4096, 10_000])
+def test_zeta_is_the_pairwise_sum_of_correctly_rounded_terms(n, theta):
+    terms = [float(i) ** -theta for i in range(1, n + 1)]
+    assert zeta(n, theta) == _pairwise_oracle(terms)
+
+
+def test_zeta_pinned_values():
+    # (3, .99): numpy's vectorised power reads 3**-.99 one ulp low on
+    # some CPUs (AVX-512), which made this sum 1.840493339007644 there
+    assert zeta(3, 0.99) == 1.8404933390076441
+    assert zeta(4096, 0.99) == 9.250105927598003
+    assert zeta(1 << 16, 0.99) == 12.305209353696728
+    assert zeta(1 << 20, 0.99) == 15.446323069717286
+
+
+def test_zeta_is_computed_once_per_n_and_theta(monkeypatch):
+    """Every client stream builds its own ZipfianGenerator; a HERD
+    cluster's 51 streams over one (n, theta) sum the series once."""
+    import repro.workloads.zipf as zipf
+
+    summed = collections.Counter()
+    pairwise_sum = zipf._pairwise_sum
+
+    def counting(block, lo, n):
+        summed[n] += 1
+        return pairwise_sum(block, lo, n)
+
+    monkeypatch.setattr(zipf, "_pairwise_sum", counting)
+    zipf.zeta.cache_clear()
+    workload = Workload(n_keys=5003, distribution="zipfian", zipf_theta=0.9)
+    streams = [workload.stream(seed) for seed in range(51)]
+    assert summed == {5003: 1, 2: 1}
+    assert len({s._zipf._zetan for s in streams}) == 1
