@@ -9,10 +9,15 @@ claim: the emulated numbers should be close to (and not dramatically
 below) the real systems' GET throughput.
 """
 
-from repro.baselines import FarmCluster, FarmConfig, PilafCluster, PilafConfig
-from repro.baselines.full_systems import (
+from repro.baselines.farm import (
+    FarmCluster,
+    FarmConfig,
     FarmFullCluster,
     FarmFullConfig,
+)
+from repro.baselines.pilaf import (
+    PilafCluster,
+    PilafConfig,
     PilafFullCluster,
     PilafFullConfig,
 )
@@ -20,7 +25,8 @@ from repro.bench.report import FigureData, Series, format_figure
 from repro.workloads import Workload
 
 
-def build() -> FigureData:
+def build():
+    """The figure, and the two full systems' results."""
     workload = Workload(get_fraction=1.0, value_size=32, n_keys=6000)
 
     pilaf_em = PilafCluster(PilafConfig(value_bytes=32), workload).run().mops
@@ -49,7 +55,7 @@ def build() -> FigureData:
             + farm_full_result.extra["wrong_values"]
         ),
     ]
-    return FigureData(
+    data = FigureData(
         "validation-emulation",
         "Emulated baselines vs full systems (100% GET, 48 B items)",
         "system",
@@ -57,11 +63,18 @@ def build() -> FigureData:
         series,
         notes=notes,
     )
+    return data, {"Pilaf": pilaf_full_result, "FaRM": farm_full_result}
 
 
 def test_validation_emulation(benchmark, emit):
-    data = benchmark.pedantic(build, rounds=1, iterations=1)
+    data, full_results = benchmark.pedantic(build, rounds=1, iterations=1)
     emit("validation_emulation", format_figure(data))
+
+    # Every full-system GET found its preloaded key and read back
+    # exactly the bytes stored.
+    for system, result in full_results.items():
+        assert result.extra["get_misses"] == 0, system
+        assert result.extra["wrong_values"] == 0, system
 
     emulated = data.series_by_label("emulated (paper)")
     full = data.series_by_label("full system (ours)")

@@ -15,6 +15,9 @@ from dataclasses import dataclass
 from typing import Dict
 
 from repro.hw.params import APT, HardwareProfile
+from repro.kv.cuckoo import BUCKET_BYTES
+from repro.kv.hopscotch import HopscotchTable
+from repro.kv.interface import KEY_BYTES
 
 
 @dataclass
@@ -241,7 +244,8 @@ class BottleneckModel:
         return _predict(
             {
                 "nic_ingress": reads * self.p.nic_ingress_read_ns,
-                "dma": 1.6 * self.dma_read_ns(32) + self.dma_read_ns(value_size),
+                "dma": 1.6 * self.dma_read_ns(BUCKET_BYTES)
+                + self.dma_read_ns(value_size),
                 "nic_egress": reads * self.p.nic_egress_ns,
             }
         )
@@ -277,7 +281,8 @@ class BottleneckModel:
 
     def farm_get(self, value_size: int = 32, inline_values: bool = True) -> Prediction:
         """FaRM-em GETs: one neighborhood READ (+ a value READ in VAR)."""
-        span = 6 * (16 + (value_size if inline_values else 8))
+        item = value_size if inline_values else 8  # SP: an 8-byte pointer
+        span = HopscotchTable.NEIGHBORHOOD * (KEY_BYTES + item)
         demands = {
             "nic_ingress": self.p.nic_ingress_read_ns,
             "dma": self.dma_read_ns(span),

@@ -9,20 +9,34 @@
   single-READ hopscotch GETs (inline values) or two-READ GETs (VAR),
   WRITE-based PUTs over UC.
 
-Like the paper's own comparison, the Pilaf and FaRM emulations omit the
-backing data structures and answer instantly — this gives the baselines
-the maximum possible advantage (Section 5.1).
+Like the paper's own comparison, :class:`PilafCluster` and
+:class:`FarmCluster` omit the backing data structures and answer
+instantly — this gives the baselines the maximum possible advantage
+(Section 5.1).  :class:`PilafFullCluster` and :class:`FarmFullCluster`
+are the same systems with their real cuckoo / hopscotch tables inside
+registered memory: clients parse the bytes they READ and the server
+runs every insert.  They check the emulation; each pair shares one
+client, server process and wiring loop in its module.
 """
 
 from repro.baselines.echo import EchoCluster, EchoConfig
-from repro.baselines.farm import FarmCluster, FarmConfig
-from repro.baselines.pilaf import PilafCluster, PilafConfig
+from repro.baselines.farm import FarmCluster, FarmConfig, FarmFullCluster, FarmFullConfig
+from repro.baselines.pilaf import (
+    PilafCluster,
+    PilafConfig,
+    PilafFullCluster,
+    PilafFullConfig,
+)
 
 __all__ = [
     "EchoCluster",
     "EchoConfig",
     "FarmCluster",
     "FarmConfig",
+    "FarmFullCluster",
+    "FarmFullConfig",
     "PilafCluster",
     "PilafConfig",
+    "PilafFullCluster",
+    "PilafFullConfig",
 ]

@@ -1,4 +1,4 @@
-"""FaRM-em and FaRM-em-VAR: the emulated FaRM-KV comparison (Section 5.1.2).
+"""FaRM-KV (Section 5.1.2): the paper's emulation and the full system.
 
 FaRM-KV's protocol, as emulated by the paper:
 
@@ -13,32 +13,45 @@ FaRM-KV's protocol, as emulated by the paper:
   polls the buffer and notifies completion with a WRITE back to the
   client, which polls its own memory.
 
-As with Pilaf, the emulation omits the backing hash table: the server
-answers instantly, and the GET targets are address arithmetic over a
-dummy table region.  Each client process pipelines ``window``
-operations over one RC QP (READs) plus one UC QP (the PUT path), so
-the server holds 2 * NC connected QPs.
+:class:`FarmCluster` is the emulation.  As with Pilaf, it omits the
+backing hash table: the server answers instantly, and the GET targets
+are address arithmetic over a dummy table region.
+
+:class:`FarmFullCluster` keeps the real hopscotch table (values inline
+in its slots, or out-of-table extents in VAR mode) **inside registered
+memory**: a GET parses the neighborhood its key really hashes to — two
+READs when that neighborhood wraps the table's end — and every PUT runs
+the real insert, displacements and all, on the server's CPU.  The two
+share one client, one server process and one wiring loop: they differ
+only in the GET traversal, the PUT apply step and how the table is
+built.
+
+Each client process pipelines ``window`` operations over one RC QP
+(READs) plus one UC QP (the PUT path), so the server holds 2 * NC
+connected QPs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, List, Optional
+from typing import Generator, List, Optional, Tuple
 
+from repro.baselines.pilaf import FULL, OK, PARSE_NS, require_positive
 from repro.bench.result import RunResult, collect
 from repro.hw import APT, HardwareProfile
 from repro.kv.hashing import hash_key
+from repro.kv.hopscotch import HopscotchFullError, HopscotchTable
+from repro.kv.interface import KEY_BYTES, padded_key
 from repro.sim import Event, Store
-from repro.verbs import QueuePair, RdmaDevice, Testbed, Transport, WorkRequest
-from repro.workloads.ycsb import Workload, WorkloadStream
+from repro.verbs import RdmaDevice, Testbed, Transport, WorkRequest
+from repro.workloads.ycsb import Workload, WorkloadStream, keyhash, value_for
 
-NEIGHBORHOOD = 6
+#: SP, the out-of-table pointer the paper's VAR neighborhood READ prices
 POINTER_BYTES = 8
 
 
 @dataclass(frozen=True)
 class FarmConfig:
-    key_bytes: int = 16
     value_bytes: int = 32
     #: True = values inline in the hash table (FaRM-em);
     #: False = out-of-table values behind pointers (FaRM-em-VAR)
@@ -47,22 +60,51 @@ class FarmConfig:
     window: int = 4
     n_server_processes: int = 6
 
+    def __post_init__(self) -> None:
+        require_positive(self, "value_bytes", "window", "n_server_processes")
+
     @property
     def neighborhood_read_bytes(self) -> int:
-        if self.inline_values:
-            return NEIGHBORHOOD * (self.key_bytes + self.value_bytes)
-        return NEIGHBORHOOD * (self.key_bytes + POINTER_BYTES)
+        item = self.value_bytes if self.inline_values else POINTER_BYTES
+        return HopscotchTable.NEIGHBORHOOD * (KEY_BYTES + item)
+
+
+@dataclass(frozen=True)
+class FarmFullConfig:
+    value_bytes: int = 32
+    #: hopscotch cannot always keep its neighborhood invariant past
+    #: ~50% occupancy without a resize (which FaRM performs and we do
+    #: not), so deployments should size the table generously
+    n_slots: int = 2 ** 15
+    #: True = values inline in the slots (FaRM-em's default mode);
+    #: False = out-of-table values, fetched with a second READ (VAR)
+    inline_values: bool = True
+    extent_bytes: int = 1 << 22
+    window: int = 4
+    n_server_processes: int = 6
+
+    def __post_init__(self) -> None:
+        require_positive(
+            self, "value_bytes", "n_slots", "extent_bytes", "window",
+            "n_server_processes",
+        )
 
 
 class _FarmClientProcess:
-    """A client process: window lanes pipelined over shared QPs."""
+    """A client process: window lanes pipelined over shared QPs.
+
+    With a ``schema`` (a geometry-only view of the server's real table)
+    GETs parse the real neighborhood; without one they READ a span at a
+    hashed address.
+    """
 
     def __init__(
         self,
         cid: int,
         device: RdmaDevice,
-        config: FarmConfig,
+        config: FarmConfig | FarmFullConfig,
         stream: WorkloadStream,
+        schema: Optional[HopscotchTable],
     ) -> None:
         self.cid = cid
         self.device = device
@@ -70,11 +112,12 @@ class _FarmClientProcess:
         self.profile = device.profile
         self.config = config
         self.stream = stream
-        self.read_qp: Optional[QueuePair] = None   # RC: GETs
-        self.put_qp: Optional[QueuePair] = None    # UC: PUT writes
-        self.table_addr = 0
-        self.table_rkey = 0
-        self.table_bytes = 0
+        self.schema = schema
+        self._get = self._get_emulated if schema is None else self._get_full
+        self.read_qp = None  # RC: GETs
+        self.put_qp = None   # UC: PUT writes
+        self.table_addr = self.table_rkey = self.table_bytes = 0
+        self.extents_addr = self.extents_rkey = 0
         self.put_raddr = 0       # base of this process's buffer slots
         self.put_rkey = 0
         self.put_slot_bytes = 0
@@ -88,6 +131,8 @@ class _FarmClientProcess:
         self.completed_hook = None
         self.gets = 0
         self.puts = 0
+        self.get_misses = 0
+        self.wrong_values = 0
 
     def start(self) -> None:
         self.sim.process(self._dispatch_reads(), name="farm-c%d-scq" % self.cid)
@@ -107,39 +152,82 @@ class _FarmClientProcess:
             op = self.stream.next_op()
             started = self.sim.now
             if op.is_get:
-                yield from self._get(lane, op.key)
-                self.gets += 1
+                yield from self._get(lane, op)
             else:
                 yield from self._put(lane, op.key, op.value)
                 self.puts += 1
             if self.completed_hook is not None:
                 self.completed_hook(self.sim.now, self.sim.now - started)
 
-    def _get(self, lane: int, key: bytes) -> Generator[Event, None, None]:
-        cfg = self.config
-        span = cfg.neighborhood_read_bytes
-        home = hash_key(key) % max(1, self.table_bytes - span)
+    def _read(
+        self, lane: int, raddr: int, rkey: int, length: int, sink_off: int
+    ) -> Generator[Event, None, None]:
         wr = WorkRequest.read(
-            raddr=self.table_addr + home,
-            rkey=self.table_rkey,
-            local=(self.sink, lane * 8192, span),
-            wr_id=lane,
+            raddr=raddr, rkey=rkey, local=(self.sink, sink_off, length), wr_id=lane
         )
         yield from self.device.post_send_timed(self.read_qp, wr)
         yield self._read_done[lane].get()
         yield self.sim.timeout(self.profile.cq_poll_ns)
+
+    def _get_emulated(self, lane: int, op) -> Generator[Event, None, None]:
+        """One neighborhood-sized READ at a hashed address over a table
+        of dummy bytes (and one value-sized READ in VAR mode)."""
+        cfg = self.config
+        sink_off = lane * 8192
+        span = cfg.neighborhood_read_bytes
+        home = hash_key(op.key) % max(1, self.table_bytes - span)
+        yield from self._read(
+            lane, self.table_addr + home, self.table_rkey, span, sink_off
+        )
         if not cfg.inline_values:
             # VAR mode: follow the out-of-table pointer with a 2nd READ.
-            offset = hash_key(key, 3) % max(1, self.table_bytes - cfg.value_bytes)
-            wr = WorkRequest.read(
-                raddr=self.table_addr + offset,
-                rkey=self.table_rkey,
-                local=(self.sink, lane * 8192 + span, cfg.value_bytes),
-                wr_id=lane,
+            offset = hash_key(op.key, 3) % max(1, self.table_bytes - cfg.value_bytes)
+            yield from self._read(
+                lane, self.table_addr + offset, self.table_rkey, cfg.value_bytes,
+                sink_off + span,
             )
-            yield from self.device.post_send_timed(self.read_qp, wr)
-            yield self._read_done[lane].get()
-            yield self.sim.timeout(self.profile.cq_poll_ns)
+        self.gets += 1
+
+    def _get_full(self, lane: int, op) -> Generator[Event, None, None]:
+        """READ and parse the key's real neighborhood; in VAR mode,
+        follow its extent pointer."""
+        key = padded_key(op.key)
+        self.gets += 1
+        schema = self.schema
+        hood = schema.NEIGHBORHOOD
+        home = schema.home_of(key)
+        slot_bytes = schema.slot_bytes
+        sink_off = lane * 8192
+        first = min(hood, schema.n_slots - home)
+        yield from self._read(
+            lane, self.table_addr + home * slot_bytes, self.table_rkey,
+            first * slot_bytes, sink_off,
+        )
+        data = self.sink.read(sink_off, first * slot_bytes)
+        if first < hood:
+            # The neighborhood wraps the end of the table: second READ.
+            rest = hood - first
+            yield from self._read(
+                lane, self.table_addr, self.table_rkey, rest * slot_bytes,
+                sink_off + first * slot_bytes,
+            )
+            data += self.sink.read(sink_off + first * slot_bytes, rest * slot_bytes)
+        yield self.sim.timeout(PARSE_NS)
+        parsed = schema.parse_neighborhood(key, data)
+        if parsed is None:
+            self.get_misses += 1
+            return
+        value, ptr = parsed
+        if not self.config.inline_values:
+            # VAR mode: follow the real out-of-table pointer.
+            vlen = self.config.value_bytes
+            value_off = sink_off + hood * slot_bytes
+            yield from self._read(
+                lane, self.extents_addr + ptr, self.extents_rkey, vlen, value_off
+            )
+            value = self.sink.read(value_off, vlen)
+        if value != value_for(op.item, self.config.value_bytes):
+            self.wrong_values += 1
 
     def _put(self, lane: int, key: bytes, value: bytes) -> Generator[Event, None, None]:
         payload = key + value
@@ -150,6 +238,8 @@ class _FarmClientProcess:
                 payload=payload, inline=True, signaled=False,
             )
         else:
+            # the lane's slot is free again: its last PUT was acked, so
+            # the NIC has fetched it
             self._staging.write(lane * 2048, payload)
             wr = WorkRequest.write(
                 raddr=raddr, rkey=self.put_rkey,
@@ -162,13 +252,18 @@ class _FarmClientProcess:
 
 
 class _FarmServerProcess:
-    """A server core polling its clients' PUT circular buffers."""
+    """A server core polling its clients' PUT circular buffers.
 
-    def __init__(self, index: int, device: RdmaDevice) -> None:
+    ``apply(key, value) -> (reply, accesses)`` is the cluster's PUT
+    apply step; each access costs one random DRAM access.
+    """
+
+    def __init__(self, index: int, device: RdmaDevice, apply) -> None:
         self.index = index
         self.device = device
         self.sim = device.sim
         self.profile = device.profile
+        self.apply = apply
         self.arrivals = Store(self.sim)
         #: per assigned client process: qp (UC back to client), ack info
         self.clients: List[dict] = []
@@ -180,14 +275,16 @@ class _FarmServerProcess:
     def run(self) -> Generator[Event, None, None]:
         p = self.profile
         while True:
-            client_index, lane = yield self.arrivals.get()
+            client_index, lane, data = yield self.arrivals.get()
             # Poll cost of spotting the new request in the buffer.
             yield self.sim.timeout(4 * p.poll_check_ns)
+            reply, accesses = self.apply(data[:KEY_BYTES], data[KEY_BYTES:])
+            if accesses:
+                yield self.sim.timeout(accesses * p.dram_ns)
             state = self.clients[client_index]
-            # Emulated: no hash-table update; notify with a tiny WRITE.
             wr = WorkRequest.write(
                 raddr=state["ack_addr"] + lane * 64, rkey=state["ack_rkey"],
-                payload=b"\x01", inline=True, signaled=False,
+                payload=reply, inline=True, signaled=False,
             )
             yield from self.device.post_send_timed(state["qp"], wr)
             self.puts_handled += 1
@@ -196,26 +293,33 @@ class _FarmServerProcess:
 class FarmCluster(Testbed):
     """An emulated FaRM-KV deployment (FaRM-em / FaRM-em-VAR)."""
 
+    CONFIG = FarmConfig
+    #: a client's workload stream is seeded ``seed * STREAM_SEED + cid``
+    STREAM_SEED = 104_729
+    #: the dummy table's size (addresses only)
     TABLE_BYTES = 1 << 21
     PUT_SLOT = 2048
+    #: the real table and its VAR-mode extents, in the full system
+    table: Optional[HopscotchTable] = None
+    extents_mr = None
 
     def __init__(
         self,
-        config: Optional[FarmConfig] = None,
+        config: FarmConfig | FarmFullConfig | None = None,
         workload: Optional[Workload] = None,
         profile: HardwareProfile = APT,
         n_clients: int = 51,
         n_client_machines: int = 17,
         seed: int = 0,
     ) -> None:
-        self.config = config if config is not None else FarmConfig()
+        self.config = config if config is not None else self.CONFIG()
         self.workload = workload if workload is not None else Workload(
             get_fraction=0.95, value_size=self.config.value_bytes
         )
         super().__init__(profile, n_client_machines, seed)
-        self.table = self.server_device.register_memory(self.TABLE_BYTES)
+        self._build_table()
         self.servers = [
-            _FarmServerProcess(s, self.server_device)
+            _FarmServerProcess(s, self.server_device, self._apply_put)
             for s in range(self.config.n_server_processes)
         ]
         lanes = n_clients * self.config.window
@@ -225,12 +329,19 @@ class FarmCluster(Testbed):
         self.put_buffers.on_write = self._put_landed
         self._wire(n_clients, seed)
 
+    def _build_table(self) -> None:
+        self.table_mr = self.server_device.register_memory(self.TABLE_BYTES)
+
+    def _apply_put(self, key: bytes, value: bytes) -> Tuple[bytes, int]:
+        """Emulated: no hash-table update; notify with a tiny WRITE."""
+        return OK, 0
+
     def _wire(self, n_clients: int, seed: int) -> None:
         cfg = self.config
         for cid in range(n_clients):
             device = self.client_device(cid)
-            stream = self.workload.stream(seed=seed * 104_729 + cid)
-            client = _FarmClientProcess(cid, device, cfg, stream)
+            stream = self.workload.stream(seed=seed * self.STREAM_SEED + cid)
+            client = _FarmClientProcess(cid, device, cfg, stream, self.table)
             sproc = self.servers[cid % len(self.servers)]
             # _put_landed turns a cid back into this index arithmetically
             assert len(sproc.clients) == cid // len(self.servers)
@@ -242,9 +353,11 @@ class FarmCluster(Testbed):
             s_put, client.put_qp = self.connect(
                 self.server_device, device, Transport.UC
             )
-            client.table_addr = self.table.addr
-            client.table_rkey = self.table.rkey
-            client.table_bytes = self.TABLE_BYTES
+            client.table_addr, client.table_rkey = self.table_mr.addr, self.table_mr.rkey
+            client.table_bytes = self.table_mr.length
+            if self.extents_mr is not None:
+                client.extents_addr = self.extents_mr.addr
+                client.extents_rkey = self.extents_mr.rkey
             client.put_raddr = self.put_buffers.addr + cid * cfg.window * self.PUT_SLOT
             client.put_rkey = self.put_buffers.rkey
             client.put_slot_bytes = self.PUT_SLOT
@@ -257,20 +370,68 @@ class FarmCluster(Testbed):
             )
             self.clients.append(client)
 
-    def _put_landed(self, offset: int, _length: int) -> None:
-        lane_global, cfg = offset // self.PUT_SLOT, self.config
-        cid, lane = divmod(lane_global, cfg.window)
+    def _put_landed(self, offset: int, length: int) -> None:
+        cid, lane = divmod(offset // self.PUT_SLOT, self.config.window)
         sproc = self.servers[cid % len(self.servers)]
-        sproc.arrivals.put((cid // len(self.servers), lane))
+        data = self.put_buffers.read(offset, length)
+        sproc.arrivals.put((cid // len(self.servers), lane, data))
 
     # ------------------------------------------------------------------
 
     def run(self, warmup_ns: float = 30_000.0, measure_ns: float = 150_000.0) -> RunResult:
         meter, latencies = self.run_window(warmup_ns, measure_ns)
-        return collect(
-            meter,
-            latencies,
-            measure_ns,
+        return collect(meter, latencies, measure_ns, **self._results())
+
+    def _results(self) -> dict:
+        """The run's extra result fields."""
+        return dict(
             puts_handled=float(sum(s.puts_handled for s in self.servers)),
             read_bytes_per_get=float(self.config.neighborhood_read_bytes),
+        )
+
+
+class FarmFullCluster(FarmCluster):
+    """FaRM-KV with its real hopscotch table resident in server memory."""
+
+    CONFIG = FarmFullConfig
+    STREAM_SEED = 15_485_863
+    #: PUTs the table could not admit
+    failed_inserts = 0
+
+    def _build_table(self) -> None:
+        cfg = self.config
+        n_slots = 1 << (cfg.n_slots - 1).bit_length()
+        slot_bytes = HopscotchTable.slot_size(cfg.value_bytes, cfg.inline_values)
+        self.table_mr = self.server_device.register_memory(n_slots * slot_bytes)
+        if not cfg.inline_values:
+            self.extents_mr = self.server_device.register_memory(cfg.extent_bytes)
+        self.table = HopscotchTable(
+            n_slots=cfg.n_slots,
+            value_capacity=cfg.value_bytes,
+            inline=cfg.inline_values,
+            table_buffer=self.table_mr.buf,
+            extent_buffer=None if self.extents_mr is None else self.extents_mr.buf,
+        )
+
+    def _apply_put(self, key: bytes, value: bytes) -> Tuple[bytes, int]:
+        """The real insert: one neighborhood scan plus any displacements,
+        each a random access."""
+        displacements_before = self.table.displacements
+        try:
+            self.table.put(key, value)
+            reply = OK
+        except HopscotchFullError:
+            self.failed_inserts += 1
+            reply = FULL
+        return reply, 1 + self.table.displacements - displacements_before
+
+    def preload(self, items: range) -> None:
+        for item in items:
+            self.table.put(keyhash(item), value_for(item, self.config.value_bytes))
+
+    def _results(self) -> dict:
+        return dict(
+            get_misses=float(sum(c.get_misses for c in self.clients)),
+            wrong_values=float(sum(c.wrong_values for c in self.clients)),
+            failed_inserts=float(self.failed_inserts),
         )

@@ -55,7 +55,7 @@ class HopscotchTable(KeyValueStore):
         self.value_capacity = value_capacity
         #: what the head of a slot decodes as: (key, vlen, flags[, ptr])
         self._slot = _SLOT_HEADER if inline else _VAR_SLOT
-        self.slot_bytes = self._slot.size + (value_capacity if inline else 0)
+        self.slot_bytes = self.slot_size(value_capacity, inline)
         if table_buffer is None:
             table_buffer = bytearray(self.n_slots * self.slot_bytes)
         if len(table_buffer) < self.n_slots * self.slot_bytes:
@@ -70,6 +70,11 @@ class HopscotchTable(KeyValueStore):
         self.last_op_accesses = 0
 
     # -- layout ---------------------------------------------------------
+
+    @staticmethod
+    def slot_size(value_capacity: int, inline: bool) -> int:
+        """Bytes per slot: header + value inline, header + pointer VAR."""
+        return _SLOT_HEADER.size + value_capacity if inline else _VAR_SLOT.size
 
     def home_of(self, key: bytes) -> int:
         if len(key) != KEY_BYTES:

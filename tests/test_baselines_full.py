@@ -6,16 +6,17 @@ memory regions and clients traverse the real bytes with READs.
 
 import pytest
 
-from repro.baselines.full_systems import (
-    FarmFullCluster,
-    FarmFullConfig,
-    PilafFullCluster,
-    PilafFullConfig,
-)
+from repro.baselines.farm import FarmFullCluster, FarmFullConfig
+from repro.baselines.pilaf import PilafFullCluster, PilafFullConfig
 from repro.workloads import Workload
+from repro.workloads.ycsb import keyhash, value_for
+
+#: one value size under the 256 B inline limit, two above it (there a
+#: PUT is staged and fetched by the NIC instead of copied into the WQE)
+VALUE_SIZES = [32, 300, 1000]
 
 
-def pilaf_full(n_keys=2000, get_fraction=0.95, clients=8, **cfg):
+def pilaf_full(n_keys=2000, get_fraction=0.95, clients=8, preload=True, **cfg):
     config = PilafFullConfig(**cfg)
     cluster = PilafFullCluster(
         config,
@@ -23,11 +24,12 @@ def pilaf_full(n_keys=2000, get_fraction=0.95, clients=8, **cfg):
         n_clients=clients,
         n_client_machines=4,
     )
-    cluster.preload(range(n_keys))
+    if preload:
+        cluster.preload(range(n_keys))
     return cluster
 
 
-def farm_full(n_keys=2000, get_fraction=0.95, clients=8, **cfg):
+def farm_full(n_keys=2000, get_fraction=0.95, clients=8, preload=True, **cfg):
     config = FarmFullConfig(**cfg)
     cluster = FarmFullCluster(
         config,
@@ -35,7 +37,8 @@ def farm_full(n_keys=2000, get_fraction=0.95, clients=8, **cfg):
         n_clients=clients,
         n_client_machines=4,
     )
-    cluster.preload(range(n_keys))
+    if preload:
+        cluster.preload(range(n_keys))
     return cluster
 
 
@@ -44,10 +47,12 @@ def farm_full(n_keys=2000, get_fraction=0.95, clients=8, **cfg):
 # ---------------------------------------------------------------------------
 
 
-def test_pilaf_full_gets_return_correct_bytes():
+@pytest.mark.parametrize("value_bytes", VALUE_SIZES)
+def test_pilaf_full_gets_return_correct_bytes(value_bytes):
     """Every GET hit decodes to the exact stored value, end to end
-    through remote bucket parsing and extent checksums."""
-    cluster = pilaf_full(get_fraction=1.0)
+    through remote bucket parsing and extent checksums — also the
+    values the riding-along PUTs (inline or staged) rewrote."""
+    cluster = pilaf_full(get_fraction=0.9, value_bytes=value_bytes)
     result = cluster.run(warmup_ns=0, measure_ns=100_000)
     assert result.ops > 100
     assert result.extra["get_misses"] == 0
@@ -69,19 +74,23 @@ def test_pilaf_full_table_lives_in_registered_region():
     assert cluster.table.extents is cluster.extents_mr.buf
 
 
-def test_pilaf_full_puts_update_the_real_table():
-    from repro.workloads.ycsb import keyhash, value_for
-
-    cluster = pilaf_full(get_fraction=0.0, n_keys=64)
+@pytest.mark.parametrize("value_bytes", VALUE_SIZES)
+def test_pilaf_full_puts_update_the_real_table(value_bytes):
+    # an empty table: every item found below was inserted by a PUT
+    cluster = pilaf_full(
+        get_fraction=0.0, n_keys=64, preload=False, value_bytes=value_bytes
+    )
     result = cluster.run(warmup_ns=0, measure_ns=100_000)
     assert result.ops > 30
+    assert result.extra["failed_inserts"] == 0
     hits = 0
     for item in range(64):
         value = cluster.table.get(keyhash(item))
         if value is not None:
-            assert value == value_for(item, 32)
+            assert value == value_for(item, value_bytes)
             hits += 1
     assert hits > 32
+    assert cluster.table.items == hits  # and nothing under a foreign key
 
 
 def test_pilaf_full_throughput_close_to_emulated():
@@ -108,8 +117,9 @@ def test_pilaf_full_throughput_close_to_emulated():
 # ---------------------------------------------------------------------------
 
 
-def test_farm_full_gets_return_correct_bytes():
-    cluster = farm_full(get_fraction=1.0)
+@pytest.mark.parametrize("value_bytes", VALUE_SIZES)
+def test_farm_full_gets_return_correct_bytes(value_bytes):
+    cluster = farm_full(get_fraction=0.9, value_bytes=value_bytes)
     result = cluster.run(warmup_ns=0, measure_ns=100_000)
     assert result.ops > 100
     assert result.extra["get_misses"] == 0
@@ -121,18 +131,21 @@ def test_farm_full_table_lives_in_registered_region():
     assert cluster.table.table is cluster.table_mr.buf
 
 
-def test_farm_full_puts_update_the_real_table():
-    from repro.workloads.ycsb import keyhash, value_for
-
-    cluster = farm_full(get_fraction=0.0, n_keys=64)
+@pytest.mark.parametrize("value_bytes", VALUE_SIZES)
+def test_farm_full_puts_update_the_real_table(value_bytes):
+    # an empty table: every item found below was inserted by a PUT
+    cluster = farm_full(
+        get_fraction=0.0, n_keys=64, preload=False, value_bytes=value_bytes
+    )
     result = cluster.run(warmup_ns=0, measure_ns=100_000)
     assert result.ops > 30
     assert result.extra["failed_inserts"] == 0
     found = sum(
         1 for item in range(64)
-        if cluster.table.get(keyhash(item)) == value_for(item, 32)
+        if cluster.table.get(keyhash(item)) == value_for(item, value_bytes)
     )
     assert found > 32
+    assert cluster.table.items == found  # and nothing under a foreign key
 
 
 def test_farm_full_wrapped_neighborhoods_need_two_reads():

@@ -1,8 +1,19 @@
 """Tests for the Pilaf-em-OPT and FaRM-em baseline systems."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.baselines import FarmCluster, FarmConfig, PilafCluster, PilafConfig
+from repro.baselines import (
+    FarmCluster,
+    FarmConfig,
+    FarmFullCluster,
+    FarmFullConfig,
+    PilafCluster,
+    PilafConfig,
+    PilafFullCluster,
+    PilafFullConfig,
+)
 from repro.workloads import Workload
 
 
@@ -161,3 +172,80 @@ def test_emulated_systems_put_faster_than_get():
         PilafConfig(value_bytes=32), Workload(get_fraction=0.0, value_size=32)
     ).run()
     assert put_side.mops > get_side.mops
+
+
+# ---------------------------------------------------------------------------
+# Config validation (all four baseline configs)
+# ---------------------------------------------------------------------------
+
+AT_LEAST_ONE = (1, float("inf"))
+#: config -> field -> the closed range it accepts
+BOUNDS = {
+    PilafConfig: {
+        "value_bytes": AT_LEAST_ONE,
+        "avg_probes": (1.0, 2.0),  # a GET probes 1 or 2 buckets
+        "window": AT_LEAST_ONE,
+        "n_server_processes": AT_LEAST_ONE,
+    },
+    PilafFullConfig: dict.fromkeys(
+        ["value_bytes", "n_buckets", "extent_bytes", "window", "n_server_processes"],
+        AT_LEAST_ONE,
+    ),
+    FarmConfig: dict.fromkeys(
+        ["value_bytes", "window", "n_server_processes"], AT_LEAST_ONE
+    ),
+    FarmFullConfig: dict.fromkeys(
+        ["value_bytes", "n_slots", "extent_bytes", "window", "n_server_processes"],
+        AT_LEAST_ONE,
+    ),
+}
+FIELDS = [(cls, field) for cls in BOUNDS for field in sorted(BOUNDS[cls])]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    case=st.sampled_from(FIELDS),
+    value=st.one_of(st.integers(-4, 4), st.integers(), st.floats()),
+)
+def test_baseline_configs_accept_exactly_their_ranges(case, value):
+    """Each field accepts exactly its range; anything else — NaN
+    included — fails at construction, naming the field, instead of deep
+    in the wiring (window 0: a zero-length MR; no server process: a
+    ZeroDivisionError) or silently (avg_probes 3.0 ran and reported 2.4)."""
+    cls, field = case
+    lo, hi = BOUNDS[cls][field]
+    if lo <= value <= hi:
+        assert getattr(cls(**{field: value}), field) == value
+    else:
+        with pytest.raises(ValueError, match=field):
+            cls(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "cls,config",
+    [
+        (PilafCluster, PilafConfig(value_bytes=1, window=1, n_server_processes=1)),
+        (PilafCluster, PilafConfig(avg_probes=1.0)),
+        (PilafCluster, PilafConfig(avg_probes=2.0)),
+        (FarmCluster, FarmConfig(value_bytes=1, window=1, n_server_processes=1)),
+        (
+            PilafFullCluster,
+            PilafFullConfig(value_bytes=1, n_buckets=1, window=1, n_server_processes=1),
+        ),
+        (
+            FarmFullCluster,
+            FarmFullConfig(value_bytes=1, n_slots=64, window=1, n_server_processes=1),
+        ),
+    ],
+)
+def test_the_smallest_accepted_configs_run(cls, config):
+    cluster = cls(
+        config,
+        Workload(get_fraction=0.5, value_size=config.value_bytes, n_keys=1),
+        n_clients=2,
+        n_client_machines=1,
+    )
+    if hasattr(cluster, "preload"):
+        cluster.preload(range(1))
+    result = cluster.run(warmup_ns=0, measure_ns=20_000)
+    assert result.ops > 0

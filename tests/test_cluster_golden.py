@@ -18,14 +18,18 @@ import hashlib
 import pytest
 
 from repro.baselines.echo import EchoCluster, EchoConfig
-from repro.baselines.farm import FarmCluster, FarmConfig
-from repro.baselines.full_systems import (
+from repro.baselines.farm import (
+    FarmCluster,
+    FarmConfig,
     FarmFullCluster,
     FarmFullConfig,
+)
+from repro.baselines.pilaf import (
+    PilafCluster,
+    PilafConfig,
     PilafFullCluster,
     PilafFullConfig,
 )
-from repro.baselines.pilaf import PilafCluster, PilafConfig
 from repro.herd import HerdCluster, HerdConfig
 from repro.herd.ud_variant import SendSendHerdCluster
 from repro.qos import QosConfig
@@ -76,7 +80,11 @@ def _kv_baseline(cls, config, preload=False):
     )
     if preload:
         cluster.preload(range(N_KEYS))
-    return _digest(cluster.run(**WINDOW))
+    result = cluster.run(**WINDOW)
+    if preload:  # a full system: every GET checked its bytes, every PUT its key
+        assert result.extra["wrong_values"] == 0
+        assert cluster.table.items == N_KEYS
+    return _digest(result)
 
 
 def _txn(dataplane):
@@ -121,11 +129,32 @@ CASES = {
     "echo-send": lambda: _echo(EchoConfig.send_send()),
     "pilaf": lambda: _kv_baseline(PilafCluster, PilafConfig()),
     "farm": lambda: _kv_baseline(FarmCluster, FarmConfig()),
+    # values above the inline limit take the staged, NIC-fetched PUT path
+    "pilaf-512": lambda: _kv_baseline(PilafCluster, PilafConfig(value_bytes=512)),
+    "farm-512": lambda: _kv_baseline(FarmCluster, FarmConfig(value_bytes=512)),
+    "farm-var": lambda: _kv_baseline(FarmCluster, FarmConfig(inline_values=False)),
     "pilaf-full": lambda: _kv_baseline(
         PilafFullCluster, PilafFullConfig(n_buckets=2 ** 11), preload=True
     ),
     "farm-full": lambda: _kv_baseline(
         FarmFullCluster, FarmFullConfig(n_slots=2 ** 12), preload=True
+    ),
+    # full-system PUTs above the inline limit, pinned once they stopped
+    # mangling: Pilaf's raised TypeError; FaRM's stored a READ sink's
+    # bytes under a foreign key (same digest, as no GET read that key:
+    # the table-size check above is what fails on the old code)
+    "pilaf-full-512": lambda: _kv_baseline(
+        PilafFullCluster,
+        PilafFullConfig(n_buckets=2 ** 11, value_bytes=512),
+        preload=True,
+    ),
+    "farm-full-512": lambda: _kv_baseline(
+        FarmFullCluster, FarmFullConfig(n_slots=2 ** 12, value_bytes=512), preload=True
+    ),
+    "farm-full-var": lambda: _kv_baseline(
+        FarmFullCluster,
+        FarmFullConfig(n_slots=2 ** 12, inline_values=False),
+        preload=True,
     ),
     "txn-rpc": lambda: _txn("rpc"),
     "txn-onesided": lambda: _txn("onesided"),
@@ -134,12 +163,19 @@ CASES = {
 }
 
 #: recorded at parent commit 14fcb65 (python tests/test_cluster_golden.py);
-#: "pilaf" re-pinned once since, see its comment
+#: "pilaf" re-pinned once since, see its comment.  "pilaf-512", "farm-512",
+#: "farm-var" and "farm-full-var" recorded at 292bfb5, before the emulated
+#: and full baselines were merged into one implementation each; the two
+#: "*-full-512" digests after their PUT fix (see CASES)
 GOLDEN = {
     "echo-send": "0ae31f2ac2c603bdac61e7b3a48b697789042fbe266c6d3ea283241581f35cd8",
     "echo-write": "7a03b69793fb916328f2ffef4f0abcbff88b8e941d595af5a511dc04ff4c05fe",
     "farm": "fb520821fd9e9361162961f8fa47334ac4c2b0e40d979137828cdf7fdb79149a",
+    "farm-512": "934f4e3663de78ca9d01a24ebddac3464da5c176b4248ffccb30412e741246fe",
     "farm-full": "03e473c91dec9986576e420c6ecb6937d43c8068e1f564162ef37a6a4fa89786",
+    "farm-full-512": "2fce9d785fb076d22215b72e556d74cccb298ce7a0daea30317101a0f03e8661",
+    "farm-full-var": "a17ee7e21761278836e9a23cbb85a6631016ec195a55a32d9a602e156272e155",
+    "farm-var": "b629fe60cea31680f7101aff4dceedd1b8f03280d4520c3ef896475ae9065343",
     "herd-dc": "19c30fd95abb4347056ea1a720b67057eda8d058f1350ec9e367b9b527e2fdbd",
     "herd-qp-pool": "bb82bedf8c81b6f84c05bf67fc762015c116d8c5856da08845d92c0d0de33122",
     "herd-send-send": "47c44dd4ae67c1f6fd602ce80c86c0da3c0a3640fad64a297ff1afd1b9230eef",
@@ -149,7 +185,9 @@ GOLDEN = {
     # probe counts unchanged, mean latency 4.815939 -> 4.815859 us
     # (docs/PERF.md, "Digests that moved")
     "pilaf": "57b4896aabffd131671dd3a10bf3308b3751606e05e4a3cb0226eb165fd68c35",
+    "pilaf-512": "c0088c09bb4d02055e2db80dc7e0c413d74e0136fde9c46504c7144d5952411c",
     "pilaf-full": "6a054a2b5c42c5a6084b0ddd4916c2de0acd582353da9e97d91977a4128c81c0",
+    "pilaf-full-512": "fb3cc1eb2ca0309c4948b23e575f4f50dda4a91e608c2c28cc17478400b2c8d4",
     "queue-onesided": "84543876c86c1ef487d5624ba3e4decc241ec490f1df990801e50fe22ec17069",
     "queue-rpc": "624670ac70faffb0f8af400b35b6eda8d1951753ee08ae4f69ab36ae7bb8a9f4",
     "txn-onesided": "3f91fecc0e2fdea005e84880eecc29629e1187a2637a5fb2bd10ec7422ba2087",
