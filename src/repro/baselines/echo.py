@@ -74,6 +74,19 @@ class EchoConfig:
             raise ValueError("send_over_ud needs a SEND leg")
         if self.request == "SEND" and self.response == "WRITE":
             raise ValueError("SEND requests pair with SEND responses")
+        # ``not (x >= lo)`` also rejects NaN
+        for name in ("window", "n_server_processes"):
+            if not (getattr(self, name) >= 1):
+                raise ValueError("%s must be >= 1; got %r" % (name, getattr(self, name)))
+        if not (1 <= self.payload_bytes <= 4096):
+            raise ValueError(
+                "payload_bytes must be within [1, 4096] (one 4 KiB request "
+                "slot); got %r" % (self.payload_bytes,)
+            )
+        if not (self.memory_accesses >= 0):
+            raise ValueError(
+                "memory_accesses must be >= 0; got %r" % (self.memory_accesses,)
+            )
 
     # -- the paper's named variants ---------------------------------------
 

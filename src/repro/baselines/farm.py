@@ -44,7 +44,7 @@ from repro.kv.hopscotch import HopscotchFullError, HopscotchTable
 from repro.kv.interface import KEY_BYTES, padded_key
 from repro.sim import Event, Store
 from repro.verbs import RdmaDevice, Testbed, Transport, WorkRequest
-from repro.workloads.ycsb import Workload, WorkloadStream, keyhash, value_for
+from repro.workloads.ycsb import Workload, WorkloadStream, keyed_values, value_for
 
 #: SP, the out-of-table pointer the paper's VAR neighborhood READ prices
 POINTER_BYTES = 8
@@ -426,8 +426,8 @@ class FarmFullCluster(FarmCluster):
         return reply, 1 + self.table.displacements - displacements_before
 
     def preload(self, items: range) -> None:
-        for item in items:
-            self.table.put(keyhash(item), value_for(item, self.config.value_bytes))
+        for key, value in keyed_values(items, self.config.value_bytes):
+            self.table.put(key, value)
 
     def _results(self) -> dict:
         return dict(

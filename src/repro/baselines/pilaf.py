@@ -52,7 +52,7 @@ from repro.verbs import (
     Transport,
     WorkRequest,
 )
-from repro.workloads.ycsb import Workload, WorkloadStream, keyhash, value_for
+from repro.workloads.ycsb import Workload, WorkloadStream, keyed_values, value_for
 
 _RECV_SLOT = 40 + 2048
 #: CPU cost of decoding + checksumming one fetched bucket or
@@ -431,8 +431,8 @@ class PilafFullCluster(PilafCluster):
         return reply, self.table.last_op_accesses
 
     def preload(self, items: range) -> None:
-        for item in items:
-            self.table.put(keyhash(item), value_for(item, self.config.value_bytes))
+        for key, value in keyed_values(items, self.config.value_bytes):
+            self.table.put(key, value)
 
     def _results(self) -> dict:
         return dict(

@@ -16,7 +16,7 @@ from repro.faults.rng import child_rng, derive_seed
 from repro.hw import APT, HardwareProfile
 from repro.sim import RateMeter
 from repro.verbs import Testbed, Transport
-from repro.workloads.ycsb import Workload, value_for
+from repro.workloads.ycsb import Workload, keyed_values
 from repro.herd.client import HerdClientProcess
 from repro.herd.config import HerdConfig, route_key
 from repro.herd.region import RequestRegion
@@ -310,17 +310,13 @@ class HerdCluster(Testbed):
     def preload(self, items: range, value_size: int) -> None:
         """Load items directly into the server partitions (offline warm
         start, like running a load phase before the measurement)."""
-        from repro.workloads.ycsb import keyhash
-
         self.wire()
         ns = self.config.n_server_processes
         shard_map = self.elastic.shard_map if self.elastic is not None else None
         replica_servers = (
             self.ha.replica_servers if self.ha is not None else [self.servers]
         )
-        for item in items:
-            kh = keyhash(item)
-            value = value_for(item, value_size)
+        for kh, value in keyed_values(items, value_size):
             for servers in replica_servers:
                 servers[route_key(kh, ns, shard_map)].store.put(kh, value)
 

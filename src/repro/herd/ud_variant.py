@@ -36,7 +36,7 @@ from repro.verbs import (
     Transport,
     WorkRequest,
 )
-from repro.workloads.ycsb import Operation, OpType, Workload, WorkloadStream
+from repro.workloads.ycsb import Operation, OpType, Workload, WorkloadStream, keyed_values
 from repro.herd.config import HerdConfig, partition_of
 from repro.herd.wire import (
     GET_MARKER,
@@ -268,12 +268,8 @@ class SendSendHerdCluster(Testbed):
             self.clients.append(client)
 
     def preload(self, items: range, value_size: int) -> None:
-        from repro.workloads.ycsb import keyhash, value_for
-
-        for item in items:
-            kh = keyhash(item)
-            server = self.servers[partition_of(kh, len(self.servers))]
-            server.store.put(kh, value_for(item, value_size))
+        for kh, value in keyed_values(items, value_size):
+            self.servers[partition_of(kh, len(self.servers))].store.put(kh, value)
 
     def attach_meter(self, client, record) -> None:
         client.response_hook = lambda op, latency, success, now: record(now, latency)

@@ -116,12 +116,16 @@ class MicaCache(KeyValueStore):
     ) -> None:
         if mode not in ("cache", "store"):
             raise ValueError("mode must be 'cache' or 'store'")
+        if not (index_entries >= 1):  # also rejects NaN
+            raise ValueError("index_entries must be >= 1; got %r" % (index_entries,))
         self.mode = mode
         n_buckets = max(1, index_entries // self.SLOTS_PER_BUCKET)
         # Power-of-two bucket count for mask indexing.
         self.n_buckets = 1 << (n_buckets - 1).bit_length()
-        # buckets[i] is a list of (tag, log position) pairs, newest last
-        self.buckets: List[List[Tuple[bytes, int]]] = [[] for _ in range(self.n_buckets)]
+        # buckets[i] is a list of (tag, log position) pairs, newest last;
+        # None until the bucket's first PUT: an unused bucket costs its
+        # 8 B pointer, not the ~64 B of an empty list
+        self.buckets: List[Optional[List[Tuple[bytes, int]]]] = [None] * self.n_buckets
         self.log = CircularLog(log_bytes)
         self.last_op_accesses = 0
         # statistics
@@ -141,7 +145,7 @@ class MicaCache(KeyValueStore):
     def get(self, key: bytes) -> Optional[bytes]:
         """Index lookup, then log read: at most 2 random accesses."""
         self.last_op_accesses = 1
-        bucket = self.buckets[self._bucket_of(key)]
+        bucket = self.buckets[self._bucket_of(key)] or ()
         for tag, pos in bucket:
             if tag == key:
                 self.last_op_accesses = 2
@@ -159,7 +163,10 @@ class MicaCache(KeyValueStore):
     def put(self, key: bytes, value: bytes) -> bool:
         """Append to the log and update one index bucket: 1 random access."""
         self.last_op_accesses = 1
-        bucket = self.buckets[self._bucket_of(key)]
+        index = self._bucket_of(key)
+        bucket = self.buckets[index]
+        if bucket is None:
+            bucket = self.buckets[index] = []
         overwrite_index = None
         for i, (tag, _old) in enumerate(bucket):
             if tag == key:
@@ -188,7 +195,7 @@ class MicaCache(KeyValueStore):
 
     def delete(self, key: bytes) -> bool:
         self.last_op_accesses = 1
-        bucket = self.buckets[self._bucket_of(key)]
+        bucket = self.buckets[self._bucket_of(key)] or ()
         for i, (tag, _pos) in enumerate(bucket):
             if tag == key:
                 bucket.pop(i)
@@ -202,7 +209,7 @@ class MicaCache(KeyValueStore):
         skipping slots the log has wrapped past — the scan a migration
         snapshot (repro.elastic) performs over a partition's store.
         """
-        for bucket in self.buckets:
+        for bucket in filter(None, self.buckets):
             for tag, pos in list(bucket):
                 entry = self.log.read(pos)
                 if entry is not None and entry[0] == tag:

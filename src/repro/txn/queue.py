@@ -70,6 +70,14 @@ class QueueConfig:
             )
         if self.ticket_mode not in ("cas", "faa"):
             raise ValueError("ticket_mode must be 'cas' or 'faa'")
+        # ``not (x >= lo)`` also rejects NaN
+        for name in ("ops_per_client", "capacity"):
+            if not (getattr(self, name) >= 1):
+                raise ValueError("%s must be >= 1; got %r" % (name, getattr(self, name)))
+        if not (self.rpc_timeout_ns > 0):
+            raise ValueError("rpc_timeout_ns must be > 0; got %r" % (self.rpc_timeout_ns,))
+        if not (self.backoff_ns >= 0):
+            raise ValueError("backoff_ns must be >= 0; got %r" % (self.backoff_ns,))
 
 
 @dataclass

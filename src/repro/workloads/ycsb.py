@@ -19,12 +19,14 @@ import enum
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Iterator, Optional
+from typing import Deque, Iterator, Optional, Sequence, Tuple
 
 from repro.kv.hashing import from_lanes, lanes, mix64, mix64_lanes, to_lanes
 from repro.workloads.zipf import ZipfianGenerator
 
 KEYHASH_BYTES = 16
+#: PUT-value bytes one refill may hold (:attr:`WorkloadStream.BATCH`)
+_BATCH_VALUE_BYTES = 32 * 1024
 
 
 class OpType(enum.Enum):
@@ -32,20 +34,48 @@ class OpType(enum.Enum):
     PUT = "PUT"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Operation:
-    """One client operation."""
+    """One client operation.
+
+    Slotted: an op holds four references and no ``__dict__``, 176 B
+    less per op.  ``__slots__`` is declared by hand
+    (``dataclass(slots=True)`` needs Python 3.10), and with it
+    ``__init__`` and ``__reduce__``: pickle and copy would restore a
+    slotted instance by ``setattr``, which a frozen class refuses.
+    """
+
+    __slots__ = ("op", "key", "value", "item")
 
     op: OpType
     key: bytes          # 16-byte keyhash, never all-zero
     value: Optional[bytes]  # None for GETs
     #: the item id behind the keyhash, when known (lets tests verify
-    #: GET responses against the deterministic value function)
-    item: int = -1
+    #: GET responses against the deterministic value function), else -1
+    item: int
+
+    def __init__(
+        self, op: OpType, key: bytes, value: Optional[bytes], item: int = -1
+    ) -> None:
+        _set_op(self, op)
+        _set_key(self, key)
+        _set_value(self, value)
+        _set_item(self, item)
+
+    def __reduce__(self):
+        return Operation, (self.op, self.key, self.value, self.item)
 
     @property
     def is_get(self) -> bool:
         return self.op is OpType.GET
+
+
+# the slots' own setters: they bypass the frozen ``__setattr__``
+_new_op = Operation.__new__
+_set_op = Operation.op.__set__
+_set_key = Operation.key.__set__
+_set_value = Operation.value.__set__
+_set_item = Operation.item.__set__
 
 
 def keyhash(item: int) -> bytes:
@@ -61,6 +91,35 @@ def value_for(item: int, size: int, version: int = 0) -> bytes:
     pattern = seed.to_bytes(8, "little")
     reps = -(-size // 8)
     return (pattern * reps)[:size]
+
+
+def _lane_keys(items: Sequence[int]) -> Tuple[Tuple[bytes, ...], Tuple[bytes, ...]]:
+    """``keyhash(item)`` and the 8-byte ``value_for`` pattern of every
+    item, synthesised in one pass: one 128-bit lane per item of a Python
+    integer (:func:`repro.kv.hashing.mix64_lanes`), three splitmix64
+    rounds per lane.  ``(pattern * reps)[:size]`` is ``value_for(item,
+    size)`` with ``reps = ceil(size / 8)``."""
+    count = len(items)
+    x = to_lanes(items)
+    # keyhash(): low = mix64(item), high = mix64(item ^ DEADBEEF)|1;
+    # lane i of low | high << 64 is key i, little-endian.
+    low = mix64_lanes(x, count)
+    high = mix64_lanes(x ^ lanes(0xDEADBEEF, count), count) | lanes(1, count)
+    keys = from_lanes(low | high << 64, count, "16s")
+    # value_for(): pattern = mix64(item * 31), the low half of a lane
+    return keys, from_lanes(mix64_lanes(x * 31, count), count, "8s8x")
+
+
+def keyed_values(items: Sequence[int], value_size: int) -> Iterator[Tuple[bytes, bytes]]:
+    """``(keyhash(item), value_for(item, value_size))`` for each item in
+    order, :func:`_lane_keys` a stream batch at a time: a preload's
+    synthesis."""
+    reps = -(-value_size // 8)
+    step = WorkloadStream.BATCH
+    for start in range(0, len(items), step):
+        keys, patterns = _lane_keys(items[start : start + step])
+        for key, pattern in zip(keys, patterns):
+            yield key, (pattern * reps)[:value_size]
 
 
 @dataclass(frozen=True)
@@ -81,8 +140,13 @@ class Workload:
             raise ValueError("get_fraction must be within [0, 1]")
         if self.distribution not in ("uniform", "zipfian"):
             raise ValueError("unknown distribution %r" % self.distribution)
-        if self.value_size < 0 or self.value_size > 1024:
-            raise ValueError("values above 1 KB exceed every evaluated system")
+        if not (0 <= self.value_size <= 1024):  # also rejects NaN
+            raise ValueError(
+                "value_size must be within [0, 1024] (values above 1 KB "
+                "exceed every evaluated system); got %r" % (self.value_size,)
+            )
+        if not (self.n_keys >= 1):
+            raise ValueError("n_keys must be >= 1; got %r" % (self.n_keys,))
 
     def stream(self, seed: int) -> "WorkloadStream":
         """A per-client operation stream (independent RNG)."""
@@ -106,25 +170,23 @@ class Workload:
         )
 
 
-_new_op = Operation.__new__
-
-
 class WorkloadStream:
     """An endless, deterministic stream of operations for one client.
 
     Operations are produced in batches of :data:`BATCH`: the RNG draws
     happen in exactly the order the scalar path would make them (so a
     trace is bit-for-bit reproducible from the seed), but the keyhash
-    and value synthesis — three splitmix64 rounds per op — run over the
-    whole batch at once, one 128-bit lane per op of a Python integer
-    (:func:`repro.kv.hashing.mix64_lanes`).  Mixing direct
-    :meth:`next_item` calls *between* :meth:`next_op` calls on the same
-    uniform stream is unsupported: the batch pre-draws from the shared
-    RNG.
+    and value synthesis run over the whole batch at once
+    (:func:`_lane_keys`).  Mixing direct :meth:`next_item` calls
+    *between* :meth:`next_op` calls on the same uniform stream is
+    unsupported: the batch pre-draws from the shared RNG.
     """
 
     #: ops synthesised per refill; large enough to amortise the lane
-    #: arithmetic, small enough that a short run wastes little work
+    #: arithmetic, small enough that a short run wastes little work.
+    #: Each stream lowers its own so that a batch of PUTs holds at most
+    #: 32 KiB of values: 32 B values keep 256, 1 000 B values get 32
+    #: (values are <= 1 KiB, so never fewer than 32).
     BATCH = 256
 
     def __init__(self, workload: Workload, seed: int) -> None:
@@ -137,6 +199,7 @@ class WorkloadStream:
             )
         self.generated = 0
         self._ops: Deque[Operation] = deque()
+        self.BATCH = min(self.BATCH, _BATCH_VALUE_BYTES // max(1, workload.value_size))
 
     def next_item(self) -> int:
         if self._zipf is not None:
@@ -174,32 +237,24 @@ class WorkloadStream:
             for i in range(count):
                 items[i] = randrange(n_keys)
                 coins[i] = rand()
-        x = to_lanes(items)
-        # keyhash(): low = mix64(item), high = mix64(item ^ DEADBEEF)|1;
-        # lane i of low | high << 64 is key i, little-endian.
-        low = mix64_lanes(x, count)
-        high = mix64_lanes(x ^ lanes(0xDEADBEEF, count), count) | lanes(1, count)
-        keys = from_lanes(low | high << 64, count, "16s")
-        # value_for(): pattern = mix64(item * 31), the low half of a lane
-        patterns = from_lanes(mix64_lanes(x * 31, count), count, "8s8x")
+        keys, patterns = _lane_keys(items)
         reps = -(-value_size // 8)
         append = self._ops.append
-        # one field dict per kind, copied into each op's __dict__:
-        # cheaper than the frozen dataclass's __init__, or than a new
-        # keyword dict per op
-        get_fields = {"op": OpType.GET, "key": b"", "value": None, "item": 0}
-        put_fields = {"op": OpType.PUT, "key": b"", "value": b"", "item": 0}
+        get, put = OpType.GET, OpType.PUT
+        # the slots' setters, not the dataclass __init__: ~2x cheaper
+        new, set_op, set_key, set_value, set_item = (
+            _new_op, _set_op, _set_key, _set_value, _set_item
+        )
         for item, coin, key, pattern in zip(items, coins, keys, patterns):
-            op = _new_op(Operation)
+            op = new(Operation)
             if coin < get_fraction:
-                get_fields["key"] = key
-                get_fields["item"] = item
-                op.__dict__.update(get_fields)
+                set_op(op, get)
+                set_value(op, None)
             else:
-                put_fields["key"] = key
-                put_fields["value"] = (pattern * reps)[:value_size]
-                put_fields["item"] = item
-                op.__dict__.update(put_fields)
+                set_op(op, put)
+                set_value(op, (pattern * reps)[:value_size])
+            set_key(op, key)
+            set_item(op, item)
             append(op)
 
     def __iter__(self) -> Iterator[Operation]:
