@@ -7,6 +7,11 @@ wire, and the polling cores — and returns the saturation throughput
 ``1 / max(demand)`` in Mops, along with the name of the binding
 resource.  Client-side stations are assumed replicated enough not to
 bind, matching the experiments' many-clients setups.
+
+What a posted verb costs — its WQE's PIO, its payload fetch, its egress
+and its wire bytes — is read from :func:`repro.verbs.plan_for`, the
+function the simulated device builds its send plans with, so the model
+holds no WQE geometry, fetch rule or header arithmetic of its own.
 """
 
 from __future__ import annotations
@@ -14,10 +19,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
+from repro.herd.wire import PUT_OK, TRAILER_BYTES
 from repro.hw.params import APT, HardwareProfile
 from repro.kv.cuckoo import BUCKET_BYTES
 from repro.kv.hopscotch import HopscotchTable
 from repro.kv.interface import KEY_BYTES
+from repro.verbs.packets import PacketKind
+from repro.verbs.plan import CQE_BYTES, SendPlan, packet_wire_bytes, plan_for
+from repro.verbs.types import Opcode, Transport
+
+UC, RC, UD = Transport.UC, Transport.RC, Transport.UD
 
 
 @dataclass
@@ -42,21 +53,21 @@ class BottleneckModel:
 
     # -- building blocks ----------------------------------------------------
 
-    def _wqe_bytes(self, payload: int, inline: bool, rdma: bool, ud: bool) -> int:
-        p = self.p
-        size = p.wqe_ctrl_bytes
-        if rdma:
-            size += p.wqe_raddr_bytes
-        if ud:
-            size += p.wqe_av_bytes
-        size += (p.wqe_inline_hdr_bytes + payload) if inline else p.wqe_data_ptr_bytes
-        return size
+    def pio_ns(self, plan: SendPlan) -> float:
+        return self.p.pio_ns(plan.wqe_bytes)
 
-    def pio_ns(self, payload: int, inline: bool, rdma: bool, ud: bool = False) -> float:
-        return self.p.pio_ns(self._wqe_bytes(payload, inline, rdma, ud))
+    def fetch_ns(self, plan: SendPlan) -> float:
+        """DMA-engine time to fetch the plan's payload (none if inlined)."""
+        if plan.fetch_transactions is None:
+            return 0.0
+        return self.dma_read_ns(plan.length, plan.fetch_transactions)
 
-    def wire_ns(self, payload: int, ud: bool = False) -> float:
-        return self.p.wire_bytes(payload, ud=ud) / self.p.link_bw
+    def wire_ns(self, wire_bytes: int) -> float:
+        return wire_bytes / self.p.link_bw
+
+    def packet_wire_ns(self, kind: PacketKind, length: int) -> float:
+        """A packet of ``kind`` carrying ``length`` bytes on the wire."""
+        return self.wire_ns(packet_wire_bytes(self.p, kind, length))
 
     def dma_write_ns(self, payload: int) -> float:
         return self.p.dma_write_ns + payload / self.p.pcie_bw
@@ -72,7 +83,7 @@ class BottleneckModel:
             {
                 "nic_ingress": self.p.nic_ingress_write_ns,
                 "dma": self.dma_write_ns(payload),
-                "wire": self.wire_ns(payload),
+                "wire": self.packet_wire_ns(PacketKind.WRITE, payload),
             }
         )
 
@@ -83,44 +94,40 @@ class BottleneckModel:
                 "nic_ingress": self.p.nic_ingress_read_ns,
                 "dma": self.dma_read_ns(payload),
                 "nic_egress": self.p.nic_egress_ns,
-                "wire": self.wire_ns(payload),
+                "wire": self.packet_wire_ns(PacketKind.READ_RESP, payload),
             }
         )
+
+    def _outbound(self, plan: SendPlan) -> Dict[str, float]:
+        """The requester-side stations one posted WR occupies."""
+        return {
+            "pio": self.pio_ns(plan),
+            "dma": self.fetch_ns(plan),
+            "nic_egress": plan.egress_ns,
+            "wire": self.wire_ns(plan.wire_bytes),
+        }
 
     def outbound_inline(self, payload: int, ud: bool = False) -> Prediction:
         """Figure 4: outbound inlined WRITE (UC) or SEND (UD) rate."""
-        return _predict(
-            {
-                "pio": self.pio_ns(payload, inline=True, rdma=not ud, ud=ud),
-                "nic_egress": self.p.nic_egress_ns,
-                "wire": self.wire_ns(payload, ud=ud),
-            }
-        )
+        if ud:
+            plan = plan_for(self.p, UD, Opcode.SEND, True, payload)
+        else:
+            plan = plan_for(self.p, UC, Opcode.WRITE, True, payload)
+        return _predict(self._outbound(plan))
 
     def outbound_non_inline(self, payload: int, reliable: bool = False) -> Prediction:
         """Figure 4: outbound WRITE fetched over DMA."""
-        transactions = self.p.non_inline_fetch_transactions + (1 if reliable else 0)
-        return _predict(
-            {
-                "pio": self.pio_ns(payload, inline=False, rdma=True),
-                "dma": self.dma_read_ns(payload, transactions),
-                "nic_egress": self.p.nic_egress_ns,
-                "wire": self.wire_ns(payload),
-            }
-        )
+        plan = plan_for(self.p, RC if reliable else UC, Opcode.WRITE, False, payload)
+        return _predict(self._outbound(plan))
 
     def outbound_read(self, payload: int) -> Prediction:
         """Figure 4: outbound READ issue rate."""
-        return _predict(
-            {
-                "pio": self.pio_ns(0, inline=False, rdma=True),
-                "nic_egress": self.p.nic_egress_read_ns,
-                # the responses return through this NIC's ingress + DMA
-                "nic_ingress": self.p.nic_ingress_resp_ns,
-                "dma_resp": self.dma_write_ns(payload),
-                "wire": self.wire_ns(payload),
-            }
-        )
+        demands = self._outbound(plan_for(self.p, RC, Opcode.READ, False, payload))
+        # the responses return through this NIC's ingress + DMA
+        demands["nic_ingress"] = self.p.nic_ingress_resp_ns
+        demands["dma_resp"] = self.dma_write_ns(payload)
+        demands["wire"] = self.packet_wire_ns(PacketKind.READ_RESP, payload)
+        return _predict(demands)
 
     # -- systems ------------------------------------------------------------------
 
@@ -134,16 +141,11 @@ class BottleneckModel:
         """HERD's saturation throughput (Figures 9, 10, 13).
 
         Requests arrive as inbound WRITEs; responses leave as UD SENDs
-        (inlined below the cutoff); the cores poll, run MICA, and post.
+        (inlined up to the cutoff); the cores poll, run MICA, and post.
+        A GET and a PUT are priced as their own plans, weighted by the
+        mix.
         """
         p = self.p
-        get_req = 18                      # LEN + keyhash
-        put_req = 18 + value_size
-        req_bytes = get_fraction * get_req + (1 - get_fraction) * put_req
-        get_resp, put_resp = value_size, 1
-        resp_bytes = get_fraction * get_resp + (1 - get_fraction) * put_resp
-        resp_inline = resp_bytes <= p.herd_inline_cutoff
-
         per_access = p.prefetch_hit_ns if prefetch else p.dram_ns
         accesses = 2 * get_fraction + 1 * (1 - get_fraction)
         core_ns = (
@@ -151,18 +153,23 @@ class BottleneckModel:
             + accesses * per_access      # MICA lookups
             + p.post_send_ns             # driver cost of the response
         )
-        demands = {
-            "nic_ingress": p.nic_ingress_write_ns,   # request WRITEs in
-            "dma": self.dma_write_ns(req_bytes)      # requests land
-            + (0 if resp_inline else self.dma_read_ns(resp_bytes, 3)),
-            "nic_egress": p.nic_egress_ns,           # responses out
-            "pio": self.pio_ns(
-                int(resp_bytes) if resp_inline else 0, resp_inline, rdma=False, ud=True
-            ),
-            "cores": core_ns / cores,
-            "wire_in": self.wire_ns(int(req_bytes)),
-            "wire_out": self.wire_ns(int(resp_bytes), ud=True),
-        }
+        demands = dict.fromkeys(("nic_ingress", "dma", "nic_egress", "pio"), 0.0)
+        demands.update(cores=core_ns / cores, wire_in=0.0, wire_out=0.0)
+        for weight, request, response in (
+            (get_fraction, TRAILER_BYTES, value_size),
+            (1 - get_fraction, TRAILER_BYTES + value_size, len(PUT_OK)),
+        ):
+            # the request lands as a WRITE; the response leaves as a SEND
+            inline = response <= p.herd_inline_cutoff
+            send = plan_for(p, UD, Opcode.SEND, inline, response)
+            demands["nic_ingress"] += weight * p.nic_ingress_write_ns
+            demands["dma"] += weight * self.dma_write_ns(request)
+            demands["dma"] += weight * self.fetch_ns(send)
+            demands["nic_egress"] += weight * send.egress_ns
+            demands["pio"] += weight * self.pio_ns(send)
+            wire_in = self.packet_wire_ns(PacketKind.WRITE, request)
+            demands["wire_in"] += weight * wire_in
+            demands["wire_out"] += weight * self.wire_ns(send.wire_bytes)
         return _predict(demands)
 
     # -- latency -----------------------------------------------------------
@@ -176,60 +183,41 @@ class BottleneckModel:
         of unsignaled inlined WRITEs through a polling echo server).
         """
         p = self.p
-        post = p.post_send_ns
-        egress = p.nic_egress_ns
-        flight = lambda size, ud=False: (
-            self.wire_ns(size, ud=ud) + p.wire_delay_ns
+        flight = lambda wire_ns: wire_ns + p.wire_delay_ns
+        # the request leaves: PIO, egress engine, fetch, on the wire
+        depart = lambda plan: (
+            p.post_send_ns
+            + self.pio_ns(plan)
+            + plan.egress_ns
+            + self.fetch_ns(plan)
+            + (0 if plan.fetch_transactions is None else p.dma_read_latency_ns)
+            + flight(self.wire_ns(plan.wire_bytes))
         )
-        cqe = self.dma_write_ns(32) + p.dma_write_latency_ns + p.cq_poll_ns
+        ack = (  # the responder generates the ACK
+            p.nic_ingress_ack_ns
+            + flight(self.packet_wire_ns(PacketKind.ACK, 0))
+            + p.nic_ingress_ack_ns
+        )
+        cqe = self.dma_write_ns(CQE_BYTES) + p.dma_write_latency_ns + p.cq_poll_ns
         if kind == "READ":
             return (
-                post
-                + self.pio_ns(0, inline=False, rdma=True)
-                + p.nic_egress_read_ns
-                + flight(16)
+                depart(plan_for(p, RC, Opcode.READ, False, payload))
                 + p.nic_ingress_read_ns
                 + self.dma_read_ns(payload)
                 + p.dma_read_latency_ns
-                + egress
-                + flight(payload)
+                + p.nic_egress_ns
+                + flight(self.packet_wire_ns(PacketKind.READ_RESP, payload))
                 + p.nic_ingress_resp_ns
                 + self.dma_write_ns(payload)
                 + p.dma_write_latency_ns
                 + cqe
             )
-        if kind == "WRITE":
-            return (
-                post
-                + self.pio_ns(0, inline=False, rdma=True)
-                + egress
-                + self.dma_read_ns(payload, self.p.non_inline_fetch_transactions + 1)
-                + p.dma_read_latency_ns
-                + flight(payload)
-                + p.nic_ingress_write_ns
-                + p.nic_ingress_ack_ns  # responder generates the ACK
-                + flight(0)
-                + p.nic_ingress_ack_ns
-                + cqe
-            )
-        if kind == "WR-INLINE":
-            return (
-                post
-                + self.pio_ns(payload, inline=True, rdma=True)
-                + egress
-                + flight(payload)
-                + p.nic_ingress_write_ns
-                + p.nic_ingress_ack_ns
-                + flight(0)
-                + p.nic_ingress_ack_ns
-                + cqe
-            )
+        if kind in ("WRITE", "WR-INLINE"):
+            plan = plan_for(p, RC, Opcode.WRITE, kind == "WR-INLINE", payload)
+            return depart(plan) + p.nic_ingress_write_ns + ack + cqe
         if kind == "ECHO":
             one_way = (
-                post
-                + self.pio_ns(payload, inline=True, rdma=True)
-                + egress
-                + flight(payload)
+                depart(plan_for(p, UC, Opcode.WRITE, True, payload))
                 + p.nic_ingress_write_ns
                 + self.dma_write_ns(payload)
                 + p.dma_write_latency_ns
@@ -261,7 +249,7 @@ class BottleneckModel:
         processing at the clients'.
         """
         p = self.p
-        post = p.post_send_ns + self.pio_ns(0, inline=False, rdma=True)
+        post = p.post_send_ns + self.pio_ns(plan_for(p, RC, Opcode.READ, False, 0))
         poll = p.cq_poll_ns
         if system == "HERD":
             get = p.post_recv_ns + post + poll
@@ -286,10 +274,10 @@ class BottleneckModel:
         demands = {
             "nic_ingress": self.p.nic_ingress_read_ns,
             "dma": self.dma_read_ns(span),
-            "wire": self.wire_ns(span),
+            "wire": self.packet_wire_ns(PacketKind.READ_RESP, span),
         }
         if not inline_values:
             demands["nic_ingress"] *= 2
             demands["dma"] += self.dma_read_ns(value_size)
-            demands["wire"] += self.wire_ns(value_size)
+            demands["wire"] += self.packet_wire_ns(PacketKind.READ_RESP, value_size)
         return _predict(demands)

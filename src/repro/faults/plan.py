@@ -46,6 +46,7 @@ DUPLICATE = "duplicate"
 DELAY = "delay"
 REORDER = "reorder"
 DEGRADE = "degrade"
+LINK_KINDS = (DROP, CORRUPT, DUPLICATE, DELAY, REORDER, DEGRADE)
 
 
 def _packet_kind_pool() -> tuple:
@@ -65,18 +66,27 @@ def _packet_kind_pool() -> tuple:
 RANDOMIZED_KIND_POOL = _packet_kind_pool()
 
 
-def _check_rate(rate: float) -> None:
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError("rate must be within [0, 1], got %r" % (rate,))
+class _Rule:
+    """Checks its fields on construction — by a builder, ``replace`` or
+    :meth:`FaultPlan.from_dict` alike — NaN-safely.  An empty window
+    (``end_ns <= start_ns``, as ``clamped`` makes) is legal: it never
+    matches."""
 
+    #: field -> the least value it accepts (``rate`` is within [0, 1])
+    _LEAST: Dict[str, float] = {}
 
-def _check_time(name: str, value: float) -> None:
-    if value < 0:
-        raise ValueError("%s must be >= 0, got %r" % (name, value))
+    def __post_init__(self) -> None:
+        rate = getattr(self, "rate", 0.0)
+        if not 0.0 <= rate <= 1.0:
+            raise ValueError("rate must be within [0, 1], got %r" % (rate,))
+        for name, least in self._LEAST.items():
+            value = getattr(self, name)
+            if value is not None and not (value >= least):
+                raise ValueError("%s must be >= %s, got %r" % (name, least, value))
 
 
 @dataclass(frozen=True)
-class LinkRule:
+class LinkRule(_Rule):
     """One per-packet rule applied on the fabric's transmit path.
 
     ``src``/``dst`` name machines (``"*"`` matches any), making rules
@@ -100,6 +110,14 @@ class LinkRule:
     ctrl_kind: Optional[int] = None  # restrict to one HA control kind
     tag: str = ""                 # counter label; defaults to the kind
 
+    _LEAST = dict(start_ns=0, end_ns=0, extra_delay_ns=0, jitter_ns=0, copies=1,
+                  dup_delay_ns=0, tx_mult=1)
+
+    def __post_init__(self) -> None:
+        if self.kind not in LINK_KINDS:
+            raise ValueError("unknown link-rule kind %r" % (self.kind,))
+        super().__post_init__()
+
     def matches(
         self,
         src: str,
@@ -122,7 +140,7 @@ class LinkRule:
 
 
 @dataclass(frozen=True)
-class NicStallRule:
+class NicStallRule(_Rule):
     """The named machine's NIC engine freezes for a while at ``at_ns``."""
 
     machine: str
@@ -130,9 +148,16 @@ class NicStallRule:
     at_ns: float
     duration_ns: float
 
+    _LEAST = dict(at_ns=0, duration_ns=0)
+
+    def __post_init__(self) -> None:
+        if self.engine not in ("ingress", "egress"):
+            raise ValueError("engine must be 'ingress' or 'egress'")
+        super().__post_init__()
+
 
 @dataclass(frozen=True)
-class QpErrorRule:
+class QpErrorRule(_Rule):
     """A QP transitions to the error state (optionally recovering)."""
 
     machine: str
@@ -140,9 +165,11 @@ class QpErrorRule:
     at_ns: float
     recover_after_ns: Optional[float] = None
 
+    _LEAST = dict(at_ns=0, recover_after_ns=0)
+
 
 @dataclass(frozen=True)
-class RnrRule:
+class RnrRule(_Rule):
     """RECV-queue exhaustion at a machine: inbound SENDs are dropped
     with probability ``rate`` during the window (receiver-not-ready)."""
 
@@ -151,9 +178,11 @@ class RnrRule:
     start_ns: float = 0.0
     end_ns: float = _INF
 
+    _LEAST = dict(start_ns=0, end_ns=0)
+
 
 @dataclass(frozen=True)
-class CrashRule:
+class CrashRule(_Rule):
     """A HERD server process crashes at ``at_ns`` and restarts after
     ``down_ns`` (recovery re-scans its request-region partition)."""
 
@@ -161,15 +190,19 @@ class CrashRule:
     at_ns: float
     down_ns: float
 
+    _LEAST = dict(server_index=0, at_ns=0, down_ns=0)
+
 
 @dataclass(frozen=True)
-class FlapRule:
+class FlapRule(_Rule):
     """The machine's link goes down for ``down_ns``: everything sent to
     or from it in the window is lost."""
 
     machine: str
     at_ns: float
     down_ns: float
+
+    _LEAST = dict(at_ns=0, down_ns=0)
 
 
 @dataclass
@@ -196,7 +229,6 @@ class FaultPlan:
         packet_kind: Optional[str] = None,
     ) -> "FaultPlan":
         """Lose matching packets before they reach the wire."""
-        _check_rate(rate)
         self.link_rules.append(
             LinkRule(DROP, src, dst, rate, start_ns, end_ns, packet_kind)
         )
@@ -223,7 +255,6 @@ class FaultPlan:
         discards it — the distinction the paper's bit-error loss model
         glosses over.
         """
-        _check_rate(rate)
         self.link_rules.append(
             LinkRule(CORRUPT, src, dst, rate, start_ns, end_ns, packet_kind)
         )
@@ -241,10 +272,6 @@ class FaultPlan:
         packet_kind: Optional[str] = None,
     ) -> "FaultPlan":
         """Deliver matching packets ``copies`` extra times."""
-        _check_rate(rate)
-        if copies < 1:
-            raise ValueError("need at least one duplicate copy")
-        _check_time("dup_delay_ns", dup_delay_ns)
         self.link_rules.append(
             LinkRule(
                 DUPLICATE, src, dst, rate, start_ns, end_ns, packet_kind,
@@ -264,8 +291,6 @@ class FaultPlan:
         packet_kind: Optional[str] = None,
     ) -> "FaultPlan":
         """Add a fixed extra propagation delay to matching packets."""
-        _check_rate(rate)
-        _check_time("extra_ns", extra_ns)
         self.link_rules.append(
             LinkRule(
                 DELAY, src, dst, rate, start_ns, end_ns, packet_kind,
@@ -286,8 +311,6 @@ class FaultPlan:
     ) -> "FaultPlan":
         """Add a uniform random delay in ``[0, jitter_ns)`` to matching
         packets, reordering them against later traffic."""
-        _check_rate(rate)
-        _check_time("jitter_ns", jitter_ns)
         self.link_rules.append(
             LinkRule(
                 REORDER, src, dst, rate, start_ns, end_ns, packet_kind,
@@ -319,7 +342,6 @@ class FaultPlan:
         """
         if not 0.0 < rate_mult <= 1.0:
             raise ValueError("rate_mult must be in (0, 1], got %r" % (rate_mult,))
-        _check_time("latency_add_ns", latency_add_ns)
         if latency_add_ns == 0.0 and rate_mult == 1.0:
             raise ValueError("degrade must slow something down")
         self.link_rules.append(
@@ -375,7 +397,6 @@ class FaultPlan:
         """
         from repro.herd import wire  # deferred: avoids an import cycle
 
-        _check_rate(rate)
         if direction == "to_monitor":
             self.link_rules.append(
                 LinkRule(
@@ -403,10 +424,6 @@ class FaultPlan:
         self, machine: str, engine: str, at_ns: float, duration_ns: float
     ) -> "FaultPlan":
         """Freeze one NIC engine (``"ingress"``/``"egress"``)."""
-        if engine not in ("ingress", "egress"):
-            raise ValueError("engine must be 'ingress' or 'egress'")
-        _check_time("at_ns", at_ns)
-        _check_time("duration_ns", duration_ns)
         self.nic_stalls.append(NicStallRule(machine, engine, at_ns, duration_ns))
         return self
 
@@ -418,9 +435,6 @@ class FaultPlan:
         recover_after_ns: Optional[float] = None,
     ) -> "FaultPlan":
         """Transition one QP to the error state (optionally re-arm)."""
-        _check_time("at_ns", at_ns)
-        if recover_after_ns is not None:
-            _check_time("recover_after_ns", recover_after_ns)
         self.qp_errors.append(QpErrorRule(machine, qpn, at_ns, recover_after_ns))
         return self
 
@@ -432,7 +446,6 @@ class FaultPlan:
         end_ns: float = _INF,
     ) -> "FaultPlan":
         """RECV-queue exhaustion at ``machine`` during the window."""
-        _check_rate(rate)
         self.rnr_rules.append(RnrRule(machine, rate, start_ns, end_ns))
         return self
 
@@ -440,17 +453,11 @@ class FaultPlan:
         self, server_index: int, at_ns: float, down_ns: float
     ) -> "FaultPlan":
         """Crash HERD server process ``server_index``; restart later."""
-        if server_index < 0:
-            raise ValueError("server_index must be >= 0")
-        _check_time("at_ns", at_ns)
-        _check_time("down_ns", down_ns)
         self.crashes.append(CrashRule(server_index, at_ns, down_ns))
         return self
 
     def flap_link(self, machine: str, at_ns: float, down_ns: float) -> "FaultPlan":
         """Take the machine's port down for ``down_ns``."""
-        _check_time("at_ns", at_ns)
-        _check_time("down_ns", down_ns)
         self.flaps.append(FlapRule(machine, at_ns, down_ns))
         # A flap is sugar for two total-loss drop rules in the window.
         end = at_ns + down_ns

@@ -4,6 +4,7 @@ This package implements the userspace verbs interface the paper builds
 on (Section 2.2): queue pairs over RC/UC/UD transports, READ / WRITE /
 SEND / RECV work requests, completion queues with selective signaling,
 payload inlining, and registered memory regions holding real bytes.
+What one work-request shape costs is :func:`plan_for`'s alone.
 
 The *protocol* lives here; the *time* comes from :mod:`repro.hw` — each
 step of the datapath (PIO of the WQE, engine processing, DMA, wire)
@@ -27,6 +28,7 @@ Typical use::
 from repro.verbs.cq import CompletionQueue
 from repro.verbs.device import RdmaDevice, connect_pair
 from repro.verbs.mr import MemoryRegion
+from repro.verbs.plan import SendPlan, plan_for
 from repro.verbs.qp import QueuePair
 from repro.verbs.staging import StagingRing
 from repro.verbs.testbed import Testbed
@@ -52,11 +54,13 @@ __all__ = [
     "QueuePair",
     "RdmaDevice",
     "RecvRequest",
+    "SendPlan",
     "StagingRing",
     "Testbed",
     "Transport",
     "VerbError",
     "WorkRequest",
     "connect_pair",
+    "plan_for",
     "transport_supports",
 ]

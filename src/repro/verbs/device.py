@@ -21,7 +21,8 @@ Unsignaled verbs skip the completion DMA entirely — that is the
 What a work request costs depends only on its *shape* — transport,
 opcode, inline or not, payload length — and the device's frozen
 hardware profile, so it is worked out once per shape
-(:class:`~repro.verbs.types.SendPlan`, built on the first post) and the
+(:class:`~repro.verbs.plan.SendPlan`, from
+:func:`~repro.verbs.plan.plan_for` on the first post) and the
 per-packet path reads it.  Every stage is a ``serve`` that books the
 next stage — a bound method — with what it needs as the value
 (``then=``): no closure and no event per packet.  Only the PIO write is
@@ -38,6 +39,7 @@ from repro.sim import Event
 from repro.verbs.cq import CompletionQueue
 from repro.verbs.mr import MemoryRegion, MrTable
 from repro.verbs.packets import Packet, PacketKind
+from repro.verbs.plan import CQE_BYTES, SendPlan, packet_wire_bytes, plan_for
 from repro.verbs.qp import QueuePair
 from repro.verbs.types import (
     ATOMIC_BYTES,
@@ -46,12 +48,10 @@ from repro.verbs.types import (
     Opcode,
     QpState,
     RecvRequest,
-    SendPlan,
     Transport,
     VerbError,
     WorkRequest,
     _validate_atomic_args,
-    transport_supports,
 )
 
 #: Optional observers the benchmarks attach: fn(packet) after the data
@@ -70,18 +70,6 @@ def _by_index(members, table: dict) -> tuple:
     """
     return tuple(table.get(member) for member in members)
 
-
-#: Requester-side opcode -> wire packet kind, by ``Opcode.index``.
-_EGRESS_KIND = _by_index(
-    Opcode,
-    {
-        Opcode.WRITE: PacketKind.WRITE,
-        Opcode.SEND: PacketKind.SEND,
-        Opcode.READ: PacketKind.READ_REQ,
-        Opcode.ATOMIC_CS: PacketKind.ATOMIC_REQ,
-        Opcode.ATOMIC_FA: PacketKind.ATOMIC_REQ,
-    },
-)
 
 #: atomic request wire operands: op tag, compare/add, swap
 _ATOMIC_WIRE = struct.Struct("<BQQ")
@@ -186,9 +174,9 @@ class RdmaDevice:
             },
         )
         # The two fixed-size responder packets, priced once.
-        self._ack_wire_bytes = self._wire_bytes(PacketKind.ACK, 0)
-        self._atomic_resp_wire_bytes = self._wire_bytes(
-            PacketKind.ATOMIC_RESP, ATOMIC_BYTES
+        self._ack_wire_bytes = packet_wire_bytes(p, PacketKind.ACK, 0)
+        self._atomic_resp_wire_bytes = packet_wire_bytes(
+            p, PacketKind.ATOMIC_RESP, ATOMIC_BYTES
         )
 
     # ------------------------------------------------------------------
@@ -338,79 +326,15 @@ class RdmaDevice:
     # Egress datapath
     # ------------------------------------------------------------------
 
-    def _validate_send(self, qp: QueuePair, wr: WorkRequest) -> None:
-        """The shape's verdict: Table 1, ``max_inline``, one MTU on UD."""
-        if wr.opcode is Opcode.RECV:
-            raise VerbError("RECV is posted to the receive queue (post_recv)")
-        if not transport_supports(qp.transport, wr.opcode):
-            raise VerbError(
-                "%s does not support %s (Table 1)"
-                % (qp.transport.value, wr.opcode.value)
-            )
-        if wr.inline and wr.length > self.profile.max_inline:
-            raise VerbError(
-                "inline payload %d exceeds max_inline %d"
-                % (wr.length, self.profile.max_inline)
-            )
-        if qp.transport is Transport.UD and wr.length > self.profile.mtu:
-            raise VerbError("UD messages are limited to one MTU")
-        if wr.opcode.atomic and wr.inline:
-            raise VerbError("atomics cannot be inlined")
-
-    def _wqe_bytes(self, qp: QueuePair, wr: WorkRequest) -> int:
-        """WQE size: what the CPU pushes through write-combining PIO."""
-        p = self.profile
-        size = p.wqe_ctrl_bytes
-        if wr.opcode.memory_semantics:
-            size += p.wqe_raddr_bytes
-        if wr.opcode.atomic:
-            size += p.wqe_atomic_bytes
-        if qp.transport is Transport.UD:
-            size += p.wqe_av_bytes
-        if wr.inline:
-            size += p.wqe_inline_hdr_bytes + wr.length
-        else:
-            size += p.wqe_data_ptr_bytes
-        return size
-
     def _build_plan(self, qp: QueuePair, wr: WorkRequest) -> SendPlan:
         """First post of a shape: derive its plan and keep it.
 
         A shape the hardware rejects raises here, before anything is
         kept, so it raises again on every later post.
         """
-        self._validate_send(qp, wr)
-        p = self.profile
-        transport = qp.transport
-        opcode = wr.opcode
-        length = wr.length
-        if opcode.fetchless or wr.inline:
-            transactions = None
-        else:
-            transactions = p.non_inline_fetch_transactions
-            if transport is Transport.RC:
-                # Reliable transport retains WQE state for retransmission:
-                # one extra non-posted round trip per send (Section 3.2.2's
-                # "writes require less state maintenance ... at the PCIe
-                # level" argument, applied to RC vs UC).
-                transactions += 1
-        kind = _EGRESS_KIND[opcode.index]
-        plan = SendPlan(
-            wqe_bytes=self._wqe_bytes(qp, wr),
-            egress_ns=p.nic_egress_read_ns if opcode.fetchless else p.nic_egress_ns,
-            fetch_transactions=transactions,
-            kind=kind,
-            length=length,
-            wire_bytes=self._wire_bytes(kind, length, transport is Transport.UD),
-            # RC/DC track unacknowledged sends; READs and atomics
-            # complete via their response instead of an ACK.  (For DC,
-            # FIFO matching of ACKs across targets is sound here
-            # because the fabric's propagation delay is uniform.)
-            acked=transport.reliable
-            and kind in (PacketKind.WRITE, PacketKind.SEND),
-            local_completion=not transport.reliable,
-        )
-        self._plans[(transport.index, opcode.index, wr.inline, length)] = plan
+        transport, opcode = qp.transport, wr.opcode
+        plan = plan_for(self.profile, transport, opcode, wr.inline, wr.length)
+        self._plans[(transport.index, opcode.index, wr.inline, wr.length)] = plan
         return plan
 
     def _egress(self, pio_done: Event) -> None:
@@ -512,24 +436,6 @@ class RdmaDevice:
         machine.fabric.transmit(
             machine.name, packet.dst_machine, packet, packet.wire_bytes
         )
-
-    def _wire_bytes(self, kind: PacketKind, length: int, ud: bool = False) -> int:
-        """What a packet of ``kind`` carrying ``length`` bytes occupies on the wire."""
-        if kind is PacketKind.READ_REQ:
-            payload_len = 16
-        elif kind is PacketKind.ACK:
-            payload_len = 0
-        elif kind is PacketKind.ATOMIC_REQ:
-            payload_len = 28  # AtomicETH: raddr + rkey + two operands
-        else:
-            payload_len = length
-        return self._segmented_wire_bytes(payload_len, ud)
-
-    def _segmented_wire_bytes(self, payload_len: int, ud: bool) -> int:
-        """Wire bytes including one header per MTU segment."""
-        p = self.profile
-        segments = max(1, -(-payload_len // p.mtu))
-        return payload_len + segments * (p.wire_bytes(0, ud=ud))
 
     # ------------------------------------------------------------------
     # RC retransmission (only armed under fault injection)
@@ -743,7 +649,7 @@ class RdmaDevice:
             payload=mr.read(offset, length),
             length=length,
             wr=packet.wr,
-            wire_bytes=self._wire_bytes(PacketKind.READ_RESP, length),
+            wire_bytes=packet_wire_bytes(self.profile, PacketKind.READ_RESP, length),
         )
         self._egress_response(response, self.profile.nic_egress_ns)
 
@@ -910,7 +816,7 @@ class RdmaDevice:
             # CQE DMAs steal PCIe capacity from payload DMA — the cost
             # selective signaling avoids; count them so that shows up.
             self.metrics.counter("verbs.%s.cqe_dma" % self.machine.name).inc()
-        self.machine.pcie.dma_write(32, (cq, cqe), self._cqe_landed)
+        self.machine.pcie.dma_write(CQE_BYTES, (cq, cqe), self._cqe_landed)
 
     def _cqe_landed(self, landed: tuple) -> None:
         cq, cqe = landed

@@ -433,60 +433,6 @@ def _validate_atomic_args(raddr: int, local: Optional[Tuple[object, int, int]]) 
         )
 
 
-class SendPlan:
-    """What posting one *shape* of work request costs, worked out once.
-
-    Everything here follows from ``(transport, opcode, inline, length)``
-    and the device's frozen :class:`~repro.hw.params.HardwareProfile`
-    alone, so :class:`~repro.verbs.device.RdmaDevice` builds it on the
-    first post of a shape and every later post of that shape reads it.
-    Nothing a fault rule, a QP's state or peer, ``enforce_rc_ordering``,
-    the tracer or the metrics registry can change may live here — a plan
-    is never invalidated.
-    """
-
-    __slots__ = (
-        "wqe_bytes",
-        "egress_ns",
-        "fetch_transactions",
-        "kind",
-        "length",
-        "wire_bytes",
-        "acked",
-        "local_completion",
-    )
-
-    def __init__(
-        self,
-        wqe_bytes: int,
-        egress_ns: float,
-        fetch_transactions: int,
-        kind: "PacketKind",  # noqa: F821  (forward ref, avoids import cycle)
-        length: int,
-        wire_bytes: int,
-        acked: bool,
-        local_completion: bool,
-    ) -> None:
-        #: WQE size the CPU pushes through write-combining PIO
-        self.wqe_bytes = wqe_bytes
-        #: egress-engine occupancy before any QP-cache miss penalty
-        self.egress_ns = egress_ns
-        #: non-posted DMA reads that fetch the payload; 0 when the WQE
-        #: carries it (inline) or there is none (READ, atomics)
-        self.fetch_transactions = fetch_transactions
-        #: the request packet's kind on the wire
-        self.kind = kind
-        #: payload bytes (``WorkRequest.length`` of every WR of the shape)
-        self.length = length
-        #: the request on the wire, one header per MTU segment included
-        self.wire_bytes = wire_bytes
-        #: joins ``QueuePair.unacked`` until the responder's ACK (a
-        #: WRITE or SEND on a reliable transport)
-        self.acked = acked
-        #: completes locally once the NIC has taken the message (UC, UD)
-        self.local_completion = local_completion
-
-
 class RecvRequest:
     """A receive-queue work request: where an incoming SEND lands."""
 

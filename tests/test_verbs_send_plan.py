@@ -4,13 +4,17 @@
 (transport, opcode, inline, length) — on the first post of that shape
 and reads the plan on every later one.  Three things must hold:
 
-(i)   a plan says exactly what the from-scratch helpers say, on both
-      hardware profiles, and one shape has one plan object;
+(i)   the device caches, field for field, what ``plan_for`` — the one
+      cost definition, which ``BottleneckModel`` reads too — returns;
+      that plan meets this file's own expectations on both hardware
+      profiles; and one shape has one plan object;
 (ii)  what depends on the WR or the QP rather than the shape is still
       checked on a post that *hits* the plan table;
-(iii) a shape the hardware rejects is rejected every time and leaves no
-      plan behind.
+(iii) a shape the hardware rejects is rejected every time, with
+      ``plan_for``'s error, and leaves no plan behind.
 """
+
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -23,10 +27,12 @@ from repro.verbs import (
     Opcode,
     RdmaDevice,
     RecvRequest,
+    SendPlan,
     Transport,
     VerbError,
     WorkRequest,
     connect_pair,
+    plan_for,
 )
 from repro.verbs.packets import PacketKind
 
@@ -76,7 +82,7 @@ class World:
 
 
 # ---------------------------------------------------------------------------
-# (i) a plan equals the from-scratch derivation
+# (i) a cached plan equals plan_for's and the expectations here
 # ---------------------------------------------------------------------------
 
 SEND_OPCODES = [op for op in Opcode if op is not Opcode.RECV]
@@ -105,13 +111,13 @@ def test_plan_matches_the_helpers_it_was_built_from(
     if opcode.atomic:
         length = 8  # any other sink size is a WR error, checked in (ii)
     world = World(transport, profile)
-    device, qp = world.requester, world.qp
+    device = world.requester
     first, second = (world.wr(opcode, inline, length) for _ in range(2))
     try:
-        device._validate_send(qp, first)
-    except VerbError:
+        expected = plan_for(profile, transport, opcode, inline, length)
+    except VerbError as rejected:
         for wr in (first, second):
-            with pytest.raises(VerbError):
+            with pytest.raises(VerbError, match="^%s$" % re.escape(str(rejected))):
                 world.post(wr)
         assert device._plans == {}
         return
@@ -120,6 +126,8 @@ def test_plan_matches_the_helpers_it_was_built_from(
     assert plans[0] is plans[1] is device._plans[world.plan_key(first)]
     assert len(device._plans) == 1
     plan = plans[0]
+    for field in SendPlan.__slots__:
+        assert getattr(plan, field) == getattr(expected, field), field
 
     fetched = not (inline or opcode.fetchless)
     kind = {
@@ -130,8 +138,6 @@ def test_plan_matches_the_helpers_it_was_built_from(
         Opcode.ATOMIC_FA: PacketKind.ATOMIC_REQ,
     }[opcode]
     ud = transport is Transport.UD
-    assert plan.wqe_bytes == device._wqe_bytes(qp, first)
-    assert profile.pio_ns(plan.wqe_bytes) == profile.pio_ns(device._wqe_bytes(qp, first))
     assert plan.egress_ns == (
         profile.nic_egress_read_ns if opcode.fetchless else profile.nic_egress_ns
     )
@@ -145,7 +151,6 @@ def test_plan_matches_the_helpers_it_was_built_from(
     on_wire = _wire_payload(kind, length)
     segments = max(1, -(-on_wire // profile.mtu))
     assert plan.wire_bytes == on_wire + segments * profile.wire_bytes(0, ud=ud)
-    assert plan.wire_bytes == device._segmented_wire_bytes(on_wire, ud)
     assert plan.acked == (transport.reliable and opcode in (Opcode.WRITE, Opcode.SEND))
     assert plan.local_completion == (not transport.reliable)
 
@@ -286,9 +291,12 @@ def test_rejected_shape_raises_on_every_post_and_leaves_no_plan(
     transport, opcode, inline, length, message
 ):
     world = World(transport)
+    with pytest.raises(VerbError, match=message) as rejected:
+        plan_for(APT, transport, opcode, inline, length)
     for _ in range(3):
-        with pytest.raises(VerbError, match=message):
+        with pytest.raises(VerbError, match=message) as posted:
             world.post(world.wr(opcode, inline, length))
+        assert str(posted.value) == str(rejected.value)
     assert world.requester._plans == {}
     world.sim.run_until_idle()
     assert _sent(world) == 0
