@@ -41,9 +41,10 @@ metrics-smoke:
 
 # Every smoke target below drives the CLI (which exits non-zero when a
 # run violates a safety invariant) and, where a sweep is committed, the
-# lab gate against its baseline, folding into BENCH_lab.json.  The
-# scenario-level assertions (goodput floors, migration counts, shrink
-# minimality, byte-identical replay, determinism) are tier-1 tests.
+# lab gate against its baseline (it writes no file; `--bench-json PATH`
+# keeps a snapshot).  The scenario-level assertions (goodput floors,
+# migration counts, shrink minimality, byte-identical replay,
+# determinism) are tier-1 tests.
 
 # Two seeded chaos runs: loss + corruption + duplication + reordering +
 # NIC stall + RNR + one server crash.
@@ -95,8 +96,8 @@ nemesis-smoke:
 
 # The lab gate, end to end: a 4-point parallel sweep lands in the
 # result store, a re-run must be served entirely from cache, the
-# committed baseline must pass (writing BENCH_lab.json, the repo's
-# perf trajectory), and a deliberately perturbed baseline must fail.
+# committed baseline must pass, and a deliberately perturbed baseline
+# must fail.
 lab-smoke:
 	python -m repro.lab.cli run smoke --workers 2 --timeout 300
 	python -m repro.lab.cli run smoke --workers 2 --quiet \
@@ -107,8 +108,7 @@ lab-smoke:
 		label = sorted(b['points'])[0]; b['points'][label]['mops'] *= 1.5; \
 		json.dump(b, open('/tmp/herd-lab-perturbed.json', 'w'))"
 	! python -m repro.lab.cli gate smoke \
-		--baseline /tmp/herd-lab-perturbed.json \
-		--bench-json /tmp/herd-lab-perturbed-bench.json
+		--baseline /tmp/herd-lab-perturbed.json
 	@echo "lab-smoke ok: gate passed on committed baseline, failed on perturbed"
 
 clean:

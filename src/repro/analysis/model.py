@@ -11,7 +11,9 @@ bind, matching the experiments' many-clients setups.
 What a posted verb costs — its WQE's PIO, its payload fetch, its egress
 and its wire bytes — is read from :func:`repro.verbs.plan_for`, the
 function the simulated device builds its send plans with, so the model
-holds no WQE geometry, fetch rule or header arithmetic of its own.
+holds no WQE geometry, fetch rule or header arithmetic of its own.  How
+often an outbound verb DMA-writes a CQE is the microbenchmarks' own
+``SIGNAL_EVERY``.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
+from repro.bench.microbench import SIGNAL_EVERY
 from repro.herd.wire import PUT_OK, TRAILER_BYTES
 from repro.hw.params import APT, HardwareProfile
 from repro.kv.cuckoo import BUCKET_BYTES
@@ -98,11 +101,13 @@ class BottleneckModel:
             }
         )
 
-    def _outbound(self, plan: SendPlan) -> Dict[str, float]:
-        """The requester-side stations one posted WR occupies."""
+    def _outbound(self, plan: SendPlan, signal_every: int = SIGNAL_EVERY) -> Dict[str, float]:
+        """The requester-side stations one posted WR occupies, one WR in
+        ``signal_every`` also DMA-writing its CQE (the microbenchmarks'
+        selective signaling)."""
         return {
             "pio": self.pio_ns(plan),
-            "dma": self.fetch_ns(plan),
+            "dma": self.fetch_ns(plan) + self.dma_write_ns(CQE_BYTES) / signal_every,
             "nic_egress": plan.egress_ns,
             "wire": self.wire_ns(plan.wire_bytes),
         }
@@ -121,11 +126,11 @@ class BottleneckModel:
         return _predict(self._outbound(plan))
 
     def outbound_read(self, payload: int) -> Prediction:
-        """Figure 4: outbound READ issue rate."""
-        demands = self._outbound(plan_for(self.p, RC, Opcode.READ, False, payload))
+        """Figure 4: outbound READ issue rate (every READ is signaled)."""
+        demands = self._outbound(plan_for(self.p, RC, Opcode.READ, False, payload), 1)
         # the responses return through this NIC's ingress + DMA
         demands["nic_ingress"] = self.p.nic_ingress_resp_ns
-        demands["dma_resp"] = self.dma_write_ns(payload)
+        demands["dma"] += self.dma_write_ns(payload)
         demands["wire"] = self.packet_wire_ns(PacketKind.READ_RESP, payload)
         return _predict(demands)
 

@@ -23,15 +23,20 @@ from repro.verbs import (
 _WARM_NS = 40_000.0
 _MEASURE_NS = 160_000.0
 
+#: selective signaling (Section 3.1): the throughput posters signal one
+#: WR in this many and pace on its completion — and the NIC DMA-writes
+#: one CQE per signaled WR, which ``repro.analysis`` charges likewise
+SIGNAL_EVERY = 4
+
 
 def _window_poster(
     device: RdmaDevice,
     qp,
     make_wr,
     window: int,
-    signal_every: int,
 ) -> Generator[Event, None, None]:
-    """Keep ``window`` verbs outstanding, signalling every S-th one.
+    """Keep ``window`` verbs outstanding, signalling every
+    ``SIGNAL_EVERY``-th one.
 
     This is the paper's methodology for throughput experiments
     (Section 3.1): a window of outstanding verbs per queue, paced by
@@ -44,14 +49,14 @@ def _window_poster(
     while True:
         while outstanding < window:
             since_signal += 1
-            signaled = since_signal >= signal_every
+            signaled = since_signal >= SIGNAL_EVERY
             if signaled:
                 since_signal = 0
             yield from device.post_send_timed(qp, make_wr(signaled))
             outstanding += 1
         yield qp.send_cq.pop()
         yield sim.timeout(p.cq_poll_ns)
-        outstanding -= signal_every
+        outstanding -= SIGNAL_EVERY
 
 
 def _read_poster(device, qp, make_wr, window: int) -> Generator[Event, None, None]:
@@ -105,7 +110,7 @@ def inbound_throughput(
                     inline=inline, signaled=signaled,
                 )
 
-            sim.process(_window_poster(client, cqp, make_wr, window, 4))
+            sim.process(_window_poster(client, cqp, make_wr, window))
         elif verb == "READ":
 
             def make_wr(signaled, _sink=sink):
@@ -165,7 +170,7 @@ def outbound_throughput(
                     inline=_inline, signaled=signaled,
                 )
 
-            sim.process(_window_poster(server, sqp, make_wr, window, 4))
+            sim.process(_window_poster(server, sqp, make_wr, window))
         elif verb == "SEND-UD":
             server_qp = server.create_qp(Transport.UD)
             client_qp = client.create_qp(Transport.UD)
@@ -189,7 +194,7 @@ def outbound_throughput(
                     inline=_inline, signaled=signaled, ah=_ah,
                 )
 
-            sim.process(_window_poster(server, server_qp, make_wr, window, 4))
+            sim.process(_window_poster(server, server_qp, make_wr, window))
 
             def drain(cq=client_qp.recv_cq):
                 while True:
@@ -290,7 +295,7 @@ def alltoall_throughput(
                 while True:
                     while outstanding < w:
                         since += 1
-                        signaled = since >= 4
+                        signaled = since >= SIGNAL_EVERY
                         if signaled:
                             since = 0
                         qp, wr = mw(signaled)
@@ -301,7 +306,7 @@ def alltoall_throughput(
                     # Wait on the QP that carries the signalled verb.
                     yield signal_qp.send_cq.pop()
                     yield sim.timeout(profile.cq_poll_ns)
-                    outstanding -= 4
+                    outstanding -= SIGNAL_EVERY
 
             sim.process(loop())
     elif mode == "out-write-uc":
@@ -322,7 +327,7 @@ def alltoall_throughput(
                 while True:
                     while outstanding < w:
                         since += 1
-                        signaled = since >= 4
+                        signaled = since >= SIGNAL_EVERY
                         if signaled:
                             since = 0
                         qp, region = _rng.choice(_qps)
@@ -336,7 +341,7 @@ def alltoall_throughput(
                         outstanding += 1
                     yield signal_qp.send_cq.pop()
                     yield sim.timeout(profile.cq_poll_ns)
-                    outstanding -= 4
+                    outstanding -= SIGNAL_EVERY
 
             sim.process(loop())
     elif mode == "out-send-ud":
@@ -366,7 +371,7 @@ def alltoall_throughput(
                     ah=_rng.choice(addresses),
                 )
 
-            sim.process(_window_poster(server, ud_qp, make_wr, window, 4))
+            sim.process(_window_poster(server, ud_qp, make_wr, window))
     else:
         raise ValueError("unknown all-to-all mode %r" % mode)
 

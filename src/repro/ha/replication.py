@@ -370,12 +370,7 @@ class ReplicaRole:
             self.committed_seq = seq
             self.applied_seq = max(self.applied_seq, seq)
             server.store.put(inf.keyhash, inf.value)
-            per_access = (
-                server.profile.prefetch_hit_ns
-                if self.config.prefetch
-                else server.profile.dram_ns
-            )
-            store_ns = server.store.last_op_accesses * per_access
+            store_ns = server.store.last_op_accesses * server.access_ns
             self.commits += 1
             if node is not None and node._lag_hist is not None:
                 node._lag_hist.observe(node.sim.now - inf.created_ns)
@@ -392,7 +387,7 @@ class ReplicaRole:
                 self.pending_client.pop((client, window_slot, req_epoch), None)
                 self.completed[(client, window_slot)] = req_epoch
                 node.sim.process(
-                    server.ha_respond(
+                    server.answer(
                         client, window_slot, op, req_epoch, wire.RESP_OK,
                         server.epoch, extra_ns=store_ns, ack_epoch=self.epoch,
                     )
@@ -493,7 +488,7 @@ class ReplicaRole:
             client, window_slot, req_epoch, op = inf.respond
             self.stale_nacks_sent += 1
             node.sim.process(
-                server.ha_respond(
+                server.answer(
                     client, window_slot, op, req_epoch,
                     wire.RESP_STALE_EPOCH, server.epoch,
                 )
@@ -505,7 +500,7 @@ class ReplicaRole:
             for w_client, w_slot, w_epoch, w_op in waiters:
                 self.stale_nacks_sent += 1
                 node.sim.process(
-                    server.ha_respond(
+                    server.answer(
                         w_client, w_slot, w_op, w_epoch,
                         wire.RESP_STALE_EPOCH, server.epoch,
                     )
@@ -685,13 +680,9 @@ class HaNode:
         applied = role.applied_seq - before
         if applied:
             # charge the store writes to this (replication) core
-            per_access = (
-                self.profile.prefetch_hit_ns
-                if self.config.prefetch
-                else self.profile.dram_ns
-            )
+            server = role.server
             yield self.sim.timeout(
-                applied * role.server.store.last_op_accesses * per_access
+                applied * server.store.last_op_accesses * server.access_ns
             )
         yield from self.send_mesh(sender, ack)
         self.acks_sent += 1

@@ -61,13 +61,15 @@ from repro.workloads.ycsb import Operation, OpType, WorkloadStream
 from repro.herd.config import HerdConfig, route_key
 from repro.herd.region import RequestRegion
 from repro.herd.wire import (
+    FRAME_STATUS,
     RESP_NOT_OWNER,
-    RESP_OK,
     RESP_RETRY_AFTER,
     RESP_STALE_EPOCH,
     decode_response,
     encode_get,
     encode_put,
+    framing_of,
+    parse_response,
 )
 
 #: observer called as fn(op, latency_ns, success, now)
@@ -77,9 +79,18 @@ ResponseHook = Callable[[Operation, float, bool, float], None]
 #: decoded response payload (the chaos harness checks values with this)
 PayloadHook = Callable[[Operation, bool, Optional[bytes], float], None]
 
-#: per-response receive buffer: GRH + the loss-mode slot/epoch prefix +
-#: the largest response
+#: per-response receive buffer: GRH + the slot/epoch prefix + the
+#: largest response (one byte more under the status framing)
 _RECV_SLOT = 40 + 2 + 1024
+
+#: retry timeout multiplier per attempt: exponential backoff keeps
+#: retry traffic from piling onto a struggling server
+RETRY_BACKOFF = 2.0
+
+#: deterministic jitter: each retry deadline is stretched by up to this
+#: fraction, drawn from the client's own named RNG stream, so retries
+#: from many clients do not synchronise
+RETRY_JITTER = 0.1
 
 
 @dataclass
@@ -88,7 +99,6 @@ class _Pending:
     sent_at: float
     server: int
     window_slot: int
-    recv_offset: int
     #: what the request WRITE carried, for application-level retries
     payload: bytes = b""
     raddr: int = 0
@@ -126,11 +136,8 @@ class HerdClientProcess:
         rf = config.replication_factor
         self._ns = ns
         self._ha = rf > 1
-        #: status-byte framing: HA and QoS responses both carry a status
-        #: byte between the loss-mode prefix and the body
-        self._status_framing = self._ha or config.qos is not None
-        #: response slot: the status byte makes framed slots 1 B wider
-        self._recv_slot = _RECV_SLOT + (1 if self._status_framing else 0)
+        self._framing = framing_of(config)
+        self._recv_slot = _RECV_SLOT + (1 if self._framing == FRAME_STATUS else 0)
         #: per-lane RECV ring depth; deeper under replication because
         #: stale nacks and replays consume extra buffers
         self._ring = (4 if self._ha else 2) * config.window
@@ -193,7 +200,8 @@ class HerdClientProcess:
         #: once per op)
         self._parked_count = 0
         self._park_limit = 2 * config.window
-        #: per-lane RECV buffer offsets in posting order (loss mode)
+        #: per-lane RECV buffer offsets in posting order: the NIC fills
+        #: the oldest posted RECV, whichever request it answers
         self._recv_order: List[Deque[int]] = [deque() for _ in range(rf * ns)]
         self._pending: List[Deque[_Pending]] = [deque() for _ in range(ns)]
         self.outstanding = 0
@@ -390,29 +398,25 @@ class HerdClientProcess:
         replica = self.ha_map.primary[server] if self._ha else 0
         lane = replica * self._ns + server
 
-        loss_mode = self.config.retry_timeout_ns is not None
-        if loss_mode:
+        framing = self._framing
+        epoch = 0
+        if framing:
             epoch = (self._slot_epoch[server][window_slot] + 1) & 0xFF
             self._slot_epoch[server][window_slot] = epoch
-            wire_epoch = epoch
-        else:
-            epoch = 0
-            wire_epoch = None
         payload = (
-            encode_get(op.key, epoch=wire_epoch)
+            encode_get(op.key, framing, epoch)
             if op.op is OpType.GET
-            else encode_put(op.key, op.value, epoch=wire_epoch)
+            else encode_put(op.key, op.value, framing, epoch)
         )
         region = self.ha_regions[replica] if self._ha else self.region
-        uc_qp = self.ha_uc_qps[replica] if self._ha else self.uc_qp
         slot_addr = region.slot_addr(server, self.client_id, window_slot)
         raddr = slot_addr + self.config.slot_bytes - len(payload)
 
         # Atomic bookkeeping: the QP post, the posting-order mirror,
-        # and (loss mode) the pending record all land in one instant,
-        # with no yield in between.  The mirror must match the order
-        # the NIC sees — another process (the responder re-arming a
-        # RECV after a nack or duplicate) may run inside any yield
+        # and (with retries) the pending record all land in one
+        # instant, with no yield in between.  The mirror must match the
+        # order the NIC sees — another process (the responder re-arming
+        # a RECV after a nack or duplicate) may run inside any yield
         # window, and appending around one would record a posting
         # order the NIC never saw.  The pending record joins at the
         # same instant so the RECV-accounting invariant
@@ -421,22 +425,21 @@ class HerdClientProcess:
         # WRITE below is posted because matching requires this slot
         # epoch, and the deadline stays infinite until the WRITE is
         # out so the retry watchdog ignores the half-sent op.
-        recv_offset = self._arm_recv(lane)
-        record: Optional[_Pending] = None
-        if loss_mode:
-            record = _Pending(
-                op,
-                self.sim.now,
-                server,
-                window_slot,
-                recv_offset,
-                payload=payload,
-                raddr=raddr,
-                last_sent=self.sim.now,
-                deadline=float("inf"),
-                epoch=epoch,
-                replica=replica,
-            )
+        self._arm_recv(lane)
+        now = self.sim.now
+        record = _Pending(
+            op,
+            now,
+            server,
+            window_slot,
+            payload=payload,
+            raddr=raddr,
+            last_sent=now,
+            deadline=float("inf"),
+            epoch=epoch,
+            replica=replica,
+        )
+        if framing:
             self._pending[server].append(record)
         self.outstanding += 1
         self.issued += 1
@@ -445,53 +448,27 @@ class HerdClientProcess:
         yield self.device.machine.pcie.doorbell()
 
         # 2. WRITE the request into the server's request region.
-        if len(payload) <= self.profile.max_inline:
-            wr = WorkRequest.write(
-                raddr=raddr, rkey=region.mr.rkey, payload=payload,
-                inline=True, signaled=False, ah=self.dct_ah,
-            )
-        else:
-            cfg = self.config
-            offset = (server * cfg.window + window_slot) * cfg.slot_bytes
-            self._staging.write(offset, payload)
+        uc_qp, wr = self._request_wr(record)
+        if not wr.inline:
             yield self.sim.timeout(len(payload) / self.profile.memcpy_bytes_per_ns)
-            wr = WorkRequest.write(
-                raddr=raddr, rkey=region.mr.rkey,
-                local=(self._staging, offset, len(payload)), signaled=False,
-                ah=self.dct_ah,
-            )
         yield from self.device.post_send_timed(uc_qp, wr)
         now = self.sim.now
-        if loss_mode:
-            # The WRITE is on the wire: start the retry clock.
-            record.sent_at = now
-            record.last_sent = now
-            record.deadline = now + (self._rto() or 0.0)
-        else:
-            # Lossless completions pop the pending queue FIFO, so the
-            # record must join in WRITE-posting order, not issue order.
-            self._pending[server].append(
-                _Pending(
-                    op,
-                    now,
-                    server,
-                    window_slot,
-                    recv_offset,
-                    payload=payload,
-                    raddr=raddr,
-                    last_sent=now,
-                    deadline=now,
-                    epoch=epoch,
-                    replica=replica,
-                )
-            )
+        # The WRITE is on the wire: start the retry clock.
+        record.sent_at = now
+        record.last_sent = now
+        record.deadline = now + (self._rto() or 0.0)
+        if not framing:
+            # Without retries completions pop the pending queue FIFO,
+            # so the record joins in WRITE-posting order, not issue
+            # order.
+            self._pending[server].append(record)
         if self.ha_event_hook is not None:
             self.ha_event_hook(
                 "invoke", op, server, window_slot, epoch, None, None, now
             )
 
-    def _arm_recv(self, lane: int) -> int:
-        """Post and mirror a RECV at ``lane``'s next ring offset (returned).
+    def _arm_recv(self, lane: int) -> None:
+        """Post and mirror a RECV at ``lane``'s next ring offset.
 
         Every RECV — a first send's, a replay's, or one re-armed after a
         duplicate or a nack — takes its buffer from this rotation: a
@@ -509,7 +486,6 @@ class HerdClientProcess:
             RecvRequest(wr_id=token, local=(self.recv_mr, offset, self._recv_slot)),
         )
         self._recv_order[lane].append(offset)
-        return offset
 
     @staticmethod
     def _take_by_slot(
@@ -591,33 +567,36 @@ class HerdClientProcess:
                     continue
                 record.attempts += 1
                 self.retries += 1
-                backoff = cfg.retry_backoff ** record.attempts
-                jitter = 1.0 + cfg.retry_jitter * self._rng.random()
+                backoff = RETRY_BACKOFF ** record.attempts
+                jitter = 1.0 + RETRY_JITTER * self._rng.random()
                 record.deadline = self.sim.now + self._rto() * backoff * jitter
                 record.last_sent = self.sim.now
-                yield from self._post_request(record)
+                yield from self.device.post_send_timed(*self._request_wr(record))
 
-    def _post_request(self, record: _Pending) -> Generator[Event, None, None]:
-        """(Re-)WRITE a pending record's request bytes to its replica."""
+    def _request_wr(self, record: _Pending) -> Tuple[QueuePair, WorkRequest]:
+        """The QP and WRITE that (re-)send a pending record's request
+        bytes to its replica.
+
+        Above the inline limit the bytes go out of the op's own staging
+        slot (see __init__), written here; a first send charges that
+        memcpy, a retry restaging the same bytes does not.
+        """
         cfg = self.config
         region = self.ha_regions[record.replica] if self._ha else self.region
         uc_qp = self.ha_uc_qps[record.replica] if self._ha else self.uc_qp
         if len(record.payload) <= self.profile.max_inline:
-            wr = WorkRequest.write(
+            return uc_qp, WorkRequest.write(
                 raddr=record.raddr, rkey=region.mr.rkey,
                 payload=record.payload, inline=True, signaled=False,
                 ah=self.dct_ah,
             )
-        else:
-            # the op's own staging slot (see __init__): same bytes again
-            offset = (record.server * cfg.window + record.window_slot) * cfg.slot_bytes
-            self._staging.write(offset, record.payload)
-            wr = WorkRequest.write(
-                raddr=record.raddr, rkey=region.mr.rkey,
-                local=(self._staging, offset, len(record.payload)),
-                signaled=False, ah=self.dct_ah,
-            )
-        yield from self.device.post_send_timed(uc_qp, wr)
+        offset = (record.server * cfg.window + record.window_slot) * cfg.slot_bytes
+        self._staging.write(offset, record.payload)
+        return uc_qp, WorkRequest.write(
+            raddr=record.raddr, rkey=region.mr.rkey,
+            local=(self._staging, offset, len(record.payload)),
+            signaled=False, ah=self.dct_ah,
+        )
 
     # -- failover (replication only) -----------------------------------
 
@@ -666,7 +645,7 @@ class HerdClientProcess:
         record.replica = replica
         self.replays += 1
         # posted and mirrored before the timed yield (see _send_op)
-        record.recv_offset = self._arm_recv(replica * self._ns + server)
+        self._arm_recv(replica * self._ns + server)
         # post_recv_timed's cost
         yield self.sim.timeout(self.device.profile.post_recv_ns)
         yield self.device.machine.pcie.doorbell()
@@ -680,7 +659,7 @@ class HerdClientProcess:
         record.last_sent = now
         record.attempts = 0
         record.deadline = now + (self._rto() or 0.0)
-        yield from self._post_request(record)
+        yield from self.device.post_send_timed(*self._request_wr(record))
 
     def _abandon(self, record: _Pending) -> None:
         """Give up on an op whose retry budget is spent.
@@ -706,24 +685,19 @@ class HerdClientProcess:
         lane = self._lane_of_qpn[cqe.qpn]
         server = lane % self._ns
         pending = self._pending[server]
-        if self.config.retry_timeout_ns is None:
-            # Lossless operation: per-server responses are FIFO, so the
+        # The data landed in the *oldest posted* RECV buffer: RECVs are
+        # consumed FIFO whichever request is answered.
+        offset = self._recv_order[lane].popleft()
+        slot, epoch, status, payload = parse_response(
+            self._framing, self.recv_mr.read(offset + 40, cqe.byte_len)
+        )
+        if slot is None:
+            # Without retries per-server responses are FIFO, so the
             # oldest pending record is the one being answered.
             record = pending.popleft()
-            payload = self.recv_mr.read(record.recv_offset + 40, cqe.byte_len)
         else:
-            # Loss mode: a dropped request makes per-server completions
-            # out of order, so responses carry a window-slot byte.  The
-            # data landed in the *oldest posted* RECV buffer (RECVs are
-            # consumed FIFO regardless of which request is answered).
-            offset = self._recv_order[lane].popleft()
-            raw = self.recv_mr.read(offset + 40, cqe.byte_len)
-            if self._status_framing:
-                slot, epoch, status = raw[0], raw[1], raw[2]
-                payload = raw[3:]
-            else:
-                slot, epoch, status = raw[0], raw[1], RESP_OK
-                payload = raw[2:]
+            # With retries a dropped request reorders per-server
+            # completions, so responses name their window slot.
             record = self._take_by_slot(pending, slot, epoch)
             if record is None:
                 if self._quarantined[server].get(slot) == epoch:
@@ -799,7 +773,7 @@ class HerdClientProcess:
                 name="herd-client-%d-replay" % self.client_id,
             )
         else:
-            record.recv_offset = self._arm_recv(lane)
+            self._arm_recv(lane)
 
     # -- overload nacks (repro.qos) ------------------------------------
 
@@ -820,7 +794,7 @@ class HerdClientProcess:
         self.retry_after_nacks += 1
         record.nacks += 1
         now = self.sim.now
-        jitter = 1.0 + self.config.retry_jitter * self._rng.random()
+        jitter = 1.0 + RETRY_JITTER * self._rng.random()
         # 429 semantics: the hint throttles the whole source.  Fresh
         # open-loop arrivals are shed at the ingress until the pause
         # expires, so a saturated server is not burning cycles nacking
@@ -840,7 +814,7 @@ class HerdClientProcess:
             self.outstanding -= 1
             self._slot_free[record.server].add(record.window_slot)
             return
-        record.recv_offset = self._arm_recv(lane)
+        self._arm_recv(lane)
         backoff = qos.retry_after_backoff ** (record.nacks - 1)
         record.attempts = 0
         record.deadline = now + qos.retry_after_ns * backoff * jitter
@@ -891,4 +865,4 @@ class HerdClientProcess:
             return
         record.deadline = now + (self._rto() or 0.0)
         self._pending[server].append(record)
-        record.recv_offset = self._arm_recv(lane)
+        self._arm_recv(lane)

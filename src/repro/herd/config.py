@@ -30,11 +30,6 @@ class HerdConfig:
     index_entries: int = 2 ** 16
     #: MICA circular log bytes per server process (paper: 4 GB)
     log_bytes: int = 1 << 22
-    #: consecutive empty poll iterations before a no-op flushes the
-    #: request pipeline (Section 4.1.1)
-    noop_after_polls: int = 100
-    #: request pipeline depth = MICA's max random accesses per op
-    pipeline_depth: int = 2
     #: enable the prefetch pipeline (Figure 7's ablation switch)
     prefetch: bool = True
     #: transport carrying request WRITEs: "UC" (the paper's design) or
@@ -47,13 +42,6 @@ class HerdConfig:
     #: application-level retries".  Set this well above the p99
     #: latency — a premature retry desynchronises response matching.
     retry_timeout_ns: Optional[float] = None
-    #: multiplier applied to the retry timeout per attempt (exponential
-    #: backoff keeps retry traffic from piling onto a struggling server)
-    retry_backoff: float = 2.0
-    #: deterministic jitter: each retry deadline is stretched by up to
-    #: this fraction, drawn from the client's own named RNG stream, so
-    #: retries from many clients do not synchronise
-    retry_jitter: float = 0.1
     #: re-sends allowed per operation before the client abandons it, or
     #: None for unlimited (an abandoned op quarantines its window slot
     #: until a late response arrives, so slot reuse stays safe)
@@ -103,31 +91,12 @@ class HerdConfig:
             raise ValueError("index_entries must be >= 1; got %r" % (self.index_entries,))
         if self.log_bytes < 1:
             raise ValueError("log_bytes must be >= 1; got %r" % (self.log_bytes,))
-        if self.noop_after_polls < 1:
-            raise ValueError(
-                "noop_after_polls must be >= 1; got %r" % (self.noop_after_polls,)
-            )
-        if self.pipeline_depth < 1:
-            raise ValueError(
-                "pipeline_depth must be >= 1; got %r" % (self.pipeline_depth,)
-            )
         if self.request_transport not in ("UC", "DC"):
             raise ValueError("request transport must be UC or DC")
         if self.retry_timeout_ns is not None and not self.retry_timeout_ns > 0:
             raise ValueError(
                 "retry_timeout_ns must be > 0 (or None to disable retries); "
                 "got %r" % (self.retry_timeout_ns,)
-            )
-        if self.retry_backoff < 1.0:
-            raise ValueError(
-                "retry_backoff must be >= 1 (a shrinking timeout would "
-                "retry before the previous attempt could answer); got %r"
-                % (self.retry_backoff,)
-            )
-        if not 0.0 <= self.retry_jitter <= 1.0:
-            raise ValueError(
-                "retry_jitter is a fraction within [0, 1]; got %r"
-                % (self.retry_jitter,)
             )
         if self.retry_budget is not None and self.retry_budget < 1:
             raise ValueError(

@@ -8,7 +8,7 @@ access count (two), so a request's response is sent while the *next*
 request's memory is being prefetched — the prefetches hide behind
 ``post_send()``.
 
-A server that sees no new request for ``noop_after_polls`` consecutive
+A server that sees no new request for ``NOOP_AFTER_POLLS`` consecutive
 poll iterations pushes a *no-op* bubble so the requests already in the
 pipeline still complete (the deadlock avoidance rule from the paper).
 """

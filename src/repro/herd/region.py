@@ -26,7 +26,7 @@ from typing import List, Tuple
 from repro.sim import Simulator, Store
 from repro.verbs import MemoryRegion, RdmaDevice
 from repro.herd.config import HerdConfig
-from repro.herd.wire import KEYHASH_BYTES, decode_request
+from repro.herd.wire import KEYHASH_BYTES, decode_request, framing_of
 
 
 class RequestRegion:
@@ -41,6 +41,7 @@ class RequestRegion:
     ) -> None:
         self.sim = sim
         self.config = config
+        self.framing = framing_of(config)
         self.n_clients = n_clients
         self.mr: MemoryRegion = device.register_memory(config.region_bytes(n_clients))
         self.mr.on_write = self._on_write
@@ -86,14 +87,12 @@ class RequestRegion:
 
     # -- server-side access -------------------------------------------------
 
-    def read_slot(self, server: int, client: int, window_slot: int, with_epoch: bool = False):
-        """Decode the request in a slot (None if free).
-
-        ``with_epoch`` (loss mode) also returns the request's slot
-        epoch byte: ``(operation, epoch)``."""
+    def read_slot(self, server: int, client: int, window_slot: int):
+        """Decode the request in a slot: ``(operation, epoch)``, or None
+        if the slot is free."""
         offset = self.slot_offset(server, client, window_slot)
         return decode_request(
-            self.mr.buf, with_epoch, start=offset, end=offset + self.config.slot_bytes
+            self.mr.buf, self.framing, start=offset, end=offset + self.config.slot_bytes
         )
 
     def clear_slot(self, server: int, client: int, window_slot: int) -> None:

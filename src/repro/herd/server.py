@@ -33,7 +33,17 @@ from repro.herd.wire import (
     RESP_RETRY_AFTER,
     RESP_STALE_EPOCH,
     encode_response,
+    frame_response,
+    framing_of,
 )
+
+#: MICA's most random memory accesses per op: the request pipeline's
+#: depth (Section 4.1.1)
+PIPELINE_DEPTH = 2
+
+#: consecutive empty poll iterations before a no-op flushes the
+#: request pipeline (Section 4.1.1)
+NOOP_AFTER_POLLS = 100
 
 #: a request travelling through the pipeline:
 #: (client, window slot, op, request epoch)
@@ -64,9 +74,7 @@ class HerdServerProcess:
         self.client_ahs = client_ahs
         self.ud_qp: QueuePair = device.create_qp(Transport.UD)
         self.store = MicaCache(config.index_entries, config.log_bytes)
-        self.pipeline: RequestPipeline[PipelineEntry] = RequestPipeline(
-            config.pipeline_depth
-        )
+        self.pipeline: RequestPipeline[PipelineEntry] = RequestPipeline(PIPELINE_DEPTH)
         self._staging = StagingRing(device, 1 << 16)
         self.completion_hook: Optional[CompletionHook] = None
         #: replication role (repro.ha.ReplicaRole) when this process
@@ -75,9 +83,11 @@ class HerdServerProcess:
         #: admission controller (repro.qos.PartitionAdmission) when the
         #: cluster runs with overload protection; None = admit everything
         self.admission = None
-        #: QoS response framing: every response (and nack) carries the
-        #: HA-style status byte so RESP_RETRY_AFTER has a place to live
-        self._qos_framing = config.qos is not None
+        self._framing = framing_of(config)
+        #: memory time of one MICA access: prefetched accesses hit cache
+        self.access_ns = (
+            self.profile.prefetch_hit_ns if config.prefetch else self.profile.dram_ns
+        )
         #: liveness: False between :meth:`crash` and :meth:`recover`.
         #: The request region and the MICA partition live in shared
         #: memory (HERD maps both with ``shmget``), so only the
@@ -164,7 +174,7 @@ class HerdServerProcess:
         self.alive = True
         self.epoch += 1
         self.recoveries += 1
-        self.pipeline = RequestPipeline(self.config.pipeline_depth)
+        self.pipeline = RequestPipeline(PIPELINE_DEPTH)
         arrivals = self.region.arrivals[self.index]
         arrivals.clear()  # superseded by the scan below
         live = self.region.scan_partition(self.index)
@@ -191,9 +201,8 @@ class HerdServerProcess:
         """The polling loop (for one process incarnation)."""
         sim = self.sim
         p = self.profile
-        cfg = self.config
         arrivals = self.region.arrivals[self.index]
-        flush_spin_ns = cfg.noop_after_polls * p.poll_check_ns
+        flush_spin_ns = NOOP_AFTER_POLLS * p.poll_check_ns
         if warmup_ns:
             yield sim.timeout(warmup_ns)
         while self.epoch == epoch:
@@ -241,15 +250,10 @@ class HerdServerProcess:
         yield sim.timeout(4 * p.poll_check_ns)
         if self.epoch != epoch:
             return  # crashed mid-poll; the slot survives for the re-scan
-        if self.config.retry_timeout_ns is not None:
-            op, req_epoch = self.region.read_slot(
-                self.index, client, window_slot, with_epoch=True
-            )
-        else:
-            op = self.region.read_slot(self.index, client, window_slot)
-            req_epoch = 0
-        if op is None:
+        request = self.region.read_slot(self.index, client, window_slot)
+        if request is None:
             return  # spurious wakeup: slot already consumed
+        op, req_epoch = request
         if self.admission is not None:
             arrived = item[2] if len(item) > 2 else sim.now
             backlog = len(self.region.arrivals[self.index]) + len(self.pipeline)
@@ -270,19 +274,27 @@ class HerdServerProcess:
             self._occupancy.observe(len(self.pipeline))
         yield from self._complete(completed, epoch)
 
-    def _complete(
-        self, entry: Optional[PipelineEntry], epoch: int
-    ) -> Generator[Event, None, None]:
+    def _complete(self, entry: Optional[PipelineEntry], epoch: int):
+        """The generator that serves the pipeline's completed ``entry``,
+        returned rather than delegated to: each response's events then
+        pass through one generator fewer."""
         if entry is None:
-            return
+            return ()
         if self.ha_role is not None:
-            yield from self._complete_ha(entry, epoch)
-            return
-        sim = self.sim
-        p = self.profile
-        client, window_slot, op, req_epoch = entry
-        # Execute against the MICA partition (real bytes), charging the
-        # memory time: prefetched accesses are cache hits.
+            return self._complete_ha(entry, epoch)
+        return self._execute(*entry, epoch)
+
+    def _execute(
+        self, client: int, window_slot: int, op: Operation, req_epoch: int, epoch: int
+    ) -> Generator[Event, None, None]:
+        """Run ``op`` against the MICA partition (real bytes) and count
+        it, now; return the :meth:`answer` that responds, charged the
+        op's memory accesses.
+
+        A crash after executing but before responding may leave a PUT
+        in the store; re-execution after recovery is idempotent, so the
+        re-scan repairs this cleanly.
+        """
         if op.op is OpType.GET:
             self.gets += 1
             value = self.store.get(op.key)
@@ -292,34 +304,10 @@ class HerdServerProcess:
             self.puts += 1
             self.store.put(op.key, op.value)
             value = None
-        per_access = p.prefetch_hit_ns if self.config.prefetch else p.dram_ns
-        yield sim.timeout(self.store.last_op_accesses * per_access)
-        if self.epoch != epoch:
-            # Crashed after executing but before responding.  A PUT may
-            # have landed in the store; re-execution after recovery is
-            # idempotent, so the re-scan repairs this cleanly.
-            return
-        payload = encode_response(op.op, value)
-        if self._qos_framing:
-            # QoS mode borrows the HA status byte so shed nacks
-            # (RESP_RETRY_AFTER) share the framing of real responses.
-            payload = bytes([window_slot, req_epoch, RESP_OK]) + payload
-        elif self.config.retry_timeout_ns is not None:
-            # Loss mode: completions can be reordered by retries, so the
-            # response identifies the window slot it answers, plus the
-            # request's epoch byte — a delayed duplicate must not match
-            # a newer op that reused the slot.
-            payload = bytes([window_slot, req_epoch]) + payload
-        yield from self._respond(client, payload, epoch)
-        if self.epoch != epoch:
-            # Crashed while the response was being staged or posted: the
-            # SEND never went out, so the slot must survive for the
-            # post-recovery re-scan — a corpse must not finish the op.
-            return
-        self.region.clear_slot(self.index, client, window_slot)
-        self.responses += 1
-        if self.completion_hook is not None:
-            self.completion_hook(client, op, sim.now)
+        return self.answer(
+            client, window_slot, op, req_epoch, RESP_OK, epoch, value,
+            self.store.last_op_accesses * self.access_ns,
+        )
 
     # -- overload shedding (repro.qos) ---------------------------------
 
@@ -338,7 +326,9 @@ class HerdServerProcess:
         """
         self.shed += 1
         if self.config.qos.drop_policy == "nack":
-            payload = bytes([window_slot, req_epoch, RESP_RETRY_AFTER])
+            payload = frame_response(
+                self._framing, window_slot, req_epoch, RESP_RETRY_AFTER, b""
+            )
             yield from self._respond(client, payload, epoch)
             if self.epoch != epoch:
                 return
@@ -359,7 +349,6 @@ class HerdServerProcess:
         promotion) holds the request until its verdict resolves.
         """
         sim = self.sim
-        p = self.profile
         role = self.ha_role
         client, window_slot, op, req_epoch = entry
         verdict = role.serving_verdict(sim.now)
@@ -369,7 +358,7 @@ class HerdServerProcess:
                 return
             verdict = role.serving_verdict(sim.now)
         if verdict == "stale":
-            yield from self.ha_respond(
+            yield from self.answer(
                 client, window_slot, op, req_epoch, RESP_STALE_EPOCH, epoch
             )
             return
@@ -384,7 +373,7 @@ class HerdServerProcess:
             if (client, window_slot, req_epoch) in role.pending_client:
                 return  # a retry of a PUT already replicating; ack at commit
             if role.completed.get((client, window_slot)) == req_epoch:
-                yield from self.ha_respond(
+                yield from self.answer(
                     client, window_slot, op, req_epoch, RESP_OK, epoch,
                     ack_epoch=role.epoch,
                 )
@@ -397,13 +386,13 @@ class HerdServerProcess:
             if self.epoch != epoch:
                 return
             if role.serving_verdict(sim.now) == "stale":
-                yield from self.ha_respond(
+                yield from self.answer(
                     client, window_slot, op, req_epoch, RESP_STALE_EPOCH, epoch
                 )
                 return
             everdict = role.elastic_verdict(op.key)
         if everdict == "not_owner":
-            yield from self.ha_respond(
+            yield from self.answer(
                 client, window_slot, op, req_epoch, RESP_NOT_OWNER, epoch
             )
             return
@@ -414,22 +403,12 @@ class HerdServerProcess:
                 # non-linearizable read; park until the commit
                 role.defer_get(client, window_slot, req_epoch, op)
                 return
-            self.gets += 1
-            value = self.store.get(op.key)
-            if value is not None:
-                self.get_hits += 1
-            per_access = p.prefetch_hit_ns if self.config.prefetch else p.dram_ns
-            yield sim.timeout(self.store.last_op_accesses * per_access)
-            if self.epoch != epoch:
-                return
-            yield from self.ha_respond(
-                client, window_slot, op, req_epoch, RESP_OK, epoch, value=value
-            )
+            yield from self._execute(client, window_slot, op, req_epoch, epoch)
             return
         self.puts += 1
         yield from role.stage_update(client, window_slot, req_epoch, op)
 
-    def ha_respond(
+    def answer(
         self,
         client: int,
         window_slot: int,
@@ -441,12 +420,15 @@ class HerdServerProcess:
         extra_ns: float = 0.0,
         ack_epoch: Optional[int] = None,
     ) -> Generator[Event, None, None]:
-        """Post an HA response ``[slot, req_epoch, status, body...]``.
+        """Answer one request: charge ``extra_ns``, post the framed
+        response, then free the slot, count the response and report it.
 
-        Runs either inline on the server core or as a spawned process
-        (commit-time acks arrive from the replication node); both paths
-        are fenced by the process epoch so a crashed incarnation cannot
-        answer.
+        Every served request leaves through here (a shed is not served:
+        see :meth:`_shed`).  It runs inline on the server core or as a
+        spawned process (commit-time acks come from the replication
+        node); both are fenced by the process epoch, so a crashed
+        incarnation cannot answer, and a crash while the response is
+        staged or posted leaves the slot for the post-recovery re-scan.
         """
         sim = self.sim
         if self.epoch != epoch or not self.alive:
@@ -456,7 +438,7 @@ class HerdServerProcess:
             if self.epoch != epoch:
                 return
         body = encode_response(op.op, value) if status == RESP_OK else b""
-        payload = bytes([window_slot, req_epoch, status]) + body
+        payload = frame_response(self._framing, window_slot, req_epoch, status, body)
         yield from self._respond(client, payload, epoch)
         if self.epoch != epoch:
             return
@@ -474,20 +456,8 @@ class HerdServerProcess:
         self, client: int, window_slot: int, req_epoch: int, op: Operation, epoch: int
     ) -> Generator[Event, None, None]:
         """Answer a GET that waited for a PUT on its key to commit."""
-        if self.epoch != epoch or not self.alive:
-            return
-        self.gets += 1
-        value = self.store.get(op.key)
-        if value is not None:
-            self.get_hits += 1
-        p = self.profile
-        per_access = p.prefetch_hit_ns if self.config.prefetch else p.dram_ns
-        yield self.sim.timeout(self.store.last_op_accesses * per_access)
-        if self.epoch != epoch:
-            return
-        yield from self.ha_respond(
-            client, window_slot, op, req_epoch, RESP_OK, epoch, value=value
-        )
+        if self.epoch == epoch and self.alive:
+            yield from self._execute(client, window_slot, op, req_epoch, epoch)
 
     def _respond(
         self, client: int, payload: bytes, epoch: Optional[int] = None

@@ -20,6 +20,11 @@ returns an empty message, and a PUT acknowledgement is one status byte
 Keeping a 60-byte value's response WQE within two write-combining
 cachelines is what lets HERD sustain peak throughput through 60-byte
 items (Figure 10).
+
+Application retries, replication and overload protection prefix a
+short header to that response.  :func:`framing_of` picks the framing
+from the deployment's config; the client, the server and the request
+region all read it from there.
 """
 
 from __future__ import annotations
@@ -42,26 +47,50 @@ _LEN = struct.Struct("<H")
 PUT_OK = b"\x01"
 
 
-def encode_get(keyhash: bytes, epoch: Optional[int] = None) -> bytes:
+#: response framings, each named by its header's length in bytes.
+#: ``FRAME_PLAIN`` is the paper's headerless response; application
+#: retries (loss mode) reorder completions, so their responses name the
+#: window slot and echo the request's slot epoch; replication and
+#: overload protection add a status byte for their nacks.
+FRAME_PLAIN = 0
+FRAME_EPOCH = 2
+FRAME_STATUS = 3
+
+
+def framing_of(config) -> int:
+    """The framing a :class:`~repro.herd.HerdConfig` deploys.
+
+    Requests carry the slot epoch under every framing but the plain one.
+    """
+    if config.retry_timeout_ns is None:
+        return FRAME_PLAIN
+    if config.replication_factor > 1 or config.qos is not None:
+        return FRAME_STATUS
+    return FRAME_EPOCH
+
+
+def encode_get(keyhash: bytes, framing: int = FRAME_PLAIN, epoch: int = 0) -> bytes:
     """The trailing bytes a client WRITEs for a GET.
 
-    In loss mode (application retries enabled) the request carries a
-    one-byte slot *epoch* just before LEN: the client bumps it on every
-    reuse of a window slot and the server echoes it in the response, so
-    a delayed duplicate response can never be matched to a newer
-    operation that happens to reuse the same slot.
+    Outside the plain framing the request carries a one-byte slot
+    *epoch* just before LEN: the client bumps it on every reuse of a
+    window slot and the server echoes it in the response, so a delayed
+    duplicate response can never be matched to a newer operation that
+    happens to reuse the same slot.
     """
     _check_keyhash(keyhash)
-    prefix = b"" if epoch is None else bytes([epoch & 0xFF])
+    prefix = bytes((epoch & 0xFF,)) if framing else b""
     return prefix + _LEN.pack(GET_MARKER) + keyhash
 
 
-def encode_put(keyhash: bytes, value: bytes, epoch: Optional[int] = None) -> bytes:
+def encode_put(
+    keyhash: bytes, value: bytes, framing: int = FRAME_PLAIN, epoch: int = 0
+) -> bytes:
     """The trailing bytes a client WRITEs for a PUT."""
     _check_keyhash(keyhash)
     if len(value) > GET_MARKER - 1:
         raise ValueError("value too large for the LEN field")
-    prefix = b"" if epoch is None else bytes([epoch & 0xFF])
+    prefix = bytes((epoch & 0xFF,)) if framing else b""
     return value + prefix + _LEN.pack(len(value)) + keyhash
 
 
@@ -70,51 +99,79 @@ def request_write_offset(slot_bytes: int, payload: bytes) -> int:
     return slot_bytes - len(payload)
 
 
-def decode_request(slot, with_epoch: bool = False, start: int = 0, end: Optional[int] = None):
-    """Decode a request slot; None if the slot is free (zero keyhash).
+def decode_request(
+    slot, framing: int = FRAME_PLAIN, start: int = 0, end: Optional[int] = None
+) -> Optional[Tuple[Operation, int]]:
+    """Decode a request slot: ``(operation, epoch)``, or None if the
+    slot is free (zero keyhash).
 
     ``slot`` is the slot's bytes, or any buffer that holds the slot at
     ``[start, end)`` — the request region decodes its slots in place,
-    copying out the keyhash and the value and nothing else.
-
-    With ``with_epoch`` (loss mode) returns ``(operation, epoch)``; the
-    epoch byte sits just before LEN (see :func:`encode_get`).
+    copying out the keyhash and the value and nothing else.  The epoch
+    byte sits just before LEN (see :func:`encode_get`); the plain
+    framing has none and decodes epoch 0.
     """
     if end is None:
         end = len(slot)
     keyhash = slot[end - KEYHASH_BYTES : end]
     if keyhash == b"\x00" * KEYHASH_BYTES:
-        return (None, 0) if with_epoch else None
+        return None
     body_end = end - TRAILER_BYTES
     (length,) = _LEN.unpack_from(slot, body_end)
     epoch = 0
-    if with_epoch:
+    if framing:
         body_end -= 1
         epoch = slot[body_end]
     if length == GET_MARKER:
-        op = Operation(OpType.GET, keyhash, None)
-    else:
-        value_start = body_end - length
-        if value_start < start:
-            raise ValueError("corrupt request: LEN overruns the slot")
-        op = Operation(OpType.PUT, keyhash, slot[value_start:body_end])
-    return (op, epoch) if with_epoch else op
+        return Operation(OpType.GET, keyhash, None), epoch
+    value_start = body_end - length
+    if value_start < start:
+        raise ValueError("corrupt request: LEN overruns the slot")
+    return Operation(OpType.PUT, keyhash, slot[value_start:body_end]), epoch
 
 
 def encode_response(op: OpType, value: Optional[bytes]) -> bytes:
-    """The SEND payload for a completed request."""
+    """The body of the response to a completed request."""
     if op is OpType.GET:
         return value if value is not None else b""
     return PUT_OK
 
 
 def decode_response(op: OpType, payload: bytes) -> Tuple[bool, Optional[bytes]]:
-    """Client-side decode: (success, value)."""
+    """Client-side decode of a response body: (success, value)."""
     if op is OpType.GET:
         if payload:
             return True, payload
         return False, None  # miss
     return payload == PUT_OK, None
+
+
+def frame_response(
+    framing: int, window_slot: int, epoch: int, status: int, body: bytes
+) -> bytes:
+    """The SEND payload answering window slot ``window_slot``.
+
+    Only the status framing can carry a nack: a non-OK ``status`` under
+    another framing is an error.
+    """
+    if framing == FRAME_STATUS:
+        return bytes((window_slot, epoch, status)) + body
+    if status != RESP_OK:
+        raise ValueError("status %d needs the status framing" % status)
+    if framing == FRAME_EPOCH:
+        return bytes((window_slot, epoch)) + body
+    return body
+
+
+def parse_response(framing: int, raw: bytes) -> Tuple[Optional[int], int, int, bytes]:
+    """Inverse of :func:`frame_response`: ``(window_slot, epoch,
+    status, body)``.  The plain framing names no slot (None): its
+    responses arrive in request order."""
+    if framing == FRAME_PLAIN:
+        return None, 0, RESP_OK, raw
+    if framing == FRAME_EPOCH:
+        return raw[0], raw[1], RESP_OK, raw[2:]
+    return raw[0], raw[1], raw[2], raw[3:]
 
 
 def _check_keyhash(keyhash: bytes) -> None:
@@ -128,8 +185,8 @@ def _check_keyhash(keyhash: bytes) -> None:
 # High-availability extensions (repro.ha)
 # ---------------------------------------------------------------------------
 #
-# With replication enabled the response prefix grows a *status* byte:
-# ``[window_slot, request_epoch, status, body...]``.  A status byte —
+# Under ``FRAME_STATUS`` (replication, overload protection) a response
+# is ``[window_slot, request_epoch, status, body...]``.  A status byte —
 # rather than an in-band magic body — keeps GET values fully opaque (a
 # value may legitimately contain any bytes, so no body marker is safe).
 

@@ -181,10 +181,9 @@ def main(argv=None) -> int:
     add_common(gate_p)
     gate_p.add_argument("--baseline", required=True, metavar="PATH",
                         help="committed baseline JSON to gate against")
-    gate_p.add_argument("--bench-json", default=gate_mod.BENCH_JSON_PATH,
-                        metavar="PATH",
-                        help="perf-trajectory snapshot to write (default "
-                        "%s; empty string disables)" % gate_mod.BENCH_JSON_PATH)
+    gate_p.add_argument("--bench-json", metavar="PATH",
+                        help="fold this run's snapshot into the JSON file "
+                        "at PATH (default: write nothing)")
 
     args = parser.parse_args(argv)
     if args.command is None:

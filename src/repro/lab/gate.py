@@ -16,9 +16,9 @@ prompts a re-baseline) but never fail the gate.  Baselines are keyed
 on point labels, not cache keys, so they survive code changes — that
 is exactly what makes them a regression oracle.
 
-Every gate run also writes ``BENCH_lab.json`` at the repo root: the
-current headline numbers, their deltas against the baseline, and the
-verdict — the repo's perf trajectory, one snapshot per commit.
+A gate run can also fold a snapshot into a JSON file (``herd-lab gate
+--bench-json PATH``): the current headline numbers, their deltas
+against the baseline, and the verdict, one entry per gated spec.
 """
 
 from __future__ import annotations
@@ -47,8 +47,6 @@ DEFAULT_TOLERANCES = {
     "failover_latency_us": 0.25,
     "goodput_overhead_pct": 0.5,
 }
-
-BENCH_JSON_PATH = "BENCH_lab.json"
 
 
 @dataclass
@@ -203,7 +201,7 @@ def check(
 
 
 def bench_json(report: GateReport, baseline: Dict[str, Any]) -> Dict[str, Any]:
-    """The ``BENCH_lab.json`` payload for one gate run."""
+    """The snapshot payload of one gate run."""
     metrics: Dict[str, Dict[str, Any]] = {}
     for entry in report.entries:
         cell = metrics.setdefault(entry.label, {})
@@ -227,35 +225,27 @@ def bench_json(report: GateReport, baseline: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
-def read_bench_json(path: str = BENCH_JSON_PATH) -> Dict[str, Any]:
-    """The multi-spec ``BENCH_lab.json`` (v2), upgrading v1 files.
+def read_bench_json(path: str) -> Dict[str, Any]:
+    """The multi-spec snapshot file (v2) at ``path``.
 
-    A v1 file (one spec's payload at top level) becomes a v2 envelope
-    holding that one spec.  Missing or unparsable files read as an
-    empty envelope.
+    Missing, unparsable or other-shaped files read as an empty envelope.
     """
     try:
         with open(path) as fh:
             existing = json.load(fh)
     except (OSError, ValueError):
         existing = None
-    if not isinstance(existing, dict):
-        return {"version": 2, "pass": True, "specs": {}}
-    if existing.get("version") == 2 and isinstance(existing.get("specs"), dict):
+    if (
+        isinstance(existing, dict)
+        and existing.get("version") == 2
+        and isinstance(existing.get("specs"), dict)
+    ):
         return existing
-    if "spec" in existing:  # v1: a single spec's payload
-        return {
-            "version": 2,
-            "pass": bool(existing.get("pass", False)),
-            "specs": {existing["spec"]: existing},
-        }
     return {"version": 2, "pass": True, "specs": {}}
 
 
-def write_bench_json(
-    report: GateReport, baseline: Dict[str, Any], path: str = BENCH_JSON_PATH
-) -> None:
-    """Merge this gate run into the multi-spec ``BENCH_lab.json``.
+def write_bench_json(report: GateReport, baseline: Dict[str, Any], path: str) -> None:
+    """Merge this gate run into the multi-spec snapshot file at ``path``.
 
     Each spec keeps its latest payload under ``specs[name]``; the
     top-level ``pass`` is the conjunction over every recorded spec, so

@@ -93,7 +93,15 @@ def test_outbound_inline_matches_simulator():
 
 def test_outbound_non_inline_matches_simulator():
     measured = outbound_throughput("WRITE-UC", 32)
-    within(measured, MODEL.outbound_non_inline(32).mops, 0.2)
+    within(measured, MODEL.outbound_non_inline(32).mops, 0.05)
+
+
+@pytest.mark.parametrize("payload", [128, 256])
+def test_outbound_read_matches_simulator(payload):
+    """Every READ is signaled: its CQE shares the DMA engine with the
+    response it lands."""
+    measured = outbound_throughput("READ-RC", payload)
+    within(measured, MODEL.outbound_read(payload).mops, 0.05)
 
 
 @pytest.mark.parametrize(

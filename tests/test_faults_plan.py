@@ -285,14 +285,14 @@ def test_retry_timeout_accepts_none_and_rejects_nonpositive():
         dict(slot_bytes=16),
         dict(index_entries=0),
         dict(log_bytes=0),
-        dict(noop_after_polls=0),
-        dict(pipeline_depth=0),
         dict(request_transport="RC"),
-        dict(retry_backoff=0.5),
-        dict(retry_jitter=1.5),
-        dict(retry_jitter=-0.1),
         dict(retry_budget=0),
         dict(min_retry_timeout_ns=0.0),
+        dict(replication_factor=0),
+        dict(replication_factor=9),
+        dict(ack_policy="quorum"),
+        dict(lease_us=0.0),
+        dict(heartbeat_us=0.0),
     ],
 )
 def test_config_rejects_invalid_numeric_fields(kwargs):
@@ -303,8 +303,6 @@ def test_config_rejects_invalid_numeric_fields(kwargs):
 def test_config_accepts_the_resilience_knobs():
     cfg = HerdConfig(
         retry_timeout_ns=2e4,
-        retry_backoff=1.5,
-        retry_jitter=0.2,
         retry_budget=3,
         adaptive_retry=True,
         min_retry_timeout_ns=1e4,

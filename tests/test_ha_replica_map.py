@@ -96,14 +96,15 @@ def _wired_client():
 def test_stale_nack_with_an_unmoved_map_requeues_without_replay():
     cluster, client, record, lane = _wired_client()
     assert client.ha_map.primary[0] == record.replica == 0
-    consumed = record.recv_offset
+    consumed = client._recv_order[lane].popleft()  # as _absorb does
     client._on_stale_nack(record, lane)
     cluster.sim.run(until=cluster.sim.now + 50_000.0)
     # the op is still pending at the same replica — the retry/CONFIG
     # path owns the actual move — and nothing was replayed
     assert record in client._pending[0]
     # its fresh RECV came from the lane's rotation, not the consumed buffer
-    assert record.recv_offset != consumed
+    (rearmed,) = client._recv_order[lane]
+    assert rearmed != consumed
     assert record.replica == 0
     assert client.stale_nacks == 1
     assert client.replays == 0

@@ -133,6 +133,19 @@ def test_no_recv_is_ever_missing():
             assert qp.rnr_drops == 0
 
 
+@pytest.mark.parametrize("value_size", [32, 1000])
+def test_recv_mirror_holds_exactly_the_posted_recvs(value_size):
+    """Without retries too, every client lane's posting-order mirror
+    holds one offset per RECV still posted on it: each response pops
+    the mirror's oldest entry, as the NIC consumes the oldest RECV."""
+    cluster = small_cluster(value_size=value_size)
+    result = cluster.run(warmup_ns=0, measure_ns=100_000)
+    assert result.ops > 100
+    for client in cluster.clients:
+        for lane, qp in enumerate(client.ud_qps):
+            assert len(client._recv_order[lane]) == len(qp.recv_queue)
+
+
 def test_server_connected_qp_count_is_nc_not_nc_times_ns():
     """Section 4.2: HERD needs only NC connected QPs at the server."""
     cluster = small_cluster(ns=3, clients=5)

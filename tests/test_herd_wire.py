@@ -6,6 +6,8 @@ import pytest
 
 from repro.herd import HerdConfig, RequestRegion, partition_of
 from repro.herd.wire import (
+    FRAME_EPOCH,
+    FRAME_PLAIN,
     GET_MARKER,
     decode_request,
     decode_response,
@@ -59,7 +61,8 @@ def test_slot_roundtrip_get():
     slot = bytearray(1024)
     payload = encode_get(KH)
     slot[request_write_offset(1024, payload):] = payload
-    op = decode_request(bytes(slot))
+    op, epoch = decode_request(bytes(slot))
+    assert epoch == 0
     assert op.op is OpType.GET
     assert op.key == KH
     assert op.value is None
@@ -69,7 +72,8 @@ def test_slot_roundtrip_put():
     slot = bytearray(1024)
     payload = encode_put(KH, b"hello-world")
     slot[request_write_offset(1024, payload):] = payload
-    op = decode_request(bytes(slot))
+    op, epoch = decode_request(bytes(slot))
+    assert epoch == 0
     assert op.op is OpType.PUT
     assert op.key == KH
     assert op.value == b"hello-world"
@@ -90,21 +94,24 @@ def test_decoding_in_place_equals_decoding_a_copy(value, epoch):
     region = mmap.mmap(-1, 3 * 1024, access=mmap.ACCESS_COPY)
     region[:] = b"\xa5" * len(region)  # live-looking neighbours on both sides
     region[1024:2048] = bytes(1024)
-    payload = encode_get(KH, epoch) if value is None else encode_put(KH, value, epoch)
+    framing = FRAME_PLAIN if epoch is None else FRAME_EPOCH
+    payload = (
+        encode_get(KH, framing, epoch or 0)
+        if value is None
+        else encode_put(KH, value, framing, epoch or 0)
+    )
     region[2048 - len(payload) : 2048] = payload
-    with_epoch = epoch is not None
-    copy = decode_request(region[1024:2048], with_epoch)
-    assert decode_request(region, with_epoch, start=1024, end=2048) == copy
+    copy = decode_request(region[1024:2048], framing)
+    assert decode_request(region, framing, start=1024, end=2048) == copy
     slot = mmap.mmap(-1, 1024, access=mmap.ACCESS_COPY)
     slot[:] = region[1024:2048]
-    assert decode_request(slot, with_epoch) == copy
-    op, got_epoch = copy if with_epoch else (copy, 0)
+    assert decode_request(slot, framing) == copy
+    op, got_epoch = copy
     assert (op.key, op.value, got_epoch) == (KH, value, epoch or 0)
     assert type(op.key) is bytes and (value is None or type(op.value) is bytes)
     # a free slot between live neighbours
     region[2048 - 16 : 2048] = bytes(16)
-    free = (None, 0) if with_epoch else None
-    assert decode_request(region, with_epoch, start=1024, end=2048) == free
+    assert decode_request(region, framing, start=1024, end=2048) is None
 
 
 def test_in_place_len_overrunning_the_slot_is_corrupt_not_a_neighbours_bytes():

@@ -41,7 +41,7 @@ def test_unknown_spec_exits_two(tmp_path, capsys):
     assert "unknown spec" in capsys.readouterr().err
 
 
-def test_run_show_baseline_gate_roundtrip(tmp_path, capsys, spec_file):
+def test_run_show_baseline_gate_roundtrip(tmp_path, capsys, spec_file, monkeypatch):
     base = str(tmp_path / "base.json")
     bench = str(tmp_path / "BENCH_lab.json")
 
@@ -60,6 +60,13 @@ def test_run_show_baseline_gate_roundtrip(tmp_path, capsys, spec_file):
 
     assert lab_main(["baseline", spec_file, "--out", base] + store_args(tmp_path)) == 0
     capsys.readouterr()
+
+    # without --bench-json the gate writes no snapshot
+    monkeypatch.chdir(tmp_path)
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert lab_main(["gate", spec_file, "--baseline", base] + store_args(tmp_path)) == 0
+    assert "wrote" not in capsys.readouterr().out
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
 
     assert lab_main(
         ["gate", spec_file, "--baseline", base, "--bench-json", bench]

@@ -191,16 +191,16 @@ def test_baseline_roundtrip_and_bench_json(tmp_path):
         )
 
 
-def test_bench_json_merges_specs_and_upgrades_v1(tmp_path):
+def test_bench_json_merges_specs(tmp_path):
     spec, results = spec_and_results()
     baseline = capture_baseline(spec, results)
     good = check(spec, results, baseline)
     out = tmp_path / "BENCH_lab.json"
-    # a v1 file from an older gate run for a *different* spec...
-    v1 = bench_json(check(spec, results, baseline), baseline)
-    v1["spec"] = "older"
-    out.write_text(json.dumps(v1))
-    # ...is upgraded in place and kept alongside the new spec's entry
+    # a file from an earlier gate run of a *different* spec...
+    older = bench_json(check(spec, results, baseline), baseline)
+    older["spec"] = "older"
+    out.write_text(json.dumps({"version": 2, "pass": True, "specs": {"older": older}}))
+    # ...keeps that spec's entry alongside the new spec's
     write_bench_json(good, baseline, str(out))
     merged = json.loads(out.read_text())
     assert merged["version"] == 2

@@ -1,11 +1,28 @@
 """Cross-layer property tests (hypothesis)."""
 
+import mmap
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.herd.config import partition_of
-from repro.herd.wire import decode_request, encode_put, request_write_offset
+from repro.herd.wire import (
+    FRAME_EPOCH,
+    FRAME_PLAIN,
+    FRAME_STATUS,
+    RESP_NOT_OWNER,
+    RESP_OK,
+    RESP_RETRY_AFTER,
+    RESP_STALE_EPOCH,
+    decode_request,
+    encode_get,
+    encode_put,
+    encode_response,
+    frame_response,
+    parse_response,
+    request_write_offset,
+)
 from repro.hw import APT, Fabric, Machine
 from repro.sim import Simulator
 from repro.verbs import (
@@ -18,7 +35,7 @@ from repro.verbs import (
     connect_pair,
 )
 from repro.verbs.mr import MrTable
-from repro.workloads.ycsb import keyhash
+from repro.workloads.ycsb import OpType, keyhash
 
 
 # ---------------------------------------------------------------------------
@@ -67,8 +84,8 @@ def test_put_roundtrips_through_a_slot(item, value):
     payload = encode_put(kh, value)
     slot = bytearray(1024)
     slot[request_write_offset(1024, payload):] = payload
-    op = decode_request(bytes(slot))
-    assert op is not None
+    op, epoch = decode_request(bytes(slot))
+    assert epoch == 0
     assert op.key == kh
     assert op.value == value
 
@@ -82,6 +99,65 @@ def test_decode_request_never_crashes_unexpectedly(slot):
         decode_request(slot)
     except ValueError:
         pass
+
+
+FRAMINGS = st.sampled_from([FRAME_PLAIN, FRAME_EPOCH, FRAME_STATUS])
+STATUSES = st.sampled_from([RESP_OK, RESP_STALE_EPOCH, RESP_NOT_OWNER, RESP_RETRY_AFTER])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    FRAMINGS,
+    st.integers(min_value=0, max_value=254),
+    st.integers(min_value=0, max_value=255),
+    STATUSES,
+    st.binary(min_size=0, max_size=1024),
+)
+def test_response_framing_roundtrips(framing, window_slot, epoch, status, body):
+    """``parse_response`` inverts ``frame_response`` in every framing: the
+    status framing carries all four fields, the epoch framing the slot
+    and epoch (a nack cannot be framed there), and the plain framing —
+    the paper's headerless response — the body alone."""
+    if framing != FRAME_STATUS and status != RESP_OK:
+        with pytest.raises(ValueError):
+            frame_response(framing, window_slot, epoch, status, body)
+        return
+    raw = frame_response(framing, window_slot, epoch, status, body)
+    assert len(raw) == framing + len(body)
+    expected = (window_slot, epoch, status, body)
+    if framing == FRAME_PLAIN:
+        expected = (None, 0, RESP_OK, body)
+    assert parse_response(framing, raw) == expected
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from([OpType.GET, OpType.PUT]), st.none() | st.binary(max_size=1000))
+def test_plain_framing_is_the_headerless_response(op, value):
+    body = encode_response(op, value)
+    assert frame_response(FRAME_PLAIN, 3, 7, RESP_OK, body) == body
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2 ** 31),
+    st.none() | st.binary(min_size=0, max_size=1000),
+    st.none() | st.integers(min_value=0, max_value=255),
+)
+def test_requests_roundtrip_in_place_in_every_framing(item, value, epoch):
+    """A GET (``value`` None) or PUT, with or without the epoch byte,
+    decodes in place from an mmap-backed region between live-looking
+    neighbours to exactly what was encoded."""
+    kh = keyhash(item)
+    framing = FRAME_PLAIN if epoch is None else FRAME_EPOCH
+    if value is None:
+        kind, payload = OpType.GET, encode_get(kh, framing, epoch or 0)
+    else:
+        kind, payload = OpType.PUT, encode_put(kh, value, framing, epoch or 0)
+    region = mmap.mmap(-1, 3 * 1024, access=mmap.ACCESS_COPY)
+    region[:] = b"\xa5" * len(region)
+    region[2048 - len(payload) : 2048] = payload
+    op, got_epoch = decode_request(region, framing, start=1024, end=2048)
+    assert (op.op, op.key, op.value, got_epoch) == (kind, kh, value, epoch or 0)
 
 
 # ---------------------------------------------------------------------------
