@@ -47,10 +47,12 @@ metrics-smoke:
 # determinism) are tier-1 tests.
 
 # Two seeded chaos runs: loss + corruption + duplication + reordering +
-# NIC stall + RNR + one server crash.
+# NIC stall + RNR + one server crash; then one-sided transactions
+# through the same harness, a participant paused mid-run.
 chaos-smoke:
 	python -m repro.bench.cli --chaos --chaos-seed 7 --chaos-runs 2 \
 		--metrics /tmp/herd-chaos-metrics.json
+	python -m repro.bench.cli --chaos --chaos-scenario txn-onesided --chaos-seed 7
 
 # A replicated cluster loses its primary mid-load (docs/HA.md).
 ha-smoke:

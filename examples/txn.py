@@ -21,6 +21,7 @@ WRITE-install) over the same partitioned store.  Four steps:
 Run:  python examples/txn.py
 """
 
+from repro.faults import FaultPlan
 from repro.ha import TxnRecord, check_serializable
 from repro.txn import QueueConfig, TxnCluster, TxnConfig, TxnQueueCluster
 
@@ -55,13 +56,10 @@ def crash_arm() -> None:
     """CPU bypass, other face: commits land while the server is down."""
     print()
     for dataplane in ("rpc", "onesided"):
-        config = TxnConfig(
-            dataplane=dataplane,
-            crash=(0, 40_000.0, 60_000.0),  # partition 0 down 40..100 us
-        )
-        report = TxnCluster(config, n_clients=8, seed=3).run(
-            warmup_ns=0.0, measure_ns=160_000.0
-        )
+        cluster = TxnCluster(TxnConfig(dataplane=dataplane), n_clients=8, seed=3)
+        # partition 0's participant is down 40..100 us
+        cluster.install_faults(FaultPlan().crash_server(0, 40_000.0, 60_000.0))
+        report = cluster.run(warmup_ns=0.0, measure_ns=160_000.0)
         assert report.ok and report.torn_writes == 0
         print(
             "crash %s: %d commits, %d during the outage, torn=%d"

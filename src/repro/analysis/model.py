@@ -221,14 +221,19 @@ class BottleneckModel:
             plan = plan_for(p, RC, Opcode.WRITE, kind == "WR-INLINE", payload)
             return depart(plan) + p.nic_ingress_write_ns + ack + cqe
         if kind == "ECHO":
+            # As ``baselines/echo.py`` runs WR-WR: each side finds the
+            # landed WRITE by polling its own memory (4 cache probes),
+            # and the client stamps an echo once its own post returns —
+            # after the driver call and the WQE's PIO.
+            plan = plan_for(p, UC, Opcode.WRITE, True, payload)
             one_way = (
-                depart(plan_for(p, UC, Opcode.WRITE, True, payload))
+                depart(plan)
                 + p.nic_ingress_write_ns
                 + self.dma_write_ns(payload)
                 + p.dma_write_latency_ns
+                + 4 * p.poll_check_ns
             )
-            poll = 8 * p.poll_check_ns
-            return 2 * one_way + 2 * poll
+            return 2 * one_way - p.post_send_ns - self.pio_ns(plan)
         raise ValueError("unknown latency kind %r" % kind)
 
     def pilaf_get(self, value_size: int = 32) -> Prediction:

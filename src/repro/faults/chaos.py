@@ -1,9 +1,9 @@
-"""The chaos harness: a HERD cluster under a randomized fault plan.
+"""The chaos harness: a cluster under a randomized fault plan.
 
 A chaos run builds a small cluster, preloads every key, installs a
 seeded :class:`~repro.faults.plan.FaultPlan` (randomized by default),
 runs it through a *fault horizon*, then turns the faults off and lets
-the clients drain their windows.  Afterwards it checks the paper's
+the clients drain their windows.  On HERD it checks the paper's
 safety argument end to end (Section 2.2.3: unreliable transports are
 fine because loss is rare and the application retries):
 
@@ -23,6 +23,9 @@ fine because loss is rare and the application retries):
 * **reproducibility** — the report carries a fingerprint hashed over
   every completion record and counter; two runs with the same seed
   must produce identical fingerprints.
+
+The ``txn-*`` entries run :mod:`repro.txn` through the same pipeline,
+audited for strict serializability and torn writes.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from repro.ha import HaOp, check_histories, lost_acked_writes, split_brain
 from repro.herd.cluster import HerdCluster
 from repro.herd.config import HerdConfig, partition_of, route_key
 from repro.obs.report import RunReport
+from repro.verbs import Testbed
 from repro.workloads import FlashCrowdArrivals, PoissonArrivals, StalledArrivals
 from repro.workloads.ycsb import OpType, Workload, keyhash, value_for
 
@@ -99,12 +103,13 @@ class ChaosReport:
     completed: int
     abandoned: int
     retries: int
-    duplicate_responses: int
-    late_responses: int
-    get_misses: int
-    server_crashes: int
-    server_recoveries: int
-    recovered_slots: int
+    # HERD client and server counters (0 where a testbed has none)
+    duplicate_responses: int = 0
+    late_responses: int = 0
+    get_misses: int = 0
+    server_crashes: int = 0
+    server_recoveries: int = 0
+    recovered_slots: int = 0
     fault_counts: Dict[str, int] = field(default_factory=dict)
     violations: List[str] = field(default_factory=list)
     fingerprint: str = ""
@@ -295,6 +300,24 @@ def _overload_config(run: _Run) -> HerdConfig:
     )
 
 
+def _txn_config(run: _Run, dataplane: str = "rpc"):
+    """``n_server_processes`` partitions over ``n_items`` keys; a
+    transaction is read-only with probability ``get_fraction``."""
+    from repro.txn import TxnConfig
+
+    return TxnConfig(
+        dataplane=dataplane,
+        n_partitions=run.n_server_processes or 2,
+        n_keys=run.n_items,
+        value_bytes=run.value_size,
+        read_only_fraction=run.get_fraction,
+    )
+
+
+def _onesided_config(run: _Run):
+    return _txn_config(run, dataplane="onesided")
+
+
 def _closed_loop(run: _Run, n_clients: Optional[int] = None, arrivals=None) -> None:
     workload = Workload(
         get_fraction=run.get_fraction, value_size=run.value_size, n_keys=run.n_items
@@ -396,6 +419,15 @@ def _half_noise(run: _Run) -> FaultPlan:
     """Reduced-intensity noise, no crash: what a pinned fault is layered
     on — and, alone, the ``nemesis`` scenario's plan when none is given."""
     return _noise(run, 0.5, crash=False)
+
+
+def _pause_partition(run: _Run) -> FaultPlan:
+    """The txn crash arm: partition 0's participant is paused at 0.35 h
+    for 0.3 h (its memory survives), unless ``crash`` is off."""
+    plan = FaultPlan(seed=run.seed)
+    if run.crash:
+        plan.crash_server(0, at_ns=0.35 * run.horizon_ns, down_ns=0.3 * run.horizon_ns)
+    return plan
 
 
 def _no_faults(run: _Run) -> FaultPlan:
@@ -589,6 +621,20 @@ def _oracle_replication(run: _Run) -> List[str]:
     return found
 
 
+def _oracle_serializable(run: _Run) -> List[str]:
+    """Strict serializability of every transaction, the final store read
+    last (``check_serializable``); its verdict is the report's ``checker``."""
+    violation = run.outcome.violation
+    run.checker = "serializable" if violation is None else "violated"
+    return [] if violation is None else ["not strictly serializable: %s" % violation]
+
+
+def _oracle_torn(run: _Run) -> List[str]:
+    """Every final byte is explained by a committed or pending write."""
+    torn = run.outcome.torn_writes
+    return ["%d torn writes in the final state" % torn] if torn else []
+
+
 def _oracle_crashes(run: _Run) -> List[str]:
     expected = sum(1 for c in run.plan.crashes if c.at_ns < run.horizon_ns)
     crashes = sum(s.crashes for s in run.cluster.servers)
@@ -612,6 +658,12 @@ def _section_run(run: _Run) -> Iterator[str]:
             "retries=%(retries)d dup=%(duplicate_responses)d "
             "late=%(late_responses)d abandoned=%(abandoned)d" % vars(client)
         )
+
+
+def _section_history(run: _Run) -> Iterator[str]:
+    """The txn history and the final store, as ``TxnReport.fingerprint``
+    hashes them."""
+    yield run.outcome.fingerprint
 
 
 def _section_failover(run: _Run) -> Iterator[str]:
@@ -666,6 +718,38 @@ def _section_admission(run: _Run) -> Iterator[str]:
             "paused=%(nack_pause_drops)d nacks=%(retry_after_nacks)d "
             "rejected=%(rejected)d" % vars(client)
         )
+
+
+def _herd_fields(run: _Run) -> Dict[str, object]:
+    """The client counters, summed; slots re-scanned on recovery; sheds."""
+    cluster = run.cluster
+    fields = _totals(
+        cluster.clients,
+        *"issued completed abandoned retries duplicate_responses late_responses "
+        "get_misses offered retry_after_nacks rejected overflow_dropped".split()
+    )
+    fields.update(
+        recovered_slots=sum(s.recovered_slots for s in cluster.servers),
+        ops_acked=fields["completed"],
+        shed=cluster.qos_runtime.total_shed if cluster.qos_runtime else 0,
+    )
+    return fields
+
+
+def _txn_fields(run: _Run) -> Dict[str, object]:
+    """An attempt is issued, and completes as a commit or an abort (the
+    client starts the transaction over); a torn write is a lost one."""
+    outcome = run.outcome
+    return dict(
+        issued=outcome.commits + outcome.aborts,
+        completed=outcome.commits,
+        ops_acked=outcome.commits,
+        abandoned=outcome.aborts,
+        retries=outcome.retries,
+        ops_lost=outcome.torn_writes,
+        checker=run.checker,
+        p999_us=outcome.result.latency["p999_us"],
+    )
 
 
 def _replicated_fields(run: _Run) -> Dict[str, object]:
@@ -752,6 +836,59 @@ def _unprotected(kwargs: Dict[str, object]) -> Dict[str, object]:
     return dict(kwargs, shedding=False)
 
 
+def _herd(run: _Run) -> HerdCluster:
+    """A HERD cluster on four client machines, the entry's ``prepare``
+    adding its clients, wired and preloaded."""
+    if run.config.retry_timeout_ns is None:
+        raise ValueError("chaos needs retries enabled (retry_timeout_ns)")
+    cluster = run.cluster = HerdCluster(
+        config=run.config, n_client_machines=4, seed=run.seed
+    )
+    run.entry.prepare(run)
+    cluster.wire()
+    cluster.preload(range(run.n_items), run.value_size)
+    return cluster
+
+
+def _txn(run: _Run) -> Testbed:
+    """A :class:`~repro.txn.TxnCluster` of ``n_clients`` on four machines."""
+    from repro.txn import TxnCluster
+
+    return TxnCluster(
+        run.config, n_clients=run.n_clients, n_client_machines=4, seed=run.seed
+    )
+
+
+def _run_and_drain(run: _Run) -> None:
+    """Record through the fault horizon, then let the windows drain."""
+    cluster = run.cluster
+    sim = cluster.sim
+    for client in cluster.clients:
+        _record(run, client)
+        client.stop_after = run.horizon_ns
+        client.start()
+    cluster.start_servers()
+    if run.entry.membership is not None:
+        run.entry.membership(run)
+    sim.call_in(run.horizon_ns, run.injector.deactivate)
+    sim.run(until=run.horizon_ns)
+
+    # a shard map's reshard queue also converges before the audit, so the
+    # final map reflects the completed membership change
+    resharding = cluster.elastic.coordinator if cluster.elastic is not None else None
+    deadline = run.horizon_ns + run.drain_ns
+    while sim.now < deadline and (
+        _undrained(run) or not (resharding is None or resharding.idle())
+    ):
+        sim.run(until=min(sim.now + 100_000.0, deadline))
+
+
+def _run_txn(run: _Run) -> None:
+    """Transactions start until the horizon, every one in flight then
+    completes; the TxnReport is ``run.outcome``."""
+    run.outcome = run.cluster.run(warmup_ns=0.0, measure_ns=run.horizon_ns)
+
+
 @dataclass(frozen=True)
 class Scenario:
     """What one shape of chaos run *is*: everything :func:`run_chaos`
@@ -759,16 +896,22 @@ class Scenario:
     pipeline order.  docs/FAULTS.md tabulates the entries."""
 
     blurb: str  # one line, for ``--chaos-scenario list``
-    config: Callable[[_Run], HerdConfig]  # the default for ``config=None``
-    prepare: Callable[[_Run], None]  # adds the clients: streams, arrivals
+    #: the default for ``config=None`` (a HerdConfig, or a TxnConfig)
+    config: Callable[[_Run], object]
+    #: the testbed on ``run.config``, its clients added, preloaded
+    build: Callable[[_Run], Testbed]
+    #: runs the testbed through the fault horizon, then drains it
+    drive: Callable[[_Run], None]
     plan: Callable[[_Run], FaultPlan]  # the default: noise + the pinned fault
     oracles: Tuple[Callable[[_Run], List[str]], ...]
     fingerprint: Tuple[Callable[[_Run], Iterator[str]], ...]
-    #: what is scheduled once clients and servers have started
+    #: ChaosReport fields beyond the common ones, merged in order, and
+    #: their ``summary()`` lines (``%``-formatted with the report)
+    fields: Tuple[Callable[[_Run], Dict[str, object]], ...]
+    #: HERD builds only: adds the clients (streams, arrivals)
+    prepare: Optional[Callable[[_Run], None]] = None
+    #: HERD drives only: scheduled once clients and servers have started
     membership: Optional[Callable[[_Run], None]] = None
-    #: ChaosReport fields beyond the common ones, and their ``summary()``
-    #: lines (``%``-formatted with the report)
-    fields: Optional[Callable[[_Run], Dict[str, object]]] = None
     summary: Tuple[str, ...] = ()
     #: run_chaos kwargs (with a seed) -> the kwargs of the reference run a
     #: run of this scenario is priced against (repro.lab); None: it has none
@@ -782,10 +925,13 @@ class Scenario:
 _CLASSIC = Scenario(
     blurb="the randomized-but-seeded fault mix on an unreplicated cluster",
     config=_classic_config,
-    prepare=_closed_loop,
+    build=_herd,
+    drive=_run_and_drain,
     plan=_noise,
     oracles=(_oracle_drain, _oracle_accounting, _oracle_store, _oracle_crashes),
     fingerprint=(_section_run,),
+    fields=(_herd_fields,),
+    prepare=_closed_loop,
 )
 _REPLICATED = replace(
     _CLASSIC,
@@ -798,7 +944,7 @@ _REPLICATED = replace(
     plan=_half_noise,
     oracles=(_oracle_drain, _oracle_accounting, _oracle_replication, _oracle_crashes),
     fingerprint=(_section_run, _section_failover, _section_reshard),
-    fields=_replicated_fields,
+    fields=(_herd_fields, _replicated_fields),
     summary=(
         "  scenario %(scenario)s (rf=%(replication_factor)d, ack=%(ack_policy)s): "
         "%(ops_acked)d acked, %(ops_lost)d lost, checker %(checker)s",
@@ -823,7 +969,7 @@ _OVERLOAD = replace(
     prepare=_flash_crowd_clients,
     plan=_no_faults,
     fingerprint=(_section_run, _section_admission),
-    fields=_overload_fields,
+    fields=(_herd_fields, _overload_fields),
     summary=(
         "  scenario %(scenario)s (qos %(qos)s): %(offered)d offered, %(shed)d shed, "
         "%(retry_after_nacks)d nacked, %(rejected)d rejected, "
@@ -834,12 +980,30 @@ _OVERLOAD = replace(
     reference=_unprotected,
     windows=dict(pre=(0.1, 0.4), burst=(0.4, 0.8), measure=(0.6, 0.8)),
 )
+_TXN = Scenario(
+    blurb=(
+        "multi-key transactions over server-mediated two-phase commit; "
+        "partition 0's participant paused for 30% of the horizon"
+    ),
+    config=_txn_config,
+    build=_txn,
+    drive=_run_txn,
+    plan=_pause_partition,
+    oracles=(_oracle_serializable, _oracle_torn),
+    fingerprint=(_section_history,),
+    fields=(_txn_fields,),
+    summary=(
+        "  scenario %(scenario)s: %(completed)d commits, %(abandoned)d aborts, "
+        "checker %(checker)s, %(ops_lost)d torn writes",
+    ),
+)
 
 #: every shape of chaos run by ``scenario`` name, in listing order;
 #: ``None`` is the classic run.  The first three named ones are
 #: replicated (HA) failover scenarios, the next three unreplicated
 #: *overload* scenarios driven by open-loop arrivals (repro.qos,
-#: docs/QOS.md).
+#: docs/QOS.md), the last two the :mod:`repro.txn` commit dataplanes
+#: (docs/TXN.md).
 SCENARIOS: Dict[Optional[str], Scenario] = {
     None: _CLASSIC,
     "kill-primary": replace(
@@ -885,11 +1049,20 @@ SCENARIOS: Dict[Optional[str], Scenario] = {
         windows=dict(pre=(0.1, 0.3), burst=(0.6, 0.8), measure=(0.6, 0.8)),
     ),
     "nemesis": _REPLICATED,
+    "txn-rpc": _TXN,
+    "txn-onesided": replace(
+        _TXN,
+        blurb=(
+            "multi-key transactions committed with one-sided verbs (CAS "
+            "locks); partition 0's idle participant paused"
+        ),
+        config=_onesided_config,
+    ),
 }
 
 
 def _build(run: _Run) -> None:
-    """Resolve entry, config and plan; build the cluster, preloaded."""
+    """Resolve entry, config and plan; build the testbed, faults installed."""
     if run.scenario not in SCENARIOS:
         raise ValueError(
             "unknown scenario %r (have: %s)"
@@ -898,43 +1071,12 @@ def _build(run: _Run) -> None:
     run.entry = SCENARIOS[run.scenario]
     if run.config is None:
         run.config = run.entry.config(run)
-    if run.config.retry_timeout_ns is None:
-        raise ValueError("chaos needs retries enabled (retry_timeout_ns)")
-    cluster = run.cluster = HerdCluster(
-        config=run.config, n_client_machines=4, seed=run.seed
-    )
-    run.entry.prepare(run)
-    cluster.wire()
-    cluster.preload(range(run.n_items), run.value_size)
+    run.cluster = run.entry.build(run)
     if run.plan is None:
         run.plan = run.entry.plan(run)
     # clamped to the horizon so the drain phase is fault-free
     run.plan = run.plan.clamped(run.horizon_ns)
-    run.injector = cluster.install_faults(run.plan)
-
-
-def _run_and_drain(run: _Run) -> None:
-    """Record through the fault horizon, then let the windows drain."""
-    cluster = run.cluster
-    sim = cluster.sim
-    for client in cluster.clients:
-        _record(run, client)
-        client.stop_after = run.horizon_ns
-        client.start()
-    cluster.start_servers()
-    if run.entry.membership is not None:
-        run.entry.membership(run)
-    sim.call_in(run.horizon_ns, run.injector.deactivate)
-    sim.run(until=run.horizon_ns)
-
-    # a shard map's reshard queue also converges before the audit, so the
-    # final map reflects the completed membership change
-    resharding = cluster.elastic.coordinator if cluster.elastic is not None else None
-    deadline = run.horizon_ns + run.drain_ns
-    while sim.now < deadline and (
-        _undrained(run) or not (resharding is None or resharding.idle())
-    ):
-        sim.run(until=min(sim.now + 100_000.0, deadline))
+    run.injector = run.cluster.install_faults(run.plan)
 
 
 def _report(run: _Run) -> ChaosReport:
@@ -945,29 +1087,21 @@ def _report(run: _Run) -> ChaosReport:
         for line in section(run):
             digest.update(line.encode())
             digest.update(b"\n")
-    fields = _totals(
-        cluster.clients,
-        *"issued completed abandoned retries duplicate_responses late_responses "
-        "get_misses offered retry_after_nacks rejected overflow_dropped".split()
-    )
-    fields.update(
+    fields = dict(
         seed=run.seed,
         plan=run.plan.describe(),
         sim_ns=cluster.sim.now,
         server_crashes=sum(s.crashes for s in servers),
         server_recoveries=sum(s.recoveries for s in servers),
-        recovered_slots=sum(s.recovered_slots for s in servers),
         fault_counts=dict(run.injector.counts),
         violations=run.violations,
         fingerprint=digest.hexdigest(),
         scenario=run.scenario,
-        ops_acked=fields["completed"],
         tail_completed=run.tail_completed,
         p999_us=_percentile([r[1] for r in run.responses], 99.9) / 1000.0,
-        shed=cluster.qos_runtime.total_shed if cluster.qos_runtime else 0,
     )
-    if run.entry.fields is not None:
-        fields.update(run.entry.fields(run))
+    for extra in run.entry.fields:
+        fields.update(extra(run))
     report = ChaosReport(**fields)
     obs_report = RunReport.from_sim(cluster.sim, name="chaos-%d" % run.seed)
     if obs_report is not None:
@@ -1016,10 +1150,15 @@ def run_chaos(
     wiring stay identical, and the run is *expected* to collapse — not a
     violation), ``burst`` (the overload's scale) and ``slo_ns`` (only
     completions within it count as goodput).
+
+    The ``txn-*`` entries build a :class:`~repro.txn.TxnCluster` (then
+    ``config`` is a :class:`~repro.txn.TxnConfig`) from
+    ``n_server_processes``, ``n_items``, ``value_size``, ``n_clients``
+    and ``get_fraction``; a crash rule pauses a partition's participant.
     """
     run = _Run(**locals())  # the arguments, under their own names
     _build(run)
-    _run_and_drain(run)
+    run.entry.drive(run)
     for oracle in run.entry.oracles:
         run.violations.extend(oracle(run))
     return _report(run)

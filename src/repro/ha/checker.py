@@ -1,27 +1,18 @@
-"""Per-key linearizability checking over chaos histories.
+"""History checkers: per-key linearizability and strict serializability.
 
-The chaos harness records, per key, every client invocation and
-response (:class:`HaOp`).  Because HERD keys are independent (each PUT
-replaces the whole value, there are no multi-key transactions), a
-history is linearizable iff every *per-key* sub-history is — which
-keeps the NP-hard general problem tractable: per-key histories under a
-closed-loop window of a few clients stay small.
-
-:func:`check_key` runs a Wing–Gong style search: repeatedly pick a
-*minimal* operation (one that was invoked before every remaining
-completed operation's response — any legal linearization must start
-with one of these), apply it to the simulated register, and go one
-level deeper (on an explicit stack, so history length is not bounded
-by the recursion limit).  Memoisation on (remaining-set,
-register-state) keeps the search polynomial in practice; each level
-still sorts what remains, so even a history already in legal order
-costs O(n² log n) in its n completed ops (docs/HA.md).
-
-Operations that never got a response (client abandoned, primary died)
-are *pending*: a pending write may be linearized at any point after
-its invocation or omitted entirely (the update may or may not have
-reached a surviving replica); a pending read constrains nothing and is
-ignored.
+There is one Wing–Gong search, :func:`check_serializable`: strict
+serializability of multi-key transactions (:class:`TxnRecord`, recorded
+by :mod:`repro.txn`) over a keyed store.  The chaos harness records, per
+HERD key, every client invocation and response (:class:`HaOp`); HERD
+keys are independent, so a history is linearizable iff every per-key
+sub-history is, and strict serializability of single-key operations
+*is* linearizability.  :func:`check_key` therefore runs the same search
+on one key's ops as single-key transactions: a completed read is
+read-only, an acked write a committed blind write, a failed or
+unanswered write pending (it may take effect at any point after its
+invocation, or never), and an unanswered read constrains nothing.
+Intervals are closed: an operation invoked at the very instant another
+responds is concurrent with it.
 
 On top of per-key linearizability the module checks the global HA
 invariants the replication design promises:
@@ -37,11 +28,13 @@ invariants the replication design promises:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 #: cap on the memo table per key — a pathological history degenerates
 #: to an error rather than unbounded memory
 _MEMO_LIMIT = 200_000
+#: ``check_key``'s default ``final``: no synthetic final read
+_NO_FINAL = object()
 
 
 @dataclass
@@ -64,91 +57,40 @@ class HaOp:
 
 
 def check_key(
-    ops: Iterable[HaOp], initial: Optional[bytes] = None
+    ops: Iterable[HaOp], initial: Optional[bytes] = None, final: object = _NO_FINAL
 ) -> Optional[str]:
-    """None if the per-key history is linearizable, else a reason."""
-    ops = list(ops)
-    completed: List[HaOp] = []
-    pending_writes: List[HaOp] = []
+    """None if the per-key history is linearizable, else a reason.
+
+    ``final`` is what a read after every op observes (None: the key is
+    absent; left out: no such read), so an acked write lost in a
+    failover fails the check even if no client read the key again.
+    """
+    records: List[TxnRecord] = []
     for op in ops:
         if op.respond is not None and op.respond < op.invoke:
             return "op responds before it is invoked (invoke=%r respond=%r)" % (
                 op.invoke,
                 op.respond,
             )
-        if op.respond is not None and (op.kind == "r" or op.ok):
-            completed.append(op)
-        elif op.kind == "w":
-            pending_writes.append(op)
-        # a pending read constrains nothing
-    if not completed:
+        if op.kind == "r" and op.respond is None:
+            continue  # a pending read constrains nothing
+        cell = ((0, op.value),)
+        reads, writes = (cell, ()) if op.kind == "r" else ((), cell)
+        done = op.respond is not None and (op.kind == "r" or op.ok)
+        status = "committed" if done else "pending"
+        records.append(TxnRecord(
+            len(records), op.client, reads, writes, op.invoke, op.respond, status
+        ))
+    read_last = final is not _NO_FINAL
+    finals = {0: final} if read_last else None
+    if check_serializable(records, {0: initial}, finals) is None:
         return None
-
-    # Most histories are already in a legal order: a greedy fast path
-    # (linearize completed ops by response time, pending writes eagerly
-    # whenever the next read needs their value) is attempted first by
-    # the search's child ordering, so the exponential worst case is
-    # only reached by genuinely contended interleavings.
-    memo: Set[Tuple[frozenset, frozenset, Optional[bytes]]] = set()
-
-    def children(
-        remaining: frozenset, pend: frozenset, state: Optional[bytes]
-    ) -> Iterator[Tuple[frozenset, frozenset, Optional[bytes]]]:
-        horizon = min(completed[i].respond for i in remaining)
-        for i in sorted(remaining, key=lambda i: completed[i].respond):
-            op = completed[i]
-            if op.invoke > horizon:
-                continue
-            if op.kind == "r":
-                if op.value == state:
-                    yield remaining - {i}, pend, state
-            else:
-                yield remaining - {i}, pend, op.value
-        for j in sorted(pend):
-            op = pending_writes[j]
-            if op.invoke <= horizon:
-                yield remaining, pend - {j}, op.value
-
-    # Depth-first on an explicit stack of child iterators: the search
-    # goes one level deeper per completed op, so recursion would die on
-    # a key with ~1 000 of them.
-    root = (
-        frozenset(range(len(completed))),
-        frozenset(range(len(pending_writes))),
-        initial,
-    )
-    stack = [iter([root])]
-    while stack:
-        node = next(stack[-1], None)
-        if node is None:
-            stack.pop()
-        elif not node[0]:
-            return None
-        elif node not in memo:
-            if len(memo) > _MEMO_LIMIT:
-                raise RuntimeError("linearizability search exceeded the memo limit")
-            memo.add(node)
-            stack.append(children(*node))
-    reads = [o for o in completed if o.kind == "r"]
+    reads = sum(1 for r in records if r.reads) + read_last
+    pending = sum(1 for r in records if r.status == "pending")
     return (
         "no linearization of %d completed ops (%d reads, %d pending writes) "
-        "explains the observed values" % (len(completed), len(reads), len(pending_writes))
-    )
-
-
-def final_read(ops: Iterable[HaOp], value: Optional[bytes]) -> HaOp:
-    """A synthetic read of the surviving primary's final state.
-
-    Appending it to the history forces the checker to also prove the
-    final store contents are explainable — this is what turns "an acked
-    write vanished during failover" into a checker failure even when no
-    real client happened to read the key again.
-    """
-    horizon = 0.0
-    for op in ops:
-        horizon = max(horizon, op.invoke, op.respond or 0.0)
-    return HaOp(
-        client=-1, kind="r", value=value, invoke=horizon + 1.0, respond=horizon + 2.0
+        "explains the observed values"
+        % (len(records) - pending + read_last, reads, pending)
     )
 
 
@@ -161,9 +103,7 @@ def check_histories(
     """Check every per-key history; returns violation strings (empty = pass)."""
     violations: List[str] = []
     for keyhash in sorted(histories):
-        ops = list(histories[keyhash])
-        ops.append(final_read(ops, final.get(keyhash)))
-        reason = check_key(ops, initial.get(keyhash))
+        reason = check_key(histories[keyhash], initial.get(keyhash), final.get(keyhash))
         if reason is not None:
             violations.append(
                 "key %s not linearizable: %s" % (keyhash.hex()[:16], reason)
@@ -233,10 +173,9 @@ class TxnRecord:
 def final_read_txn(txns: Iterable[TxnRecord], final: Dict[int, bytes]) -> TxnRecord:
     """A synthetic read-only transaction observing the final store state.
 
-    The multi-key analogue of :func:`final_read`: appending it forces
-    the checker to prove the final store contents are explainable, so a
-    torn commit (half a transaction's writes applied) fails the check
-    even if no client read those keys again.
+    Appending it forces the checker to prove the final store contents
+    are explainable, so a torn commit (half a transaction's writes
+    applied) fails the check even if no client read those keys again.
     """
     horizon = 0.0
     for txn in txns:
@@ -282,10 +221,8 @@ def check_serializable(
             return "txn %d responds before it is invoked" % txn.txn_id
         if txn.status == "committed" and txn.respond is not None:
             completed.append(txn)
-        elif txn.status == "pending":
-            pending.append(txn)
-        elif txn.status == "committed":
-            # committed but no response time recorded: treat as pending
+        elif txn.status != "aborted":
+            # pending, or committed with no response time recorded
             pending.append(txn)
     if final is not None:
         completed.append(final_read_txn(completed + pending, final))
@@ -351,8 +288,10 @@ def check_serializable(
         while True:
             # Rule 1, forced steps.  A committed transaction is committed
             # greedily, no choice point, when every other active
-            # transaction touching one of its keys was invoked after its
-            # response: real-time order already pins those behind it and
+            # transaction touching one of its keys was invoked strictly
+            # after its response (intervals are closed: one invoked at
+            # that very instant is concurrent, as at the choice point):
+            # real-time order already pins those behind it and
             # key-disjoint transactions commute with it, so in any valid
             # serialization it can be moved to the front — if its reads
             # match the store it is safe to commit now, and if they do
@@ -378,7 +317,7 @@ def check_serializable(
                     for at in range(key_cursor[shared], len(others)):
                         t = others[at]
                         if t != i and active[t]:
-                            forced = invoke_of[t] >= respond_of[i]
+                            forced = invoke_of[t] > respond_of[i]
                             break
                     if not forced:
                         break

@@ -12,8 +12,8 @@ Layers:
 
 * :mod:`~repro.nemesis.schedule` — the dataplane registry and the
   seeded schedule generator;
-* :mod:`~repro.nemesis.dataplanes` — adapters running one schedule
-  through its harness and collecting oracle verdicts;
+* :mod:`~repro.nemesis.dataplanes` — one schedule, one ``run_chaos``
+  call, its scenario's oracle verdicts;
 * :mod:`~repro.nemesis.oracle` — named extra oracles (including the
   planted-bug arm that proves the machinery finds and shrinks);
 * :mod:`~repro.nemesis.shrink` — ddmin + 1-minimality + window

@@ -1,12 +1,9 @@
 """Extra (named) oracles layered over the built-in invariant suite.
 
-The dataplane runners already check the full safety suite — drain
-liveness, accounting identities, value correctness, monotonic clocks,
-linearizability / strict serializability, zero lost acked writes,
-split-brain witness, hwm and fencing-epoch monotonicity, torn writes.
-This module holds *additional* oracles a search can layer on, looked
-up by name so a repro artifact can record which ones were active and
-a replay can re-apply exactly the same judgement.
+Every run already checks its chaos scenario's full safety suite
+(docs/FAULTS.md).  This module holds *additional* oracles a search
+can layer on, looked up by name so a repro artifact can record which
+ones were active and a replay can re-apply exactly the same judgement.
 
 The registry ships one planted-bug oracle: ``planted-no-crash``
 asserts that no server process ever crashed.  On a schedule pool whose
@@ -26,11 +23,7 @@ from repro.nemesis.dataplanes import NemesisResult, Oracle
 
 def planted_no_crash(result: NemesisResult) -> List[str]:
     """Fails iff a server process crashed — the planted-bug arm."""
-    crashes = getattr(result.report, "server_crashes", None)
-    if crashes is None:
-        # txn dataplanes: the crash arm is the plan rule mapped onto
-        # TxnConfig.crash, so the plan is the witness
-        crashes = len(result.schedule.plan.crashes)
+    crashes = result.report.server_crashes
     if crashes:
         return ["planted oracle: %d server crash(es) observed" % crashes]
     return []

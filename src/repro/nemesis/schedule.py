@@ -32,7 +32,7 @@ class DataplaneSpec:
 
     name: str
     horizon_ns: float
-    #: kwargs handed to the runner (run_chaos / TxnCluster)
+    #: the run_chaos kwargs
     params: Dict[str, Any]
     #: machines that exist (device-level faults must name one of these)
     machines: Tuple[str, ...]
@@ -63,42 +63,30 @@ DATAPLANES: Dict[str, DataplaneSpec] = {
         n_servers=2,
         max_crashes=2,
     ),
-    "ha": DataplaneSpec(
-        name="ha",
-        horizon_ns=300_000.0,
-        params=dict(
-            scenario="nemesis",
-            n_clients=4,
-            n_items=48,
-            value_size=24,
-            n_server_processes=2,
-            replication_factor=3,
-            ack_policy="majority",
-        ),
-        machines=("server", "rep1", "rep2", "monitor") + _CLIENTS,
-        client_machines=_CLIENTS,
-        n_servers=2,
-        heartbeaters=("server", "rep1", "rep2"),
-        max_crashes=1,
-    ),
-    "elastic": DataplaneSpec(
-        name="elastic",
-        horizon_ns=300_000.0,
-        params=dict(
-            scenario="migrate-under-kill",
-            n_clients=4,
-            n_items=48,
-            value_size=24,
-            n_server_processes=3,
-            replication_factor=3,
-            ack_policy="majority",
-        ),
-        machines=("server", "rep1", "rep2", "monitor") + _CLIENTS,
-        client_machines=_CLIENTS,
-        n_servers=3,
-        heartbeaters=("server", "rep1", "rep2"),
-        max_crashes=1,
-    ),
+    **{
+        name: DataplaneSpec(
+            name=name,
+            horizon_ns=300_000.0,
+            params=dict(
+                scenario=scenario,
+                n_clients=4,
+                n_items=48,
+                value_size=24,
+                n_server_processes=servers,
+                replication_factor=3,
+                ack_policy="majority",
+            ),
+            machines=("server", "rep1", "rep2", "monitor") + _CLIENTS,
+            client_machines=_CLIENTS,
+            n_servers=servers,
+            heartbeaters=("server", "rep1", "rep2"),
+            max_crashes=1,
+        )
+        for name, scenario, servers in (
+            ("ha", "nemesis", 2),
+            ("elastic", "migrate-under-kill", 3),
+        )
+    },
     "qos": DataplaneSpec(
         name="qos",
         horizon_ns=300_000.0,
@@ -108,40 +96,20 @@ DATAPLANES: Dict[str, DataplaneSpec] = {
         n_servers=2,
         max_crashes=0,  # the flash crowd is the fault; keep loss gray
     ),
-    "txn-rpc": DataplaneSpec(
-        name="txn-rpc",
-        horizon_ns=120_000.0,
-        params=dict(
-            dataplane="rpc",
-            n_partitions=2,
-            n_keys=128,
-            n_clients=8,
-            n_client_machines=4,
-            warmup_ns=20_000.0,
-            measure_ns=100_000.0,
-        ),
-        machines=("server",) + _CLIENTS,
-        client_machines=_CLIENTS,
-        n_servers=2,
-        max_crashes=1,  # TxnConfig.crash pauses one participant
-    ),
-    "txn-onesided": DataplaneSpec(
-        name="txn-onesided",
-        horizon_ns=120_000.0,
-        params=dict(
-            dataplane="onesided",
-            n_partitions=2,
-            n_keys=128,
-            n_clients=8,
-            n_client_machines=4,
-            warmup_ns=20_000.0,
-            measure_ns=100_000.0,
-        ),
-        machines=("server",) + _CLIENTS,
-        client_machines=_CLIENTS,
-        n_servers=2,
-        max_crashes=1,
-    ),
+    **{
+        name: DataplaneSpec(
+            name=name,
+            horizon_ns=120_000.0,
+            params=dict(
+                scenario=name, n_server_processes=2, n_items=128, value_size=24, n_clients=8
+            ),
+            machines=("server",) + _CLIENTS,
+            client_machines=_CLIENTS,
+            n_servers=2,
+            max_crashes=1,  # a crash rule pauses one participant
+        )
+        for name in ("txn-rpc", "txn-onesided")
+    },
 }
 
 #: round-robin order used by the search loop (sorted: stable forever)

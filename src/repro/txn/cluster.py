@@ -18,17 +18,17 @@ history (with the final store state as a synthetic read), a torn-write
 audit that attributes every final byte to a committed transaction, and
 a determinism fingerprint over the committed history + final state.
 
-The optional crash arm pauses one participant process mid-run (HERD
-pause model: memory survives).  On the RPC dataplane clients ride it
-out with idempotent retries; on the one-sided dataplane commits keep
-flowing because the dataplane never needed that CPU — the
+The crash arm, a plan ``CrashRule``, pauses one participant process
+mid-run (HERD pause model: memory survives).  On the RPC dataplane
+clients ride it out with idempotent retries; on the one-sided dataplane
+commits keep flowing because the dataplane never needed that CPU — the
 ``commits_in_outage`` field makes the contrast measurable.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.bench.result import RunResult, collect
@@ -64,8 +64,6 @@ class TxnConfig:
     value_bytes: int = 24
     rpc_timeout_ns: float = 30_000.0
     backoff_ns: float = 1_500.0
-    #: crash arm: (partition, at_ns, down_ns) pauses that participant
-    crash: Optional[Tuple[int, float, float]] = None
 
     def __post_init__(self) -> None:
         if self.dataplane not in DATAPLANES:
@@ -73,9 +71,26 @@ class TxnConfig:
                 "unknown dataplane %r; expected one of %s"
                 % (self.dataplane, ", ".join(DATAPLANES))
             )
+        # each rule is ``x >= lo``-style, so NaN fails it too
+        for name, rule, ok in (
+            ("n_partitions", ">= 1", self.n_partitions >= 1),
+            ("n_keys", ">= 1", self.n_keys >= 1),
+            ("keys_per_txn", ">= 1", self.keys_per_txn >= 1),
+            ("writes_per_txn", ">= 0", self.writes_per_txn >= 0),
+            ("read_only_fraction", "within [0, 1]", 0 <= self.read_only_fraction <= 1),
+            ("hot_fraction", "within [0, 1]", 0 <= self.hot_fraction <= 1),
+            ("rpc_timeout_ns", "> 0", self.rpc_timeout_ns > 0),
+            ("backoff_ns", "> 0", self.backoff_ns > 0),
+        ):
+            if not ok:
+                value = getattr(self, name)
+                raise ValueError("%s must be %s; got %r" % (name, rule, value))
+        if self.n_keys < self.keys_per_txn:
+            # a transaction draws keys_per_txn distinct keys
+            raise ValueError("n_keys must be >= keys_per_txn")
         if self.writes_per_txn > self.keys_per_txn:
             raise ValueError("writes_per_txn cannot exceed keys_per_txn")
-        if self.value_bytes < VALUE_TAG_BYTES:
+        if not (self.value_bytes >= VALUE_TAG_BYTES):
             raise ValueError("value_bytes must be >= %d" % VALUE_TAG_BYTES)
         if self.dataplane == "onesided" and self.value_bytes % 8:
             # slots are value + header back to back, and each one's lock
@@ -222,28 +237,22 @@ class TxnCluster(Testbed):
 
     def install_faults(self, plan):
         """Install a :class:`~repro.faults.plan.FaultPlan` on the
-        cluster's fabric and devices (the nemesis path).
+        cluster's fabric, devices and participants.
 
-        Crash rules are not supported here — a transaction crash arm is
-        expressed as ``TxnConfig.crash``, which pauses a participant
-        process; plan-level crash rules target HERD server processes.
+        A crash rule pauses partition ``server_index``'s participant
+        process (:meth:`TxnServerProcess.crash`; its memory survives).
         The injector is deactivated at the measurement horizon by
         :meth:`run`, so the drain (and therefore the audited history's
         tail) is fault-free, mirroring the chaos harness.
         """
-        if plan.crashes:
-            raise ValueError(
-                "crash rules must be mapped onto TxnConfig.crash; "
-                "the txn fabric injector cannot crash HERD servers"
-            )
-        for device in self.devices.values():
-            # The one-sided commit protocol pipelines WRITEs on RC and
-            # relies on the transport's in-order exactly-once contract
-            # (there is no CPU on the path to re-sequence at the app
-            # layer).  The fabric injector acts *below* PSN on real
-            # hardware, so model the PSN machinery whenever faults are
-            # installed here; without faults the flag is moot.
-            device.enforce_rc_ordering = True
+        # The one-sided commit protocol pipelines WRITEs on RC and relies
+        # on the transport's in-order exactly-once contract (no CPU on the
+        # path re-sequences them).  The fabric injector acts *below* PSN
+        # on real hardware, so model the PSN machinery whenever a rule
+        # acts on the fabric or a device; a pause alone loses no packet.
+        if not replace(plan, crashes=[]).empty:
+            for device in self.devices.values():
+                device.enforce_rc_ordering = True
         return super().install_faults(plan)
 
     def start_servers(self) -> None:
@@ -252,7 +261,6 @@ class TxnCluster(Testbed):
             super().start_servers()
 
     def run(self, warmup_ns: float = 20_000.0, measure_ns: float = 150_000.0) -> TxnReport:
-        cfg = self.config
         window_end = warmup_ns + measure_ns
         metrics = getattr(self.sim, "metrics", None)
 
@@ -270,11 +278,6 @@ class TxnCluster(Testbed):
             client.abort_hook = abort_hook
             client.stop_at = window_end
         meter, latencies = self.open_window(warmup_ns, measure_ns)
-        if cfg.crash is not None:
-            partition, at_ns, down_ns = cfg.crash
-            server = self.servers[partition]
-            self.sim.call_in(at_ns, server.crash)
-            self.sim.call_in(at_ns + down_ns, server.recover)
         if self.injector is not None:
             self.sim.call_in(window_end, self.injector.deactivate)
         self.sim.run(until=window_end)
@@ -335,12 +338,11 @@ class TxnCluster(Testbed):
         initial = {k: b"\x00" * cfg.value_bytes for k in range(cfg.n_keys)}
         violation = check_serializable(history, initial=initial, final=final)
         torn = self._torn_writes(history, final)
-        commits_in_outage = 0
-        if cfg.crash is not None:
-            _partition, at_ns, down_ns = cfg.crash
-            commits_in_outage = sum(
-                1 for t in self._commit_times if at_ns <= t < at_ns + down_ns
-            )
+        crashes = self.injector.plan.crashes if self.injector is not None else ()
+        commits_in_outage = sum(
+            any(c.at_ns <= t < c.at_ns + c.down_ns for c in crashes)
+            for t in self._commit_times
+        )
         retries = 0
         if cfg.dataplane == "rpc":
             retries = sum(c.rpc.retries for c in self.clients)

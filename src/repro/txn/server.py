@@ -81,21 +81,33 @@ class TxnServerProcess:
         self.commits_applied = 0
         self.prepares_rejected = 0
         self.duplicates_answered = 0
+        self.crashes = 0
+        self.recoveries = 0
 
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> None:
         self.sim.process(self.run(self.epoch), name="txn-s%d" % self.index)
 
-    def crash(self) -> None:
-        """Pause the polling loop; MR state (locks, staged writes) survives."""
+    def crash(self) -> bool:
+        """Pause the polling loop (False if already paused); MR state
+        (locks, staged writes) survives."""
+        if not self.alive:
+            return False
         self.alive = False
         self.epoch += 1
+        self.crashes += 1
+        return True
 
-    def recover(self) -> None:
+    def recover(self) -> bool:
+        """Restart the polling loop (False if it is running)."""
+        if self.alive:
+            return False
         self.alive = True
         self.epoch += 1
+        self.recoveries += 1
         self.start()
+        return True
 
     # -- polling loop ------------------------------------------------------
 

@@ -132,6 +132,13 @@ def test_txn_experiments_listed(capsys):
     assert "figtxnq" in out
 
 
+def test_chaos_scenario_list_names_both_txn_entries(capsys):
+    assert cli.main(["--chaos", "--chaos-scenario", "list"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    for name in ("txn-rpc", "txn-onesided"):
+        assert any(line.split()[:1] == [name] for line in lines), name
+
+
 def test_run_txn_rejects_unknown_dataplane_naming_the_choices():
     from repro.bench.figures import run_txn
 

@@ -168,14 +168,17 @@ def _scenario_rows():
     from repro.faults.chaos import SCENARIOS
 
     for name, entry in SCENARIOS.items():
-        prepare = entry.prepare.__name__
+        prepare = "`%s`" % entry.prepare.__name__ if entry.prepare else "—"
+        drive = entry.drive.__name__
         if entry.membership is not None:
-            prepare += " + " + entry.membership.__name__
+            drive += " + " + entry.membership.__name__
         yield "| %s |" % " | ".join(
             [
                 "`%s`" % name if name else "*(none)*",
+                "`%s`" % entry.build.__name__,
                 "`%s`" % entry.config.__name__,
-                "`%s`" % prepare,
+                prepare,
+                "`%s`" % drive,
                 "`%s`" % entry.plan.__name__,
                 ", ".join(fn.__name__.replace("_oracle_", "") for fn in entry.oracles),
                 ", ".join(

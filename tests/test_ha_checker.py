@@ -17,7 +17,6 @@ from repro.ha import (
     lost_acked_writes,
     split_brain,
 )
-from repro.ha.checker import final_read
 
 K = b"k" * 16
 A, B, C = b"va", b"vb", b"vc"
@@ -106,10 +105,14 @@ def test_final_read_exposes_silently_lost_write():
 
 
 def test_final_read_is_after_every_op():
-    ops = [w(0, A, 0, 100), r(1, A, 5, 6)]
-    synthetic = final_read(ops, A)
-    assert synthetic.invoke > 100 and synthetic.respond > synthetic.invoke
-    assert synthetic.client == -1
+    # the synthetic final read starts after the last response: a write
+    # still in flight until t=100 has taken effect by then
+    ops = [w(0, A, 0, 1), w(1, B, 50, 100)]
+    assert check_key(ops, final=B) is None
+    assert check_key(ops, final=A) is not None
+    # ... and a final miss must be explained too
+    assert check_key([w(0, A, 0, 1)], final=None) is not None
+    assert check_key([r(0, None, 0, 1)], final=None) is None
 
 
 def test_check_histories_caps_violations():

@@ -1,11 +1,13 @@
-"""``check_key``'s search on an explicit stack, against the recursive one.
+"""``check_key`` against the search it replaced.
 
-The Wing–Gong search used to recurse once per completed operation, so a
-single-key history of ~1 000 sequential writes died of ``RecursionError``
-and an HA run lost its linearizability verdict.  The recursive search is
-kept here verbatim as the oracle: same child order, same memo, same
-``_MEMO_LIMIT`` error, so verdicts and messages must agree on every
-history the oracle can finish.
+``check_key`` used to run its own Wing–Gong search: a ``frozenset``-memo
+search over one register, recursive until it moved onto an explicit
+stack.  It is now a per-key adapter onto ``check_serializable`` — a
+single-key history is a history of single-key transactions, and strict
+serializability of those is linearizability.  The old search is kept
+here, in its recursive form, as the differential reference: verdicts
+and messages must agree on every history it can finish, pending, failed
+and backwards writes, missed reads and coinciding timestamps included.
 """
 
 import sys
@@ -16,13 +18,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ha import checker
-from repro.ha.checker import HaOp, check_key, final_read
+from repro.ha.checker import HaOp, check_histories, check_key
+
+
+def final_read(ops: Iterable[HaOp], value: Optional[bytes]) -> HaOp:
+    """The synthetic read of the final state the old search was fed."""
+    horizon = 0.0
+    for op in ops:
+        horizon = max(horizon, op.invoke, op.respond or 0.0)
+    return HaOp(
+        client=-1, kind="r", value=value, invoke=horizon + 1.0, respond=horizon + 2.0
+    )
 
 
 def recursive_check_key(
     ops: Iterable[HaOp], initial: Optional[bytes] = None
 ) -> Optional[str]:
-    """The recursive search ``check_key`` ran before (the oracle)."""
+    """The search ``check_key`` ran before (the oracle)."""
     ops = list(ops)
     completed: List[HaOp] = []
     pending_writes: List[HaOp] = []
@@ -88,10 +100,11 @@ VALUES = (b"va", b"vb", b"vc")
 
 
 @st.composite
-def per_key_history(draw):
+def per_key_ops(draw):
     """1–8 ops on one key by up to four clients: completed and pending
-    writes, failed writes, reads that hit or miss, overlapping intervals
-    and (rarely) an op that responds before it is invoked."""
+    writes, failed writes, reads that hit or miss, overlapping intervals,
+    timestamps that coincide (integers from a small range) and (rarely)
+    an op that responds before it is invoked."""
     ops = []
     for _ in range(draw(st.integers(1, 8))):
         kind = draw(st.sampled_from("rw"))
@@ -109,6 +122,12 @@ def per_key_history(draw):
             client=draw(st.integers(0, 3)), kind=kind, value=value,
             invoke=invoke, respond=respond, ok=fate != "failed",
         ))
+    return ops
+
+
+@st.composite
+def per_key_history(draw):
+    ops = draw(per_key_ops())
     if draw(st.booleans()):
         ops.append(final_read(ops, draw(st.sampled_from(VALUES + (None,)))))
     return ops, draw(st.sampled_from((None,) + VALUES))
@@ -119,6 +138,44 @@ def per_key_history(draw):
 def test_matches_the_recursive_search(case):
     ops, initial = case
     assert check_key(ops, initial) == recursive_check_key(ops, initial)
+
+
+def reference_check_histories(histories, initial, final, max_violations=8):
+    """``check_histories`` over the old search: the final read appended."""
+    violations = []
+    for keyhash in sorted(histories):
+        ops = list(histories[keyhash])
+        ops.append(final_read(ops, final.get(keyhash)))
+        reason = recursive_check_key(ops, initial.get(keyhash))
+        if reason is not None:
+            violations.append(
+                "key %s not linearizable: %s" % (keyhash.hex()[:16], reason)
+            )
+            if len(violations) >= max_violations:
+                violations.append("... further keys not checked")
+                break
+    return violations
+
+
+@st.composite
+def keyed_histories(draw):
+    """Up to four keys, each with a per-key history; a key's initial or
+    final value may be absent (a miss)."""
+    keys = [bytes([k]) * 16 for k in range(draw(st.integers(1, 4)))]
+    histories = {k: draw(per_key_ops()) for k in keys}
+    maybe = st.sampled_from((None,) + VALUES)
+    initial = {k: draw(maybe) for k in keys if draw(st.booleans())}
+    final = {k: draw(maybe) for k in keys if draw(st.booleans())}
+    return histories, initial, final, draw(st.integers(1, 3))
+
+
+@settings(max_examples=600, deadline=None)
+@given(keyed_histories())
+def test_check_histories_matches_the_old_search(case):
+    histories, initial, final, cap = case
+    assert check_histories(histories, initial, final, cap) == (
+        reference_check_histories(histories, initial, final, cap)
+    )
 
 
 def test_touching_intervals_are_concurrent():

@@ -72,6 +72,14 @@ def test_the_microbenchmarks_load_only_their_layers_and_no_numpy():
     assert not numpy
 
 
+def test_the_chaos_harness_loads_txn_only_for_a_txn_entry():
+    run = "from repro.faults.chaos import run_chaos\nrun_chaos(%s horizon_ns=20_000.0)"
+    herd, _ = modules_after(run % "scenario='kill-primary',")
+    assert "txn" not in layers(herd)
+    txn, _ = modules_after(run % "scenario='txn-rpc',")
+    assert "txn" in layers(txn)
+
+
 def test_kv_and_workloads_load_no_simulator():
     modules, numpy = modules_after("import repro.kv, repro.workloads")
     assert layers(modules) == {"kv", "workloads"}

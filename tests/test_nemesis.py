@@ -97,11 +97,11 @@ def test_unknown_exclude_moves_fail_loudly(monkeypatch):
 
 def test_schedule_round_trips_through_dict():
     schedule = generate(seed=17, dataplane="txn-onesided")
-    schedule.params["n_keys"] = 64
+    schedule.params["n_items"] = 64
     back = Schedule.from_dict(schedule.to_dict())
     assert back.to_dict() == schedule.to_dict()
-    assert back.runner_params()["n_keys"] == 64
-    assert back.runner_params()["dataplane"] == "onesided"
+    assert back.runner_params()["n_items"] == 64
+    assert back.runner_params()["scenario"] == "txn-onesided"
 
 
 def test_schedule_from_dict_rejects_unknown_dataplanes():

@@ -6,8 +6,9 @@ naming the field, instead of failing at the first draw
 (``Workload(n_keys=0)``: "empty range for randrange()"), deep in a run
 (``EchoConfig(payload_bytes=4097)``: an out-of-region write), or not at
 all (``MicaCache(index_entries=0)`` built one bucket; ``QueueConfig``
-ran 0 ops with a NaN timeout).  The ``FaultPlan`` rules check their own
-fields the same way, so a plan rebuilt by ``FaultPlan.from_dict`` from a
+ran 0 ops with a NaN timeout; ``TxnConfig(n_keys=2)`` drew three
+distinct keys for ever).  The ``FaultPlan`` rules check their own fields
+the same way, so a plan rebuilt by ``FaultPlan.from_dict`` from a
 replayed artifact is held to what the builder methods accept.
 """
 
@@ -28,6 +29,8 @@ from repro.faults.plan import (
     RnrRule,
 )
 from repro.kv import MicaCache
+from repro.txn import TxnCluster, TxnConfig
+from repro.txn.client import VALUE_TAG_BYTES
 from repro.txn.queue import QueueConfig, TxnQueueCluster
 from repro.workloads import Workload
 
@@ -47,9 +50,25 @@ BOUNDS = {
         "payload_bytes": (1, 4096),  # one request slot
         "memory_accesses": (0, INF),
     },
+    # against the defaults: 256 keys, 3 a transaction, 2 of them written
+    TxnConfig: {
+        "n_partitions": (1, INF),
+        "n_keys": (3, INF),  # a transaction draws 3 distinct keys
+        "keys_per_txn": (2, 256),  # at least the writes, at most the keys
+        "writes_per_txn": (0, 3),
+        "read_only_fraction": (0, 1),
+        "hot_fraction": (0, 1),
+        "value_bytes": (VALUE_TAG_BYTES, INF),
+        "rpc_timeout_ns": (0, INF),  # open at 0, below
+        "backoff_ns": (0, INF),  # open at 0, below
+    },
 }
 #: fields whose lower bound is itself rejected
-OPEN_BELOW = {(QueueConfig, "rpc_timeout_ns")}
+OPEN_BELOW = {
+    (QueueConfig, "rpc_timeout_ns"),
+    (TxnConfig, "rpc_timeout_ns"),
+    (TxnConfig, "backoff_ns"),
+}
 FIELDS = [(cls, field) for cls in BOUNDS for field in sorted(BOUNDS[cls])]
 
 
@@ -101,6 +120,12 @@ def test_the_smallest_accepted_configs_run():
         n_client_machines=1,
     ).run()
     assert queue.ok and queue.enqueued == 2
+    txn = TxnCluster(
+        TxnConfig(n_partitions=1, n_keys=1, keys_per_txn=1, writes_per_txn=1),
+        n_clients=2,
+        n_client_machines=1,
+    ).run(warmup_ns=0.0, measure_ns=20_000.0)
+    assert txn.ok and txn.commits > 0
 
 
 # ---------------------------------------------------------------------------

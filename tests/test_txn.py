@@ -7,10 +7,13 @@ fingerprint — so these tests are the executable form of the subsystem's
 correctness claims.
 """
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.faults import FaultPlan, run_chaos
 from repro.hw import APT
 from repro.obs import capture
 from repro.txn import (
@@ -30,9 +33,16 @@ pytestmark = pytest.mark.usefixtures("staging_checked")
 QUICK = dict(warmup_ns=10_000.0, measure_ns=80_000.0)
 
 
-def run_cluster(seed=0, n_clients=6, **cfg):
+def run_cluster(seed=0, n_clients=6, plan=None, **cfg):
     cluster = TxnCluster(TxnConfig(**cfg), n_clients=n_clients, seed=seed)
+    if plan is not None:
+        cluster.install_faults(plan)
     return cluster.run(**QUICK)
+
+
+def pause_partition_0():
+    """Partition 0's participant down 30..70 us: a plan crash rule."""
+    return FaultPlan().crash_server(0, at_ns=30_000.0, down_ns=40_000.0)
 
 
 # ---------------------------------------------------------------------------
@@ -244,23 +254,71 @@ def test_fingerprint_reproducible(dataplane):
 # ---------------------------------------------------------------------------
 
 
+# The crash arm used to be a config field, scheduled after the window
+# opened; as a plan rule it is scheduled at install time, and the two
+# histories are the same (these digests date from the config field).
+
+
 def test_rpc_rides_out_a_server_pause_with_zero_torn_commits():
-    report = run_cluster(
-        seed=3, dataplane="rpc", crash=(0, 30_000.0, 40_000.0)
-    )
+    report = run_cluster(seed=3, dataplane="rpc", plan=pause_partition_0())
     assert report.ok, report.violation
     assert report.torn_writes == 0
     assert report.commits > 0
+    assert report.fingerprint == (
+        "71204606dc2711e9a14c0b459a06901c043850d56ab98bcfd78785dec2cf51d3"
+    )
 
 
 def test_onesided_commits_through_the_outage():
-    report = run_cluster(
-        seed=3, dataplane="onesided", crash=(0, 30_000.0, 40_000.0)
-    )
+    report = run_cluster(seed=3, dataplane="onesided", plan=pause_partition_0())
     assert report.ok, report.violation
     # one-sided commit never touches the server CPU: progress continues
     # while the RPC dataplane's partition-0 poller is dead
     assert report.commits_in_outage > 0
+    assert report.fingerprint == (
+        "240e24fabbfd20d70e80c94dae5be463dbde6db27026e2f308dfc5da904d7ef0"
+    )
+
+
+# ---------------------------------------------------------------------------
+# the chaos harness builds the same cluster
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("dataplane", DATAPLANES)
+def test_run_chaos_runs_and_audits_the_txn_cluster(dataplane):
+    # a txn-* entry is this cluster built from run_chaos's arguments,
+    # its default plan the crash arm, the history the one built by hand
+    horizon = 90_000.0
+    report = run_chaos(
+        seed=3, scenario="txn-" + dataplane, horizon_ns=horizon,
+        n_clients=6, value_size=24,
+    )
+    cluster = TxnCluster(TxnConfig(dataplane=dataplane), n_clients=6, seed=3)
+    cluster.install_faults(
+        FaultPlan(seed=3).crash_server(0, at_ns=0.35 * horizon, down_ns=0.3 * horizon)
+    )
+    by_hand = cluster.run(warmup_ns=0.0, measure_ns=horizon)
+    assert report.ok and by_hand.ok, report.violations
+    assert report.checker == "serializable"
+    digest = hashlib.sha256(by_hand.fingerprint.encode() + b"\n").hexdigest()
+    assert report.fingerprint == digest
+    assert (report.completed, report.abandoned) == (by_hand.commits, by_hand.aborts)
+    assert (report.server_crashes, report.server_recoveries) == (1, 1)
+    assert cluster.servers[0].crashes == cluster.servers[0].recoveries == 1
+
+
+def test_run_chaos_reports_a_txn_audit_failure(monkeypatch):
+    import repro.txn.cluster
+
+    monkeypatch.setattr(repro.txn.cluster, "check_serializable", lambda *a, **k: "planted")
+    monkeypatch.setattr(TxnCluster, "_torn_writes", lambda *a: 2)
+    report = run_chaos(seed=1, scenario="txn-rpc", horizon_ns=40_000.0, crash=False)
+    assert report.violations == [
+        "not strictly serializable: planted",
+        "2 torn writes in the final state",
+    ]
+    assert (report.checker, report.ops_lost, report.server_crashes) == ("violated", 2, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -18,12 +18,14 @@ verbatim as the oracle (the way ``test_datapath_fusion.py`` and
   rescan or a copy per choice point fails here;
 * every frame of the search is booked to the benchmark's ``txn`` layer.
 
-Timestamps.  The oracle lets a transaction invoked at the very instant
-another responds be serialized before it at a choice point, yet treats
-it as later when it looks for forced steps; so with such a tie its own
-verdict depends on the order it happens to explore.  The comparisons
-are unchanged, and the histories drawn here give every invocation and
-response its own instant.
+Timestamps.  Intervals are closed: a transaction invoked at the very
+instant another responds is concurrent with it, at a forced step as at
+a choice point.  The oracle's forced-step rule still counts such a pair
+as ordered, so with a tie its verdict depends on the order it explores;
+the histories drawn here give every invocation and response its own
+instant, and ``tests/test_ha_checker_search.py`` draws coinciding ones
+against ``check_key``'s old search, which has always used closed
+intervals.
 """
 
 import cProfile
@@ -324,6 +326,28 @@ def test_verdict_and_message_equal_the_recursive_search(case):
     assert check_serializable(
         history, initial=initial, final=final
     ) == recursive_check_serializable(history, initial=initial, final=final)
+
+
+def test_an_invocation_at_a_response_instant_is_concurrent():
+    # Intervals are closed: write B, invoked at the instant write C
+    # responds, may serialize before it.  Read C then sees C: the order
+    # w A, r A, w A, w B, w C, r C.  A forced step that counted B as
+    # after C committed C first, and the history read as violated.
+    A, B, C = b"A", b"B", b"C"
+    ops = [("w", A, 0, 3), ("w", A, 8, 8), ("r", A, 7, 9),
+           ("w", C, 9, 11), ("w", B, 11, 17), ("r", C, 11, 18)]
+    history = [
+        TxnRecord(
+            txn_id=i, client=i,
+            reads=((0, value),) if kind == "r" else (),
+            writes=((0, value),) if kind == "w" else (),
+            invoke=float(invoke), respond=float(respond),
+        )
+        for i, (kind, value, invoke, respond) in enumerate(ops)
+    ]
+    assert check_serializable(history, initial={0: A}, final={0: C}) is None
+    # the second write of A responded before C and B were invoked
+    assert check_serializable(history, initial={0: A}, final={0: A}) is not None
 
 
 @functools.lru_cache(maxsize=None)
