@@ -79,7 +79,6 @@ def hand_built_cluster() -> None:
         retry_timeout_ns=30_000.0,
         qos=QosConfig(
             queue_limit=32,           # bounded request queue per partition
-            drop_policy="nack",       # shed via RESP_RETRY_AFTER
             codel_target_ns=4_000.0,  # sojourn SLO target
             retry_after_ns=16_000.0,  # client ingress pause per nack
             qp_pool=4,                # bounded server UC QP pool

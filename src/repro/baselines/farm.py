@@ -36,12 +36,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Generator, List, Optional, Tuple
 
-from repro.baselines.pilaf import FULL, OK, PARSE_NS, require_positive
+from repro.baselines.pilaf import FULL, OK, PARSE_NS, KvClientProcess, require_positive
 from repro.bench.result import RunResult, collect
 from repro.hw import APT, HardwareProfile
 from repro.kv.hashing import hash_key
 from repro.kv.hopscotch import HopscotchFullError, HopscotchTable
-from repro.kv.interface import KEY_BYTES, padded_key
+from repro.kv.interface import EXTENT_BYTES, KEY_BYTES, padded_key
 from repro.sim import Event, Store
 from repro.verbs import RdmaDevice, Testbed, Transport, WorkRequest
 from repro.workloads.ycsb import Workload, WorkloadStream, keyed_values, value_for
@@ -79,24 +79,21 @@ class FarmFullConfig:
     #: True = values inline in the slots (FaRM-em's default mode);
     #: False = out-of-table values, fetched with a second READ (VAR)
     inline_values: bool = True
-    extent_bytes: int = 1 << 22
     window: int = 4
     n_server_processes: int = 6
 
     def __post_init__(self) -> None:
         require_positive(
-            self, "value_bytes", "n_slots", "extent_bytes", "window",
-            "n_server_processes",
+            self, "value_bytes", "n_slots", "window", "n_server_processes"
         )
 
 
-class _FarmClientProcess:
-    """A client process: window lanes pipelined over shared QPs.
+class _FarmClientProcess(KvClientProcess):
+    """A FaRM client: READs over the RC QP, PUT WRITEs over one UC QP
+    (``put_qp``), each acknowledged by a WRITE into ``ack_mr``."""
 
-    With a ``schema`` (a geometry-only view of the server's real table)
-    GETs parse the real neighborhood; without one they READ a span at a
-    hashed address.
-    """
+    NAME = "farm"
+    SINK_BYTES = 8192
 
     def __init__(
         self,
@@ -106,68 +103,18 @@ class _FarmClientProcess:
         stream: WorkloadStream,
         schema: Optional[HopscotchTable],
     ) -> None:
-        self.cid = cid
-        self.device = device
-        self.sim = device.sim
-        self.profile = device.profile
-        self.config = config
-        self.stream = stream
-        self.schema = schema
-        self._get = self._get_emulated if schema is None else self._get_full
-        self.read_qp = None  # RC: GETs
-        self.put_qp = None   # UC: PUT writes
-        self.table_addr = self.table_rkey = self.table_bytes = 0
-        self.extents_addr = self.extents_rkey = 0
-        self.put_raddr = 0       # base of this process's buffer slots
+        super().__init__(cid, device, config, stream, schema)
+        self.put_qp = None  # UC: PUT writes
+        self.put_raddr = 0  # base of this process's buffer slots
         self.put_rkey = 0
         self.put_slot_bytes = 0
-        self.sink = device.register_memory(config.window * 8192)
-        self._staging = device.register_memory(config.window * 2048)
         #: server PUT acknowledgements land here, one word per lane
         self.ack_mr = device.register_memory(64 * config.window)
         self.ack_mr.on_write = self._ack_landed
-        self._read_done = [Store(self.sim) for _ in range(config.window)]
         self._ack_done = [Store(self.sim) for _ in range(config.window)]
-        self.completed_hook = None
-        self.gets = 0
-        self.puts = 0
-        self.get_misses = 0
-        self.wrong_values = 0
-
-    def start(self) -> None:
-        self.sim.process(self._dispatch_reads(), name="farm-c%d-scq" % self.cid)
-        for lane in range(self.config.window):
-            self.sim.process(self._lane(lane), name="farm-c%d-l%d" % (self.cid, lane))
 
     def _ack_landed(self, offset: int, _length: int) -> None:
         self._ack_done[offset // 64].put(offset)
-
-    def _dispatch_reads(self) -> Generator[Event, None, None]:
-        while True:
-            cqe = yield self.read_qp.send_cq.pop()
-            self._read_done[cqe.wr_id].put(cqe)
-
-    def _lane(self, lane: int) -> Generator[Event, None, None]:
-        while True:
-            op = self.stream.next_op()
-            started = self.sim.now
-            if op.is_get:
-                yield from self._get(lane, op)
-            else:
-                yield from self._put(lane, op.key, op.value)
-                self.puts += 1
-            if self.completed_hook is not None:
-                self.completed_hook(self.sim.now, self.sim.now - started)
-
-    def _read(
-        self, lane: int, raddr: int, rkey: int, length: int, sink_off: int
-    ) -> Generator[Event, None, None]:
-        wr = WorkRequest.read(
-            raddr=raddr, rkey=rkey, local=(self.sink, sink_off, length), wr_id=lane
-        )
-        yield from self.device.post_send_timed(self.read_qp, wr)
-        yield self._read_done[lane].get()
-        yield self.sim.timeout(self.profile.cq_poll_ns)
 
     def _get_emulated(self, lane: int, op) -> Generator[Event, None, None]:
         """One neighborhood-sized READ at a hashed address over a table
@@ -346,7 +293,7 @@ class FarmCluster(Testbed):
             # _put_landed turns a cid back into this index arithmetically
             assert len(sproc.clients) == cid // len(self.servers)
             # RC pair for READs.
-            _s_read, client.read_qp = self.connect(
+            _s_read, client.qp = self.connect(
                 self.server_device, device, Transport.RC
             )
             # UC pair for the PUT path (both directions).
@@ -404,7 +351,7 @@ class FarmFullCluster(FarmCluster):
         slot_bytes = HopscotchTable.slot_size(cfg.value_bytes, cfg.inline_values)
         self.table_mr = self.server_device.register_memory(n_slots * slot_bytes)
         if not cfg.inline_values:
-            self.extents_mr = self.server_device.register_memory(cfg.extent_bytes)
+            self.extents_mr = self.server_device.register_memory(EXTENT_BYTES)
         self.table = HopscotchTable(
             n_slots=cfg.n_slots,
             value_capacity=cfg.value_bytes,

@@ -42,7 +42,7 @@ from repro.bench.result import RunResult, collect
 from repro.hw import APT, HardwareProfile
 from repro.kv.cuckoo import BUCKET_BYTES, CuckooFullError, CuckooTable
 from repro.kv.hashing import hash_key
-from repro.kv.interface import KEY_BYTES, padded_key
+from repro.kv.interface import EXTENT_BYTES, KEY_BYTES, padded_key
 from repro.sim import Event, Store
 from repro.verbs import (
     CompletionQueue,
@@ -60,6 +60,9 @@ _RECV_SLOT = 40 + 2048
 PARSE_NS = 20.0
 #: a server's PUT reply: inserted, or the table refused the item
 OK, FULL = b"\x01", b"\x00"
+#: the emulation's average cuckoo probes per GET, at 75% occupancy
+#: (Section 5.1.1); the full system's count is emergent
+AVG_PROBES = 1.6
 
 
 def require_positive(config, *names: str) -> None:
@@ -73,52 +76,50 @@ def require_positive(config, *names: str) -> None:
 @dataclass(frozen=True)
 class PilafConfig:
     value_bytes: int = 32
-    #: average cuckoo probes per GET at 75% occupancy (Section 5.1.1)
-    avg_probes: float = 1.6
     #: operations each client process keeps in flight
     window: int = 4
     n_server_processes: int = 6
 
     def __post_init__(self) -> None:
         require_positive(self, "value_bytes", "window", "n_server_processes")
-        if not (1.0 <= self.avg_probes <= 2.0):  # also rejects NaN
-            raise ValueError(
-                "avg_probes must be within [1, 2] (a GET probes 1 or 2 "
-                "buckets); got %r" % (self.avg_probes,)
-            )
 
 
 @dataclass(frozen=True)
 class PilafFullConfig:
     value_bytes: int = 32
     n_buckets: int = 2 ** 14
-    extent_bytes: int = 1 << 22
     window: int = 4
     n_server_processes: int = 6
 
     def __post_init__(self) -> None:
         require_positive(
-            self, "value_bytes", "n_buckets", "extent_bytes", "window",
-            "n_server_processes",
+            self, "value_bytes", "n_buckets", "window", "n_server_processes"
         )
 
 
-class _PilafClientProcess:
-    """A client process: one RC QP, ``window`` pipelined operations.
+class KvClientProcess:
+    """What a Pilaf and a FaRM client share: ``window`` lanes running
+    operations back to back, and one-sided READs over one RC QP,
+    ``qp``, whose send completions a dispatcher routes to the lanes.
 
     With a ``schema`` — a geometry-only view of the server's real table
     (hash functions and layout, never its data) — GETs traverse the
-    real buckets; without one they draw their probe count.
+    real table (``_get_full``); without one they READ at hashed
+    addresses over dummy bytes (``_get_emulated``).
     """
+
+    #: process-name prefix
+    NAME = ""
+    #: READ landing space per lane
+    SINK_BYTES = 4096
 
     def __init__(
         self,
         cid: int,
         device: RdmaDevice,
-        config: PilafConfig | PilafFullConfig,
+        config,  # the system's emulated or full config
         stream: WorkloadStream,
-        seed: int,
-        schema: Optional[CuckooTable],
+        schema,
     ) -> None:
         self.cid = cid
         self.device = device
@@ -128,41 +129,37 @@ class _PilafClientProcess:
         self.stream = stream
         self.schema = schema
         self._get = self._get_emulated if schema is None else self._get_full
-        self._rng = random.Random(seed)
         self.qp = None
         self.table_addr = self.table_rkey = self.table_bytes = 0
-        self.extents_addr = self.extents_rkey = self.extents_bytes = 0
-        self.sink = device.register_memory(config.window * 4096)
+        self.extents_addr = self.extents_rkey = 0
+        self.sink = device.register_memory(config.window * self.SINK_BYTES)
         self._staging = device.register_memory(config.window * 2048)
-        self.recv_mr = device.register_memory(2 * config.window * _RECV_SLOT)
-        #: per-lane completion mailboxes, fed by the dispatchers
+        #: per-lane READ completion mailboxes, fed by the dispatcher
         self._read_done = [Store(self.sim) for _ in range(config.window)]
-        self._resp_done = [Store(self.sim) for _ in range(config.window)]
         self.completed_hook = None
         self.gets = 0
         self.puts = 0
-        self.probes_issued = 0
         self.get_misses = 0
         self.wrong_values = 0
-        self.torn_reads = 0
 
     def start(self) -> None:
-        self.sim.process(self._dispatch_sends(), name="pilaf-c%d-scq" % self.cid)
-        self.sim.process(self._dispatch_recvs(), name="pilaf-c%d-rcq" % self.cid)
+        name = "%s-c%d-" % (self.NAME, self.cid)
+        for tag, cq, mailboxes in self._dispatchers():
+            self.sim.process(self._dispatch(cq, mailboxes), name=name + tag)
         for lane in range(self.config.window):
-            self.sim.process(self._lane(lane), name="pilaf-c%d-l%d" % (self.cid, lane))
+            self.sim.process(self._lane(lane), name=name + "l%d" % lane)
 
     # -- completion routing -------------------------------------------------
 
-    def _dispatch_sends(self) -> Generator[Event, None, None]:
-        while True:
-            cqe = yield self.qp.send_cq.pop()
-            self._read_done[cqe.wr_id].put(cqe)
+    def _dispatchers(self) -> list:
+        """(name tag, CQ, per-lane mailboxes) of each dispatcher."""
+        return [("scq", self.qp.send_cq, self._read_done)]
 
-    def _dispatch_recvs(self) -> Generator[Event, None, None]:
+    def _dispatch(self, cq, mailboxes: List[Store]) -> Generator[Event, None, None]:
+        window = self.config.window
         while True:
-            cqe = yield self.qp.recv_cq.pop()
-            self._resp_done[cqe.wr_id % self.config.window].put(cqe)
+            cqe = yield cq.pop()
+            mailboxes[cqe.wr_id % window].put(cqe)
 
     # -- operation lanes -------------------------------------------------------
 
@@ -188,11 +185,39 @@ class _PilafClientProcess:
         yield self._read_done[lane].get()
         yield self.sim.timeout(self.profile.cq_poll_ns)
 
+
+class _PilafClientProcess(KvClientProcess):
+    """A Pilaf client: READs, PUT SENDs and their replies all share the
+    one RC QP."""
+
+    NAME = "pilaf"
+
+    def __init__(
+        self,
+        cid: int,
+        device: RdmaDevice,
+        config: PilafConfig | PilafFullConfig,
+        stream: WorkloadStream,
+        seed: int,
+        schema: Optional[CuckooTable],
+    ) -> None:
+        super().__init__(cid, device, config, stream, schema)
+        self._rng = random.Random(seed)
+        self.extents_bytes = 0
+        self.recv_mr = device.register_memory(2 * config.window * _RECV_SLOT)
+        #: per-lane PUT reply mailboxes
+        self._resp_done = [Store(self.sim) for _ in range(config.window)]
+        self.probes_issued = 0
+        self.torn_reads = 0
+
+    def _dispatchers(self) -> list:
+        return super()._dispatchers() + [("rcq", self.qp.recv_cq, self._resp_done)]
+
     def _get_emulated(self, lane: int, op) -> Generator[Event, None, None]:
-        """1 or 2 bucket READs, averaging ``avg_probes``, then the value
-        READ — at hashed addresses over a table of dummy bytes."""
+        """1 or 2 bucket READs, averaging :data:`AVG_PROBES`, then the
+        value READ — at hashed addresses over a table of dummy bytes."""
         sink_off = lane * 4096
-        probes = 2 if self._rng.random() < self.config.avg_probes - 1.0 else 1
+        probes = 2 if self._rng.random() < AVG_PROBES - 1.0 else 1
         for probe in range(probes):
             bucket = hash_key(op.key, probe) % (self.table_bytes // BUCKET_BYTES)
             yield from self._read(
@@ -320,7 +345,7 @@ class PilafCluster(Testbed):
     STREAM_SEED = 7_919
     #: hash-table and extent sizes (addresses only; contents are dummy)
     TABLE_BYTES = 1 << 20
-    EXTENT_BYTES = 1 << 20
+    DUMMY_EXTENT_BYTES = 1 << 20
     #: the real table, in the full system
     table: Optional[CuckooTable] = None
 
@@ -347,7 +372,7 @@ class PilafCluster(Testbed):
 
     def _build_table(self) -> None:
         self.table_mr = self.server_device.register_memory(self.TABLE_BYTES)
-        self.extents_mr = self.server_device.register_memory(self.EXTENT_BYTES)
+        self.extents_mr = self.server_device.register_memory(self.DUMMY_EXTENT_BYTES)
 
     def _apply_put(self, key: bytes, value: bytes) -> Tuple[bytes, int]:
         """Emulated: no hash-table insert; reply immediately."""
@@ -412,7 +437,7 @@ class PilafFullCluster(PilafCluster):
         cfg = self.config
         n_buckets = 1 << (cfg.n_buckets - 1).bit_length()
         self.table_mr = self.server_device.register_memory(n_buckets * BUCKET_BYTES)
-        self.extents_mr = self.server_device.register_memory(cfg.extent_bytes)
+        self.extents_mr = self.server_device.register_memory(EXTENT_BYTES)
         self.table = CuckooTable(
             n_buckets=cfg.n_buckets,
             table_buffer=self.table_mr.buf,

@@ -276,7 +276,6 @@ def _overload_config(run: _Run) -> HerdConfig:
     if run.shedding:
         qos = QosConfig(
             queue_limit=32,
-            drop_policy="nack",
             codel_target_ns=4_000.0,
             codel_interval_ns=20_000.0,
             n_tenants=run.entry.tenants,

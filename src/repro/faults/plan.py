@@ -49,23 +49,6 @@ DEGRADE = "degrade"
 LINK_KINDS = (DROP, CORRUPT, DUPLICATE, DELAY, REORDER, DEGRADE)
 
 
-def _packet_kind_pool() -> tuple:
-    """Every wire packet kind a kind-targeted link rule can name.
-
-    Derived from :class:`repro.verbs.packets.PacketKind` at import time
-    so the pool can never silently go stale: the day a new packet kind
-    lands (as ``ATOMIC_REQ``/``ATOMIC_RESP`` did with the transaction
-    dataplanes), randomized and nemesis-generated plans can target it.
-    """
-    from repro.verbs.packets import PacketKind
-
-    return tuple(kind.value for kind in PacketKind)
-
-
-#: the randomized kind pool (see :func:`_packet_kind_pool`)
-RANDOMIZED_KIND_POOL = _packet_kind_pool()
-
-
 class _Rule:
     """Checks its fields on construction — by a builder, ``replace`` or
     :meth:`FaultPlan.from_dict` alike — NaN-safely.  An empty window
@@ -584,7 +567,6 @@ class FaultPlan:
         intensity: float = 1.0,
         crash: bool = True,
         rnr_machine: Optional[str] = None,
-        targeted_kinds: bool = False,
     ) -> "FaultPlan":
         """A seeded random chaos mix, all faults within ``horizon_ns``.
 
@@ -595,14 +577,8 @@ class FaultPlan:
         names a machine whose RECV ring intermittently runs dry — in
         HERD that must be a *client* machine (responses are the only
         SENDs on the wire; requests are WRITEs and need no RECV).
-
-        ``targeted_kinds=True`` additionally draws two packet kinds
-        from :data:`RANDOMIZED_KIND_POOL` — the full wire vocabulary,
-        including the transaction dataplanes' ``ATOMIC_REQ`` /
-        ``ATOMIC_RESP`` — and aims a windowed drop rule at each.  The
-        extra rules draw from their own named child stream, so the
-        classic mix above is byte-identical whether or not kind
-        targeting is on.
+        Drops aimed at one packet kind are the nemesis's move
+        (:mod:`repro.nemesis.schedule`).
         """
         if horizon_ns <= 0:
             raise ValueError("horizon_ns must be > 0")
@@ -641,15 +617,6 @@ class FaultPlan:
                 at_ns=at,
                 down_ns=u(0.1, 0.25) * horizon_ns,
             )
-        if targeted_kinds:
-            krng = child_rng(seed, "faults.randomized.kinds")
-            for kind in krng.sample(RANDOMIZED_KIND_POOL, 2):
-                plan.drop(
-                    rate=min(1.0, krng.uniform(0.01, 0.06) * scale),
-                    start_ns=krng.uniform(0.0, 0.4) * horizon_ns,
-                    end_ns=krng.uniform(0.6, 1.0) * horizon_ns,
-                    packet_kind=kind,
-                )
         return plan
 
     def clamped(self, end_ns: float) -> "FaultPlan":

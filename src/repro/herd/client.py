@@ -58,7 +58,7 @@ from repro.verbs import (
     WorkRequest,
 )
 from repro.workloads.ycsb import Operation, OpType, WorkloadStream
-from repro.herd.config import HerdConfig, route_key
+from repro.herd.config import SLOT_BYTES, HerdConfig, route_key
 from repro.herd.region import RequestRegion
 from repro.herd.wire import (
     FRAME_STATUS,
@@ -86,6 +86,12 @@ _RECV_SLOT = 40 + 2 + 1024
 #: retry timeout multiplier per attempt: exponential backoff keeps
 #: retry traffic from piling onto a struggling server
 RETRY_BACKOFF = 2.0
+
+#: the same for consecutive RESP_RETRY_AFTER nacks on one op
+#: (:mod:`repro.qos`), and how many of them the client takes before
+#: it rejects the op
+RETRY_AFTER_BACKOFF = 2.0
+RETRY_AFTER_BUDGET = 8
 
 #: deterministic jitter: each retry deadline is stretched by up to this
 #: fraction, drawn from the client's own named RNG stream, so retries
@@ -176,7 +182,7 @@ class HerdClientProcess:
         #: them, so no *other* op may restage there meanwhile — a retry
         #: restages the same bytes, and a window slot holds one live op
         self._staging = device.register_memory(
-            ns * config.window * config.slot_bytes
+            ns * config.window * SLOT_BYTES
         )
         self._recv_token = 0
         #: per-lane issue sequence; at most W requests per partition are
@@ -410,7 +416,7 @@ class HerdClientProcess:
         )
         region = self.ha_regions[replica] if self._ha else self.region
         slot_addr = region.slot_addr(server, self.client_id, window_slot)
-        raddr = slot_addr + self.config.slot_bytes - len(payload)
+        raddr = slot_addr + SLOT_BYTES - len(payload)
 
         # Atomic bookkeeping: the QP post, the posting-order mirror,
         # and (with retries) the pending record all land in one
@@ -590,7 +596,7 @@ class HerdClientProcess:
                 payload=record.payload, inline=True, signaled=False,
                 ah=self.dct_ah,
             )
-        offset = (record.server * cfg.window + record.window_slot) * cfg.slot_bytes
+        offset = (record.server * cfg.window + record.window_slot) * SLOT_BYTES
         self._staging.write(offset, record.payload)
         return uc_qp, WorkRequest.write(
             raddr=record.raddr, rkey=region.mr.rkey,
@@ -652,7 +658,7 @@ class HerdClientProcess:
         region = self.ha_regions[replica]
         record.raddr = (
             region.slot_addr(server, self.client_id, record.window_slot)
-            + self.config.slot_bytes
+            + SLOT_BYTES
             - len(record.payload)
         )
         now = self.sim.now
@@ -805,17 +811,14 @@ class HerdClientProcess:
         self._nack_pause_until = max(
             self._nack_pause_until, now + qos.retry_after_ns * jitter
         )
-        if (
-            qos.retry_after_budget is not None
-            and record.nacks >= qos.retry_after_budget
-        ):
+        if record.nacks >= RETRY_AFTER_BUDGET:
             self.rejected += 1
             self.abandoned += 1  # keeps the accounting identity closed
             self.outstanding -= 1
             self._slot_free[record.server].add(record.window_slot)
             return
         self._arm_recv(lane)
-        backoff = qos.retry_after_backoff ** (record.nacks - 1)
+        backoff = RETRY_AFTER_BACKOFF ** (record.nacks - 1)
         record.attempts = 0
         record.deadline = now + qos.retry_after_ns * backoff * jitter
         self._pending[record.server].append(record)

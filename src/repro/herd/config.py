@@ -8,6 +8,9 @@ from typing import TYPE_CHECKING, Optional
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.qos.config import QosConfig
 
+#: request slot size; the largest key-value item is 1 KB (Section 5.1)
+SLOT_BYTES = 1024
+
 
 @dataclass(frozen=True)
 class HerdConfig:
@@ -23,8 +26,6 @@ class HerdConfig:
     #: W: per-client window — outstanding requests a client may have
     #: at *each* server process (also the client's global window)
     window: int = 4
-    #: request slot size; the largest key-value item is 1 KB
-    slot_bytes: int = 1024
     #: MICA index entries per server process (the paper uses 64 Mi;
     #: scaled down by default to keep simulations light)
     index_entries: int = 2 ** 16
@@ -85,8 +86,6 @@ class HerdConfig:
                 "window must be within [1, 255] (the response's slot-id "
                 "byte identifies the window slot); got %r" % (self.window,)
             )
-        if self.slot_bytes < 32:
-            raise ValueError("slots must hold LEN + keyhash + some value")
         if self.index_entries < 1:
             raise ValueError("index_entries must be >= 1; got %r" % (self.index_entries,))
         if self.log_bytes < 1:
@@ -182,7 +181,7 @@ class HerdConfig:
 
     def region_bytes(self, n_clients: int) -> int:
         """Size of the request region for ``n_clients`` client processes."""
-        return self.n_server_processes * n_clients * self.window * self.slot_bytes
+        return self.n_server_processes * n_clients * self.window * SLOT_BYTES
 
 
 def partition_of(keyhash: bytes, n_partitions: int) -> int:

@@ -6,7 +6,7 @@ initializer process and mapped by every server process (the paper uses
 divided into per-server-process chunks, subdivided into per-client
 chunks of W slots::
 
-    slot(s, c, w)  at  (s * NC * W + c * W + w) * slot_bytes
+    slot(s, c, w)  at  (s * NC * W + c * W + w) * SLOT_BYTES
 
 Server process ``s``, having seen ``r`` requests from client ``c``,
 polls slot ``s*(W*NC) + c*W + (r mod W)`` — the formula from the paper.
@@ -25,7 +25,7 @@ from typing import List, Tuple
 
 from repro.sim import Simulator, Store
 from repro.verbs import MemoryRegion, RdmaDevice
-from repro.herd.config import HerdConfig
+from repro.herd.config import SLOT_BYTES, HerdConfig
 from repro.herd.wire import KEYHASH_BYTES, decode_request, framing_of
 
 
@@ -71,7 +71,7 @@ class RequestRegion:
         return server * (self.n_clients * cfg.window) + client * cfg.window + window_slot
 
     def slot_offset(self, server: int, client: int, window_slot: int) -> int:
-        return self.slot_index(server, client, window_slot) * self.config.slot_bytes
+        return self.slot_index(server, client, window_slot) * SLOT_BYTES
 
     def slot_addr(self, server: int, client: int, window_slot: int) -> int:
         """The remote virtual address clients WRITE to."""
@@ -79,7 +79,7 @@ class RequestRegion:
 
     def locate(self, offset: int) -> Tuple[int, int, int]:
         """Inverse of :meth:`slot_offset` for an arbitrary region offset."""
-        index = offset // self.config.slot_bytes
+        index = offset // SLOT_BYTES
         per_server = self.n_clients * self.config.window
         server, rest = divmod(index, per_server)
         client, window_slot = divmod(rest, self.config.window)
@@ -92,7 +92,7 @@ class RequestRegion:
         if the slot is free."""
         offset = self.slot_offset(server, client, window_slot)
         return decode_request(
-            self.mr.buf, self.framing, start=offset, end=offset + self.config.slot_bytes
+            self.mr.buf, self.framing, start=offset, end=offset + SLOT_BYTES
         )
 
     def clear_slot(self, server: int, client: int, window_slot: int) -> None:
@@ -100,7 +100,7 @@ class RequestRegion:
         request (the server does this after sending the response)."""
         offset = (
             self.slot_offset(server, client, window_slot)
-            + self.config.slot_bytes
+            + SLOT_BYTES
             - KEYHASH_BYTES
         )
         self.mr.write(offset, b"\x00" * KEYHASH_BYTES)
@@ -116,7 +116,7 @@ class RequestRegion:
         down are found the same way.
         """
         live: List[Tuple[int, int]] = []
-        keyhash_at = self.config.slot_bytes - KEYHASH_BYTES
+        keyhash_at = SLOT_BYTES - KEYHASH_BYTES
         for client in range(self.n_clients):
             for window_slot in range(self.config.window):
                 offset = self.slot_offset(server, client, window_slot)

@@ -316,22 +316,20 @@ class HerdServerProcess:
     ) -> Generator[Event, None, None]:
         """Shed one admitted-region request under overload.
 
-        ``nack`` policy answers with a prefix-only RESP_RETRY_AFTER so
-        the client backs off deliberately; ``drop`` sheds silently and
-        lets the client's retry timeout discover the loss.  Either way
-        the slot is cleared — the shed request is gone, and the
-        client's re-send lands as a fresh arrival.  Sheds are *not*
-        responses: they bypass ``completion_hook`` and the response
-        counter, so goodput accounting only sees served work.
+        The server answers with a prefix-only RESP_RETRY_AFTER so the
+        client backs off deliberately, then clears the slot — the shed
+        request is gone, and the client's re-send lands as a fresh
+        arrival.  Sheds are *not* responses: they bypass
+        ``completion_hook`` and the response counter, so goodput
+        accounting only sees served work.
         """
         self.shed += 1
-        if self.config.qos.drop_policy == "nack":
-            payload = frame_response(
-                self._framing, window_slot, req_epoch, RESP_RETRY_AFTER, b""
-            )
-            yield from self._respond(client, payload, epoch)
-            if self.epoch != epoch:
-                return
+        payload = frame_response(
+            self._framing, window_slot, req_epoch, RESP_RETRY_AFTER, b""
+        )
+        yield from self._respond(client, payload, epoch)
+        if self.epoch != epoch:
+            return
         self.region.clear_slot(self.index, client, window_slot)
 
     # -- replicated-partition serve path (repro.ha) --------------------

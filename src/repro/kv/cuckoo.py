@@ -21,7 +21,7 @@ from random import Random
 from typing import List, Optional, Tuple
 
 from repro.kv.hashing import hash_key
-from repro.kv.interface import KEY_BYTES, KeyValueStore, padded_key
+from repro.kv.interface import EXTENT_BYTES, KEY_BYTES, KeyValueStore, padded_key
 
 BUCKET_BYTES = 32
 #: bucket: 16-byte key, u32 extent pointer, u16 value length, u16 flags,
@@ -54,7 +54,7 @@ class CuckooTable(KeyValueStore):
     def __init__(
         self,
         n_buckets: int = 2 ** 14,
-        extent_bytes: int = 1 << 22,
+        extent_bytes: int = EXTENT_BYTES,
         seed: int = 0,
         table_buffer: bytearray = None,
         extent_buffer: bytearray = None,
@@ -255,6 +255,3 @@ class CuckooTable(KeyValueStore):
         if not self.total_gets:
             return 0.0
         return self.total_probes / self.total_gets
-
-    def load_factor(self) -> float:
-        return self.items / self.n_buckets

@@ -18,7 +18,7 @@ import struct
 import zlib
 from typing import Optional, Tuple
 
-from repro.kv.interface import KEY_BYTES, KeyValueStore, padded_key
+from repro.kv.interface import EXTENT_BYTES, KEY_BYTES, KeyValueStore, padded_key
 
 #: slot header: 16-byte key, u16 value length, u16 flags
 _SLOT_HEADER = struct.Struct("<16sHH")
@@ -43,7 +43,7 @@ class HopscotchTable(KeyValueStore):
         n_slots: int = 2 ** 14,
         value_capacity: int = 64,
         inline: bool = True,
-        extent_bytes: int = 1 << 22,
+        extent_bytes: int = EXTENT_BYTES,
         table_buffer: bytearray = None,
         extent_buffer: bytearray = None,
     ) -> None:

@@ -12,6 +12,9 @@ from typing import Optional
 
 #: key width of the fixed-slot tables (cuckoo, hopscotch)
 KEY_BYTES = 16
+#: default size of a fixed-slot table's value extents, and of the full
+#: Pilaf / FaRM servers' registered extent region
+EXTENT_BYTES = 1 << 22
 
 
 def padded_key(key: bytes) -> bytes:
@@ -42,6 +45,3 @@ class KeyValueStore(abc.ABC):
     @abc.abstractmethod
     def delete(self, key: bytes) -> bool:
         """Remove ``key``; True if it was present."""
-
-    def __contains__(self, key: bytes) -> bool:
-        return self.get(key) is not None

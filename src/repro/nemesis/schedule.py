@@ -20,8 +20,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
-from repro.faults.plan import RANDOMIZED_KIND_POOL, FaultPlan
+from repro.faults.plan import FaultPlan
 from repro.faults.rng import child_rng, derive_seed
+from repro.verbs.packets import PacketKind
+
+#: every wire packet kind a kind-aimed drop can name, derived from
+#: :class:`~repro.verbs.packets.PacketKind` so that a new kind (as
+#: ``ATOMIC_REQ`` / ``ATOMIC_RESP`` were, with the transaction
+#: dataplanes) is a target the day it lands
+RANDOMIZED_KIND_POOL = tuple(kind.value for kind in PacketKind)
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,13 @@ from repro.qos.config import QosConfig
 
 __all__ = ["TokenBucket", "PartitionAdmission", "QosRuntime"]
 
+#: token-bucket depth of a rate-capped tenant, in ops
+TENANT_BURST = 16.0
+#: backlog above which weighted fair admission engages
+FAIR_QUEUE_THRESHOLD = 4
+#: admitted-count slack before a tenant is shed for unfairness
+FAIR_SLACK = 4.0
+
 
 class TokenBucket:
     """A classic token bucket: ``rate`` tokens/ns, depth ``burst``."""
@@ -60,7 +67,7 @@ class QosRuntime:
                 rate = config.tenant_rates[tenant]
             # rates are configured in ops/us; buckets run in ops/ns
             self.buckets.append(
-                None if rate is None else TokenBucket(rate / 1000.0, config.tenant_burst)
+                None if rate is None else TokenBucket(rate / 1000.0, TENANT_BURST)
             )
         #: sheds by reason, cluster-wide
         self.shed: Dict[str, int] = {}
@@ -167,9 +174,9 @@ class PartitionAdmission:
             self._fair_start_ns = now
             self._fair_counts = [0] * cfg.n_tenants
             self._fair_total = 0
-        if backlog <= cfg.fair_queue_threshold:
+        if backlog <= FAIR_QUEUE_THRESHOLD:
             # no contention: fairness does not constrain admission
             return False
         weights = cfg.tenant_weights or (1.0,) * cfg.n_tenants
         share = weights[tenant] / sum(weights)
-        return self._fair_counts[tenant] + 1 > share * (self._fair_total + 1) + cfg.fair_slack
+        return self._fair_counts[tenant] + 1 > share * (self._fair_total + 1) + FAIR_SLACK

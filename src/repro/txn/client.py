@@ -176,8 +176,52 @@ class RpcChannel:
         return results
 
 
-class TxnClientProcess:
+class OneSidedClient:
+    """What a transaction client and a queue client share: ``start``,
+    and on the one-sided dataplane a dispatcher that hands ``rc_qp``'s
+    send completions to :meth:`_await_cqes`, and :meth:`_cas`, whose
+    old value lands at ``sink[_atomic_off:+8]``.
+
+    A subclass names its processes (``NAME``) and wires either ``rpc``
+    or ``rc_qp``, ``sink``, ``_atomic_off`` and ``_cq_inbox``.
+    """
+
+    NAME = ""
+
+    def start(self) -> None:
+        if self.rpc is not None:
+            self.rpc.start()
+        else:
+            self.sim.process(
+                self._dispatch_cqes(), name="%s-c%d-scq" % (self.NAME, self.cid)
+            )
+        self.sim.process(self.run(), name="%s-c%d" % (self.NAME, self.cid))
+
+    def _dispatch_cqes(self) -> Generator[Event, None, None]:
+        while True:
+            cqe = yield self.rc_qp.send_cq.pop()
+            self._cq_inbox.put(cqe)
+
+    def _await_cqes(self, n: int) -> Generator[Event, None, None]:
+        for _ in range(n):
+            yield self._cq_inbox.get()
+        yield self.sim.timeout(self.profile.cq_poll_ns)
+
+    def _cas(self, raddr: int, rkey: int, compare: int, swap: int
+             ) -> Generator[Event, None, int]:
+        wr = WorkRequest.cmp_swap(
+            raddr=raddr, rkey=rkey, compare=compare, swap=swap,
+            local=(self.sink, self._atomic_off, 8),
+        )
+        yield from self.device.post_send_timed(self.rc_qp, wr)
+        yield from self._await_cqes(1)
+        return int.from_bytes(self.sink.read(self._atomic_off, 8), "little")
+
+
+class TxnClientProcess(OneSidedClient):
     """One closed-loop transaction client, on either dataplane."""
+
+    NAME = "txn"
 
     def __init__(
         self,
@@ -226,25 +270,6 @@ class TxnClientProcess:
             self._staging: Optional[StagingRing] = None
             if slot > self.profile.max_inline:
                 self._staging = StagingRing(device, cfg.keys_per_txn * slot)
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def start(self) -> None:
-        if self.rpc is not None:
-            self.rpc.start()
-        else:
-            self.sim.process(self._dispatch_cqes(), name="txn-c%d-scq" % self.cid)
-        self.sim.process(self.run(), name="txn-c%d" % self.cid)
-
-    def _dispatch_cqes(self) -> Generator[Event, None, None]:
-        while True:
-            cqe = yield self.rc_qp.send_cq.pop()
-            self._cq_inbox.put(cqe)
-
-    def _await_cqes(self, n: int) -> Generator[Event, None, None]:
-        for _ in range(n):
-            yield self._cq_inbox.get()
-        yield self.sim.timeout(self.profile.cq_poll_ns)
 
     # -- workload ----------------------------------------------------------
 
@@ -460,16 +485,6 @@ class TxnClientProcess:
             yield from self.device.post_send_timed(self.rc_qp, wr)
         yield from self._await_cqes(1)
         return True, reads, wvals
-
-    def _cas(self, raddr: int, rkey: int, compare: int, swap: int
-             ) -> Generator[Event, None, int]:
-        wr = WorkRequest.cmp_swap(
-            raddr=raddr, rkey=rkey, compare=compare, swap=swap,
-            local=(self.sink, self._atomic_off, 8),
-        )
-        yield from self.device.post_send_timed(self.rc_qp, wr)
-        yield from self._await_cqes(1)
-        return int.from_bytes(self.sink.read(self._atomic_off, 8), "little")
 
     def _validate(self, ordered: List[int], versions: Dict[int, int],
                   owner: int, wkeys: frozenset

@@ -37,7 +37,7 @@ from repro.hw import APT, HardwareProfile
 from repro.sim import Event, LatencyRecorder, RateMeter, Store
 from repro.txn import wire
 from repro.txn.cluster import DATAPLANES
-from repro.txn.client import RpcChannel
+from repro.txn.client import OneSidedClient, RpcChannel
 from repro.txn.server import TxnServerProcess
 from repro.txn.store import TxnPartitionStore
 from repro.verbs import QueuePair, RdmaDevice, Testbed, Transport, WorkRequest
@@ -106,8 +106,10 @@ class QueueReport:
         )
 
 
-class _QueueClient:
+class _QueueClient(OneSidedClient):
     """One closed-loop queue client, on either dataplane."""
+
+    NAME = "q"
 
     def __init__(self, cid: int, device: RdmaDevice, config: QueueConfig, rng) -> None:
         self.cid = cid
@@ -128,25 +130,10 @@ class _QueueClient:
         self.rc_qp: Optional[QueuePair] = None
         self.ring_addr = 0
         self.ring_rkey = 0
+        #: READs land at 0, atomics' old values at 32
         self.sink = device.register_memory(64)
+        self._atomic_off = 32
         self._cq_inbox: Store = Store(self.sim)
-
-    def start(self) -> None:
-        if self.rpc is not None:
-            self.rpc.start()
-        else:
-            self.sim.process(self._dispatch_cqes(), name="q-c%d-scq" % self.cid)
-        self.sim.process(self.run(), name="q-c%d" % self.cid)
-
-    def _dispatch_cqes(self) -> Generator[Event, None, None]:
-        while True:
-            cqe = yield self.rc_qp.send_cq.pop()
-            self._cq_inbox.put(cqe)
-
-    def _await_cqes(self, n: int) -> Generator[Event, None, None]:
-        for _ in range(n):
-            yield self._cq_inbox.get()
-        yield self.sim.timeout(self.profile.cq_poll_ns)
 
     def run(self) -> Generator[Event, None, None]:
         cfg = self.config
@@ -204,22 +191,14 @@ class _QueueClient:
         yield from self._await_cqes(1)
         return self.sink.read(0, length)
 
-    def _cas(self, raddr: int, compare: int, swap: int) -> Generator[Event, None, int]:
-        wr = WorkRequest.cmp_swap(
-            raddr=raddr, rkey=self.ring_rkey, compare=compare, swap=swap,
-            local=(self.sink, 32, 8),
-        )
-        yield from self.device.post_send_timed(self.rc_qp, wr)
-        yield from self._await_cqes(1)
-        return int.from_bytes(self.sink.read(32, 8), "little")
-
     def _faa(self, raddr: int, add: int) -> Generator[Event, None, int]:
         wr = WorkRequest.fetch_add(
-            raddr=raddr, rkey=self.ring_rkey, add=add, local=(self.sink, 32, 8)
+            raddr=raddr, rkey=self.ring_rkey, add=add,
+            local=(self.sink, self._atomic_off, 8),
         )
         yield from self.device.post_send_timed(self.rc_qp, wr)
         yield from self._await_cqes(1)
-        return int.from_bytes(self.sink.read(32, 8), "little")
+        return int.from_bytes(self.sink.read(self._atomic_off, 8), "little")
 
     def _enqueue_onesided(self, item: int) -> Generator[Event, None, None]:
         cfg = self.config
@@ -231,7 +210,7 @@ class _QueueClient:
                 raw = yield from self._read(self.ring_addr + TAIL_OFF, 8)
                 tail = _U64.unpack(raw)[0]
                 original = yield from self._cas(
-                    self.ring_addr + TAIL_OFF, tail, tail + 1
+                    self.ring_addr + TAIL_OFF, self.ring_rkey, tail, tail + 1
                 )
                 if original == tail:
                     ticket = tail
@@ -267,7 +246,9 @@ class _QueueClient:
                     cfg.backoff_ns * (0.5 + self.rng.random())
                 )
                 continue
-            original = yield from self._cas(self.ring_addr + HEAD_OFF, head, head + 1)
+            original = yield from self._cas(
+                self.ring_addr + HEAD_OFF, self.ring_rkey, head, head + 1
+            )
             if original != head:
                 self.deq_retries += 1
                 yield self.sim.timeout(

@@ -129,8 +129,8 @@ class Workload:
     get_fraction: float = 0.95
     value_size: int = 32
     n_keys: int = 1 << 20
-    distribution: str = "uniform"   # "uniform" | "zipfian"
-    zipf_theta: float = 0.99
+    #: "uniform", or "zipfian": Zipf(``ZIPF_THETA``) ranks, scrambled
+    distribution: str = "uniform"
 
     READ_INTENSIVE = 0.95
     WRITE_INTENSIVE = 0.50
@@ -177,9 +177,7 @@ class WorkloadStream:
     happen in exactly the order the scalar path would make them (so a
     trace is bit-for-bit reproducible from the seed), but the keyhash
     and value synthesis run over the whole batch at once
-    (:func:`_lane_keys`).  Mixing direct :meth:`next_item` calls
-    *between* :meth:`next_op` calls on the same uniform stream is
-    unsupported: the batch pre-draws from the shared RNG.
+    (:func:`_lane_keys`).
     """
 
     #: ops synthesised per refill; large enough to amortise the lane
@@ -194,17 +192,10 @@ class WorkloadStream:
         self._rng = random.Random(mix64(seed ^ 0xC0FFEE))
         self._zipf: Optional[ZipfianGenerator] = None
         if workload.distribution == "zipfian":
-            self._zipf = ZipfianGenerator(
-                workload.n_keys, theta=workload.zipf_theta, seed=seed, scrambled=True
-            )
+            self._zipf = ZipfianGenerator(workload.n_keys, seed=seed)
         self.generated = 0
         self._ops: Deque[Operation] = deque()
         self.BATCH = min(self.BATCH, _BATCH_VALUE_BYTES // max(1, workload.value_size))
-
-    def next_item(self) -> int:
-        if self._zipf is not None:
-            return self._zipf.next_item()
-        return self._rng.randrange(self.workload.n_keys)
 
     def next_op(self) -> Operation:
         """The next operation in this client's trace."""

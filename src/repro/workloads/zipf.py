@@ -25,6 +25,9 @@ from repro.kv.hashing import from_lanes, mix64, mix64_lanes, to_lanes
 
 #: terms per pairwise-summed chunk of :func:`zeta`
 _ZETA_CHUNK = 10_000_000
+#: the skew of every Zipfian workload: YCSB's default, the paper's
+#: Section 5.2
+ZIPF_THETA = 0.99
 
 
 @lru_cache(maxsize=64)
@@ -50,22 +53,16 @@ def zeta(n: int, theta: float) -> float:
 
 
 class ZipfianGenerator:
-    """Draw ranks in ``[0, n)`` with P(rank) proportional to 1/(rank+1)^theta."""
+    """Draw ranks in ``[0, n)`` with P(rank) proportional to
+    1/(rank+1)^theta; items are the ranks scrambled over the keyspace."""
 
-    def __init__(
-        self,
-        n: int,
-        theta: float = 0.99,
-        seed: int = 0,
-        scrambled: bool = True,
-    ) -> None:
+    def __init__(self, n: int, theta: float = ZIPF_THETA, seed: int = 0) -> None:
         if n < 2:
             raise ValueError("need at least two items")
         if not 0.0 < theta < 1.0:
             raise ValueError("theta must be in (0, 1) for this sampler")
         self.n = n
         self.theta = theta
-        self.scrambled = scrambled
         self._rng = random.Random(seed)
         self._zetan = zeta(n, theta)
         self._zeta2 = zeta(2, theta)
@@ -84,11 +81,8 @@ class ZipfianGenerator:
         return int(self.n * (self._eta * u - self._eta + 1.0) ** self._alpha)
 
     def next_item(self) -> int:
-        """An item id: the rank, scrambled over the keyspace if enabled."""
-        rank = self.next_rank()
-        if not self.scrambled:
-            return rank
-        return mix64(rank) % self.n
+        """An item id: the rank, scrambled over the keyspace."""
+        return mix64(self.next_rank()) % self.n
 
     def next_items(self, count: int) -> List[int]:
         """``count`` consecutive :meth:`next_item` draws, batched.
@@ -115,8 +109,6 @@ class ZipfianGenerator:
                 ranks[i] = 1
             else:
                 ranks[i] = int(n * (eta * u - eta + 1.0) ** alpha)
-        if not self.scrambled:
-            return ranks
         mixed = from_lanes(mix64_lanes(to_lanes(ranks), count), count)
         return [m % n for m in mixed]
 

@@ -181,21 +181,18 @@ def test_emulated_systems_put_faster_than_get():
 AT_LEAST_ONE = (1, float("inf"))
 #: config -> field -> the closed range it accepts
 BOUNDS = {
-    PilafConfig: {
-        "value_bytes": AT_LEAST_ONE,
-        "avg_probes": (1.0, 2.0),  # a GET probes 1 or 2 buckets
-        "window": AT_LEAST_ONE,
-        "n_server_processes": AT_LEAST_ONE,
-    },
+    PilafConfig: dict.fromkeys(
+        ["value_bytes", "window", "n_server_processes"], AT_LEAST_ONE
+    ),
     PilafFullConfig: dict.fromkeys(
-        ["value_bytes", "n_buckets", "extent_bytes", "window", "n_server_processes"],
+        ["value_bytes", "n_buckets", "window", "n_server_processes"],
         AT_LEAST_ONE,
     ),
     FarmConfig: dict.fromkeys(
         ["value_bytes", "window", "n_server_processes"], AT_LEAST_ONE
     ),
     FarmFullConfig: dict.fromkeys(
-        ["value_bytes", "n_slots", "extent_bytes", "window", "n_server_processes"],
+        ["value_bytes", "n_slots", "window", "n_server_processes"],
         AT_LEAST_ONE,
     ),
 }
@@ -211,7 +208,7 @@ def test_baseline_configs_accept_exactly_their_ranges(case, value):
     """Each field accepts exactly its range; anything else — NaN
     included — fails at construction, naming the field, instead of deep
     in the wiring (window 0: a zero-length MR; no server process: a
-    ZeroDivisionError) or silently (avg_probes 3.0 ran and reported 2.4)."""
+    ZeroDivisionError)."""
     cls, field = case
     lo, hi = BOUNDS[cls][field]
     if lo <= value <= hi:
@@ -225,8 +222,6 @@ def test_baseline_configs_accept_exactly_their_ranges(case, value):
     "cls,config",
     [
         (PilafCluster, PilafConfig(value_bytes=1, window=1, n_server_processes=1)),
-        (PilafCluster, PilafConfig(avg_probes=1.0)),
-        (PilafCluster, PilafConfig(avg_probes=2.0)),
         (FarmCluster, FarmConfig(value_bytes=1, window=1, n_server_processes=1)),
         (
             PilafFullCluster,

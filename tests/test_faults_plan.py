@@ -5,8 +5,9 @@ from dataclasses import replace
 import pytest
 
 from repro.faults import FaultPlan, child_rng, derive_seed
-from repro.faults.plan import DROP, RANDOMIZED_KIND_POOL
+from repro.faults.plan import DROP
 from repro.herd import HerdConfig
+from repro.nemesis.schedule import RANDOMIZED_KIND_POOL, generate
 
 
 # ---------------------------------------------------------------------------
@@ -227,39 +228,20 @@ def test_plan_with_only_flap_records_is_not_empty():
 
 
 def test_randomized_kind_pool_covers_the_full_wire_vocabulary():
-    """Satellite pin: the pool the nemesis and targeted chaos draw from
-    includes the transaction dataplanes' atomic packets."""
+    """The pool the nemesis's kind-aimed drops draw from includes the
+    transaction dataplanes' atomic packets."""
     assert RANDOMIZED_KIND_POOL == (
         "WRITE", "SEND", "READ_REQ", "READ_RESP", "ACK",
         "ATOMIC_REQ", "ATOMIC_RESP",
     )
 
 
-def test_targeted_kinds_draw_from_their_own_stream():
-    """targeted_kinds=True appends kind-aimed drops after a shared
-    prefix that is byte-identical to the classic mix."""
-    base = FaultPlan.randomized(9, 100_000.0, n_server_processes=2)
-    targeted = FaultPlan.randomized(
-        9, 100_000.0, n_server_processes=2, targeted_kinds=True
-    )
-    n = len(base.link_rules)
-    assert targeted.link_rules[:n] == base.link_rules
-    assert targeted.nic_stalls == base.nic_stalls
-    assert targeted.crashes == base.crashes
-    extra = targeted.link_rules[n:]
-    assert len(extra) == 2
-    assert all(r.packet_kind in RANDOMIZED_KIND_POOL for r in extra)
-    assert all(r.kind == DROP for r in extra)
-
-
-def test_targeted_kinds_can_aim_at_atomics():
-    # Seed pin: this draw includes an atomic packet kind, proving the
-    # pool extension is reachable (not just declared).
-    plan = FaultPlan.randomized(
-        1, 100_000.0, n_server_processes=2, targeted_kinds=True
-    )
+def test_nemesis_kind_drops_can_aim_at_atomics():
+    # Seed pin: this schedule's kind-aimed drops hit both atomic packet
+    # kinds, proving the pool extension is reachable (not just declared).
+    plan = generate(25, "txn-onesided").plan
     kinds = {r.packet_kind for r in plan.link_rules if r.packet_kind}
-    assert "ATOMIC_REQ" in kinds
+    assert {"ATOMIC_REQ", "ATOMIC_RESP"} <= kinds
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +264,6 @@ def test_retry_timeout_accepts_none_and_rejects_nonpositive():
         dict(n_server_processes=0),
         dict(window=0),
         dict(window=256),  # the slot-id byte caps the window at 255
-        dict(slot_bytes=16),
         dict(index_entries=0),
         dict(log_bytes=0),
         dict(request_transport="RC"),
@@ -293,6 +274,7 @@ def test_retry_timeout_accepts_none_and_rejects_nonpositive():
         dict(ack_policy="quorum"),
         dict(lease_us=0.0),
         dict(heartbeat_us=0.0),
+        dict(lease_us=2.0, heartbeat_us=1.0),  # one lost heartbeat = failover
     ],
 )
 def test_config_rejects_invalid_numeric_fields(kwargs):

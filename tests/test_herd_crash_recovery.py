@@ -4,7 +4,7 @@ import pytest
 
 from repro.faults import FaultPlan
 from repro.herd import HerdCluster, HerdConfig
-from repro.herd.config import partition_of
+from repro.herd.config import SLOT_BYTES, partition_of
 from repro.herd.wire import FRAME_EPOCH, encode_put
 from repro.workloads import Workload
 from repro.workloads.ycsb import keyhash, value_for
@@ -38,7 +38,7 @@ def test_scan_partition_finds_live_slots_only():
     assert region.scan_partition(0) == []
     # Plant a request exactly as a client WRITE would leave it.
     payload = encode_put(keyhash(5), b"v" * 8, FRAME_EPOCH, epoch=1)
-    offset = region.slot_offset(0, 2, 1) + cluster.config.slot_bytes - len(payload)
+    offset = region.slot_offset(0, 2, 1) + SLOT_BYTES - len(payload)
     region.mr.write(offset, payload)
     assert region.scan_partition(0) == [(2, 1)]
     assert region.scan_partition(1) == []  # other partition untouched

@@ -5,6 +5,7 @@ import mmap
 import pytest
 
 from repro.herd import HerdConfig, RequestRegion, partition_of
+from repro.herd.config import SLOT_BYTES
 from repro.herd.wire import (
     FRAME_EPOCH,
     FRAME_PLAIN,
@@ -212,12 +213,12 @@ def test_clear_slot_zeroes_only_keyhash():
     _sim, region, cfg = make_region()
     offset = region.slot_offset(0, 1, 1)
     payload = encode_put(KH, b"data")
-    region.mr.write(offset + cfg.slot_bytes - len(payload), payload)
+    region.mr.write(offset + SLOT_BYTES - len(payload), payload)
     assert region.read_slot(0, 1, 1) is not None
     region.clear_slot(0, 1, 1)
     assert region.read_slot(0, 1, 1) is None
     # The value bytes are untouched; only the keyhash was zeroed.
-    tail = region.mr.read(offset + cfg.slot_bytes - len(payload), 4)
+    tail = region.mr.read(offset + SLOT_BYTES - len(payload), 4)
     assert tail == b"data"
 
 
@@ -245,5 +246,3 @@ def test_config_validation():
         HerdConfig(n_server_processes=0)
     with pytest.raises(ValueError):
         HerdConfig(window=0)
-    with pytest.raises(ValueError):
-        HerdConfig(slot_bytes=8)

@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from repro.faults import FaultPlan
 from repro.faults.rng import derive_seed
 from repro.nemesis import (
     DATAPLANE_NAMES,
@@ -117,8 +118,6 @@ def test_schedule_from_dict_rejects_unknown_dataplanes():
 
 
 def test_atoms_fold_flap_sugar_and_round_trip():
-    from repro.faults import FaultPlan
-
     plan = (
         FaultPlan(seed=3)
         .drop(rate=0.1, end_ns=50.0)
@@ -217,6 +216,47 @@ def test_shrink_refuses_a_passing_schedule():
     schedule = generate(seed=7, dataplane="herd")
     with pytest.raises(ValueError, match="does not fail"):
         shrink_schedule(schedule)
+
+
+def _dropped_send_with_company(result):
+    """Planted: fails iff a SEND was dropped (the plan's only drop rule
+    aims at SENDs) and a NIC stall, a QP error and an RNR drop fired."""
+    counts = result.report.fault_counts
+    if all(counts.get(k) for k in ("link.drop", "nic_stall", "qp_error", "rnr_drop")):
+        return ["planted oracle: a SEND dropped with a stall, a QP error and RNR"]
+    return []
+
+
+def test_shrink_narrows_every_surviving_atom_in_time():
+    """Four load-bearing atoms survive ddmin, so the 1-minimality sweep
+    runs over several atoms; window halving then tightens the SEND drop
+    window, the RNR window, the stall and the QP error's downtime."""
+    plan = (
+        FaultPlan(seed=99)
+        .corrupt(rate=0.02, start_ns=10_000.0, end_ns=30_000.0)
+        .drop(rate=1.0, start_ns=40_000.0, end_ns=44_000.0, packet_kind="SEND")
+        .delay(2_000.0, rate=0.1, start_ns=20_000.0, end_ns=60_000.0)
+        .nic_stall("server", engine="ingress", at_ns=70_000.0, duration_ns=4_000.0)
+        .qp_error("cm1", qpn=1, at_ns=30_000.0, recover_after_ns=4_000.0)
+        .rnr("cm2", rate=0.5, start_ns=60_000.0, end_ns=76_000.0)
+    )
+    schedule = Schedule(seed=5, dataplane="herd", plan=plan)
+    oracles = [_dropped_send_with_company]
+    shrunk = shrink_schedule(schedule, oracles)
+    assert shrunk.minimal and shrunk.violations
+    atoms = dict(atoms_of(shrunk.schedule.plan))
+    assert sorted(atoms) == ["link", "qp", "rnr", "stall"]
+    link = atoms["link"]
+    assert link.packet_kind == "SEND"
+    assert 40_000.0 <= link.start_ns < link.end_ns <= 44_000.0
+    assert link.end_ns - link.start_ns <= 4_000.0 / 2
+    assert atoms["rnr"].end_ns - atoms["rnr"].start_ns <= 16_000.0 / 2
+    assert atoms["stall"].duration_ns <= 4_000.0 / 2
+    assert atoms["qp"].recover_after_ns <= 4_000.0 / 2
+    # the shrunk schedule still fails, and replays byte-identically
+    replayed = run_schedule(shrunk.schedule, oracles)
+    assert replayed.violations == shrunk.violations
+    assert replayed.fingerprint == shrunk.fingerprint
 
 
 def test_artifact_round_trip_and_byte_identical_replay(planted_shrunk, tmp_path):

@@ -2,7 +2,10 @@
 
 import pytest
 
+import repro.qos.admission as admission
 from repro.qos import PartitionAdmission, QosConfig, QosRuntime, TokenBucket
+
+NAN = float("nan")
 
 
 # ---------------------------------------------------------------------------
@@ -13,28 +16,30 @@ from repro.qos import PartitionAdmission, QosConfig, QosRuntime, TokenBucket
 def test_config_defaults_validate():
     cfg = QosConfig()
     assert cfg.queue_limit == 24
-    assert cfg.drop_policy == "nack"
 
 
 @pytest.mark.parametrize(
     "kwargs",
     [
         {"queue_limit": 0},
-        {"drop_policy": "reset"},
         {"codel_target_ns": 0.0},
         {"codel_interval_ns": -1.0},
         {"n_tenants": 0},
         {"n_tenants": 2, "tenant_rates": (1.0,)},
         {"n_tenants": 1, "tenant_rates": (0.0,)},
-        {"tenant_burst": 0.0},
         {"n_tenants": 2, "tenant_weights": (1.0,)},
         {"n_tenants": 2, "tenant_weights": (1.0, 0.0)},
-        {"fair_queue_threshold": -1},
-        {"fair_slack": -0.5},
         {"retry_after_ns": 0.0},
-        {"retry_after_backoff": 0.5},
-        {"retry_after_budget": 0},
         {"qp_pool": 0},
+        # NaN fails every bound
+        {"queue_limit": NAN},
+        {"codel_target_ns": NAN},
+        {"codel_interval_ns": NAN},
+        {"n_tenants": NAN},
+        {"n_tenants": 1, "tenant_rates": (NAN,)},
+        {"n_tenants": 2, "tenant_weights": (1.0, NAN)},
+        {"retry_after_ns": NAN},
+        {"qp_pool": NAN},
     ],
 )
 def test_config_rejects_bad_knobs(kwargs):
@@ -141,12 +146,12 @@ def test_queue_limit_tail_drops():
     assert part.on_request(0, now=1.0, sojourn_ns=0.0, backlog=9) == "overflow"
 
 
-def test_tenant_quota_throttles_only_the_capped_tenant():
+def test_tenant_quota_throttles_only_the_capped_tenant(monkeypatch):
+    monkeypatch.setattr(admission, "TENANT_BURST", 2.0)
     part = _partition(
         codel_target_ns=None,
         n_tenants=2,
         tenant_rates=(None, 1.0),  # tenant 1 capped at 1 op/us
-        tenant_burst=2.0,
     )
     # tenant 1 (odd clients) blows through its bucket
     verdicts = [part.on_request(1, now=10.0 * i, sojourn_ns=0.0, backlog=1)
@@ -162,13 +167,12 @@ def test_tenant_quota_throttles_only_the_capped_tenant():
     assert runtime.tenants[0][1] == 0  # tenant 0 never shed
 
 
-def test_fair_admission_caps_share_under_backlog():
+def test_fair_admission_caps_share_under_backlog(monkeypatch):
+    monkeypatch.setattr(admission, "FAIR_SLACK", 2.0)
     part = _partition(
         codel_target_ns=None,
         n_tenants=2,
         tenant_weights=(1.0, 1.0),
-        fair_queue_threshold=4,
-        fair_slack=2.0,
     )
     # all traffic from tenant 0 while a backlog exists: its share is
     # capped at weight/total + slack, the rest sheds as "fairness"
@@ -184,9 +188,8 @@ def test_fairness_idle_when_no_contention():
         codel_target_ns=None,
         n_tenants=2,
         tenant_weights=(1.0, 1.0),
-        fair_queue_threshold=4,
     )
-    # backlog at/below the threshold: one tenant may take everything
+    # backlog at/below the threshold (FAIR_QUEUE_THRESHOLD = 4): one tenant may take everything
     assert all(
         part.on_request(0, now=1.0 * i, sojourn_ns=0.0, backlog=4) is None
         for i in range(40)

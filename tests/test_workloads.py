@@ -144,13 +144,13 @@ def test_zipf_validation():
 
 
 def test_zipf_rank_zero_is_most_popular():
-    gen = ZipfianGenerator(100_000, theta=0.99, seed=3, scrambled=False)
+    gen = ZipfianGenerator(100_000, theta=0.99, seed=3)
     counts = collections.Counter(gen.next_rank() for _ in range(50_000))
     assert counts[0] > counts.get(10, 0) > counts.get(1000, 0)
 
 
 def test_zipf_matches_analytic_head_probabilities():
-    gen = ZipfianGenerator(10_000, theta=0.99, seed=4, scrambled=False)
+    gen = ZipfianGenerator(10_000, theta=0.99, seed=4)
     n = 200_000
     counts = collections.Counter(gen.next_rank() for _ in range(n))
     # Gray's sampler is exact for ranks 0 and 1 and approximates the
@@ -175,19 +175,19 @@ def test_zipf_hot_key_dominates_average_as_in_section_5_7():
 def test_scrambling_spreads_hot_ranks_across_partitions():
     """Section 5.7: with 6 partitions, skewed load spreads well —
     the most loaded partition stays within ~1.5x of the least."""
-    gen = ZipfianGenerator(1 << 20, theta=0.99, seed=5, scrambled=True)
+    gen = ZipfianGenerator(1 << 20, theta=0.99, seed=5)
     loads = collections.Counter(gen.next_item() % 6 for _ in range(60_000))
     most, least = max(loads.values()), min(loads.values())
     assert most / least < 1.6
 
 
 def test_unscrambled_ranks_stay_in_range():
-    gen = ZipfianGenerator(1000, seed=6, scrambled=False)
+    gen = ZipfianGenerator(1000, seed=6)
     assert all(0 <= gen.next_rank() < 1000 for _ in range(10_000))
 
 
 def test_scrambled_items_stay_in_range():
-    gen = ZipfianGenerator(1000, seed=7, scrambled=True)
+    gen = ZipfianGenerator(1000, seed=7)
     assert all(0 <= gen.next_item() < 1000 for _ in range(10_000))
 
 
@@ -207,9 +207,7 @@ def _scalar_ops(workload, seed, count):
     rng = _random.Random(mix64(seed ^ 0xC0FFEE))
     zipf = None
     if workload.distribution == "zipfian":
-        zipf = ZipfianGenerator(
-            workload.n_keys, theta=workload.zipf_theta, seed=seed, scrambled=True
-        )
+        zipf = ZipfianGenerator(workload.n_keys, seed=seed)
     ops = []
     for _ in range(count):
         item = zipf.next_item() if zipf is not None else rng.randrange(workload.n_keys)
@@ -254,8 +252,8 @@ def test_batch_size_does_not_change_the_trace():
 
 
 def test_zipf_next_items_matches_scalar_draws():
-    a = ZipfianGenerator(4096, theta=0.99, seed=13, scrambled=True)
-    b = ZipfianGenerator(4096, theta=0.99, seed=13, scrambled=True)
+    a = ZipfianGenerator(4096, theta=0.99, seed=13)
+    b = ZipfianGenerator(4096, theta=0.99, seed=13)
     assert a.next_items(500) == [b.next_item() for _ in range(500)]
     # and the RNG streams stay aligned afterwards
     assert a.next_item() == b.next_item()
@@ -334,7 +332,7 @@ def test_zeta_is_computed_once_per_n_and_theta(monkeypatch):
 
     monkeypatch.setattr(zipf, "_pairwise_sum", counting)
     zipf.zeta.cache_clear()
-    workload = Workload(n_keys=5003, distribution="zipfian", zipf_theta=0.9)
+    workload = Workload(n_keys=5003, distribution="zipfian")
     streams = [workload.stream(seed) for seed in range(51)]
     assert summed == {5003: 1, 2: 1}
     assert len({s._zipf._zetan for s in streams}) == 1
