@@ -8,16 +8,15 @@ its peak at client counts where the hybrid has already declined.
 
 from repro.bench.report import FigureData, Series, format_figure
 from repro.bench.figures import run_herd
-from repro.herd import HerdConfig
-from repro.herd.ud_variant import SendSendHerdCluster
+from repro.herd import HerdCluster, HerdConfig
 from repro.workloads import Workload
 
 CLIENT_COUNTS = (51, 260, 460)
 
 
 def run_send_send(n_clients: int) -> float:
-    cluster = SendSendHerdCluster(
-        HerdConfig(n_server_processes=6),
+    cluster = HerdCluster(
+        HerdConfig(n_server_processes=6, request_transport="UD"),
         n_client_machines=max(17, n_clients // 5),
     )
     cluster.add_clients(

@@ -15,13 +15,12 @@ Run:  python examples/future_transports.py
 """
 
 from repro.herd import HerdCluster, HerdConfig
-from repro.herd.ud_variant import SendSendHerdCluster
 from repro.workloads import Workload
 
 WORKLOAD = dict(get_fraction=0.95, value_size=32, n_keys=1 << 12)
 
 
-def run_write_based(n_clients: int, transport: str) -> float:
+def run_herd(n_clients: int, transport: str) -> float:
     cluster = HerdCluster(
         HerdConfig(n_server_processes=6, request_transport=transport),
         n_client_machines=max(17, n_clients // 5),
@@ -32,28 +31,18 @@ def run_write_based(n_clients: int, transport: str) -> float:
     return cluster.run(measure_ns=120_000).mops
 
 
-def run_send_send(n_clients: int) -> float:
-    cluster = SendSendHerdCluster(
-        HerdConfig(n_server_processes=6),
-        n_client_machines=max(17, n_clients // 5),
-    )
-    cluster.add_clients(n_clients, Workload(**WORKLOAD))
-    cluster.preload(range(1 << 12), 32)
-    return cluster.run(measure_ns=120_000).mops
-
-
 def main() -> None:
     designs = [
-        ("WRITE/SEND over UC (the paper's HERD)", lambda n: run_write_based(n, "UC")),
-        ("SEND/SEND over UD  (Section 5.5)", run_send_send),
-        ("WRITE/SEND over DC (Connect-IB)", lambda n: run_write_based(n, "DC")),
+        ("WRITE/SEND over UC (the paper's HERD)", "UC"),
+        ("SEND/SEND over UD  (Section 5.5)", "UD"),
+        ("WRITE/SEND over DC (Connect-IB)", "DC"),
     ]
     counts = (51, 260, 460)
     print("%-40s" % "design" + "".join("%12s" % ("%d clients" % n) for n in counts))
-    for name, runner in designs:
+    for name, transport in designs:
         row = "%-40s" % name
         for n in counts:
-            row += "%12.1f" % runner(n)
+            row += "%12.1f" % run_herd(n, transport)
         print(row)
     print(
         "\nThe UC design peaks highest but declines past ~260 clients\n"

@@ -48,31 +48,31 @@ def main() -> None:
         description="2x2 HERD grid: value size x GET fraction",
     )
 
-    workdir = tempfile.mkdtemp(prefix="herd-lab-example-")
-    store = ResultStore(os.path.join(workdir, "lab"))
+    with tempfile.TemporaryDirectory(prefix="herd-lab-example-") as workdir:
+        store = ResultStore(os.path.join(workdir, "lab"))
 
-    print("== running %d points on 2 workers" % len(spec.points()))
-    outcome = run_sweep(spec, store=store, workers=2)
-    print(
-        "ran %d, cached %d, failed %d\n"
-        % (outcome.n_ran, outcome.n_cached, outcome.n_failed)
-    )
+        print("== running %d points on 2 workers" % len(spec.points()))
+        outcome = run_sweep(spec, store=store, workers=2)
+        print(
+            "ran %d, cached %d, failed %d\n"
+            % (outcome.n_ran, outcome.n_cached, outcome.n_failed)
+        )
 
-    print("== running the same sweep again (everything cached)")
-    again = run_sweep(spec, store=store, workers=2, progress=False)
-    print("ran %d, cached %d\n" % (again.n_ran, again.n_cached))
+        print("== running the same sweep again (everything cached)")
+        again = run_sweep(spec, store=store, workers=2, progress=False)
+        print("ran %d, cached %d\n" % (again.n_ran, again.n_cached))
 
-    print("== gate against the honest baseline")
-    baseline = capture_baseline(spec, again.results)
-    report = check(spec, again.results, baseline)
-    print(report.summary())
+        print("== gate against the honest baseline")
+        baseline = capture_baseline(spec, again.results)
+        report = check(spec, again.results, baseline)
+        print(report.summary())
 
-    print("\n== gate against a tampered baseline (pretend HERD used to be 30% faster)")
-    label = sorted(baseline["points"])[0]
-    baseline["points"][label]["mops"] *= 1.3
-    report = check(spec, again.results, baseline)
-    print(report.summary())
-    print("\n(exit code in CI would be %d)" % (0 if report.passed else 1))
+        print("\n== gate against a tampered baseline (pretend HERD used to be 30% faster)")
+        label = sorted(baseline["points"])[0]
+        baseline["points"][label]["mops"] *= 1.3
+        report = check(spec, again.results, baseline)
+        print(report.summary())
+        print("\n(exit code in CI would be %d)" % (0 if report.passed else 1))
 
 
 if __name__ == "__main__":

@@ -49,7 +49,7 @@ def small_search() -> None:
     print("  " + report.summary())
 
 
-def planted_bug() -> str:
+def planted_bug(workdir: str) -> str:
     print("== planted-bug arm: find, shrink to the crash atom")
     oracles = resolve(("planted-no-crash",))
     found = None
@@ -67,7 +67,7 @@ def planted_bug() -> str:
     for line in shrunk.schedule.plan.describe().splitlines()[1:]:
         print("  " + line)
 
-    path = os.path.join(tempfile.mkdtemp(prefix="nemesis-"), "repro.json")
+    path = os.path.join(workdir, "repro.json")
     artifact = build_artifact(
         run_schedule(shrunk.schedule, oracles), oracles=("planted-no-crash",)
     )
@@ -86,7 +86,8 @@ def replay_artifact(path: str) -> None:
 def main() -> None:
     one_schedule_per_dataplane()
     small_search()
-    replay_artifact(planted_bug())
+    with tempfile.TemporaryDirectory(prefix="nemesis-") as workdir:
+        replay_artifact(planted_bug(workdir))
 
 
 if __name__ == "__main__":

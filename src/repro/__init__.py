@@ -10,7 +10,7 @@ The packages, bottom-up:
 * :mod:`repro.hw` — PCIe / RNIC / fabric / DRAM models (Table 2 profiles)
 * :mod:`repro.verbs` — the RDMA verbs API over the model (Table 1 rules)
 * :mod:`repro.kv` — MICA / cuckoo / hopscotch backends (real bytes)
-* :mod:`repro.herd` — the paper's system, plus the §5.5 SEND/SEND variant
+* :mod:`repro.herd` — the paper's system, with §5.5's SEND/SEND requests
 * :mod:`repro.baselines` — Pilaf-em, FaRM-em, ECHO servers, full systems
 * :mod:`repro.workloads` — uniform and Zipf(.99) operation streams
 * :mod:`repro.bench` — per-figure experiments and the herd-bench CLI

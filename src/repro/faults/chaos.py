@@ -247,6 +247,11 @@ def _classic_config(run: _Run) -> HerdConfig:
     )
 
 
+def _send_send_config(run: _Run) -> HerdConfig:
+    """The classic config with every request a SEND over UD."""
+    return replace(_classic_config(run), request_transport="UD")
+
+
 def _replicated_config(run: _Run, servers: int = 4, spares: int = 0) -> HerdConfig:
     """``replication_factor`` replicas per partition on short RTOs;
     ``spares`` partitions own no keys until they join (a shard map)."""
@@ -998,13 +1003,21 @@ _TXN = Scenario(
 )
 
 #: every shape of chaos run by ``scenario`` name, in listing order;
-#: ``None`` is the classic run.  The first three named ones are
-#: replicated (HA) failover scenarios, the next three unreplicated
-#: *overload* scenarios driven by open-loop arrivals (repro.qos,
-#: docs/QOS.md), the last two the :mod:`repro.txn` commit dataplanes
-#: (docs/TXN.md).
+#: ``None`` is the classic run and ``send-send`` the same on SEND
+#: requests.  The next three are replicated (HA) failover scenarios, the
+#: next three unreplicated *overload* scenarios driven by open-loop
+#: arrivals (repro.qos, docs/QOS.md), the last two the :mod:`repro.txn`
+#: commit dataplanes (docs/TXN.md).
 SCENARIOS: Dict[Optional[str], Scenario] = {
     None: _CLASSIC,
+    "send-send": replace(
+        _CLASSIC,
+        blurb=(
+            "the classic fault mix on SEND/SEND requests over UD, which the "
+            "network may lose: the retry path must re-send them"
+        ),
+        config=_send_send_config,
+    ),
     "kill-primary": replace(
         _REPLICATED,
         blurb="crash one partition's primary for 30% of the horizon",

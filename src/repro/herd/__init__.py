@@ -5,7 +5,9 @@ UC into a per-client slot of the server's *request region*; server
 processes poll their slots, execute the operation against a MICA-style
 cache partition (masking DRAM latency with a prefetch pipeline), and
 respond with a SEND over UD — one network round trip per operation,
-using only the verbs that scale.
+using only the verbs that scale.  ``HerdConfig(request_transport="UD")``
+is Section 5.5's SEND/SEND design on the same server and client: each
+request is a SEND over UD into the server process's RECV ring.
 
 Entry point: :class:`HerdCluster` builds the whole system (server
 machine, request region, NS server processes, NC client processes on

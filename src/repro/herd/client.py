@@ -9,6 +9,10 @@ Each client process owns:
   receive CQ — before writing a request to server process *s*, the
   client posts a RECV to its *s*-th UD QP for the response.
 
+With ``request_transport="UD"`` (Section 5.5's SEND/SEND design) there
+is no UC QP: a request to server process *s* is a SEND from the
+client's *s*-th UD QP to that process's UD QP, the one it answers on.
+
 The client keeps a window of W outstanding requests: it fills the
 window, then issues one new operation per response (closed loop).
 Requests are written to slot ``(s, c, sent_s mod W)``; because the
@@ -62,6 +66,7 @@ from repro.herd.config import SLOT_BYTES, HerdConfig, route_key
 from repro.herd.region import RequestRegion
 from repro.herd.wire import (
     FRAME_STATUS,
+    MAX_SEND_REQUEST,
     RESP_NOT_OWNER,
     RESP_RETRY_AFTER,
     RESP_STALE_EPOCH,
@@ -70,6 +75,7 @@ from repro.herd.wire import (
     encode_put,
     framing_of,
     parse_response,
+    route_request,
 )
 
 #: observer called as fn(op, latency_ns, success, now)
@@ -105,9 +111,9 @@ class _Pending:
     sent_at: float
     server: int
     window_slot: int
-    #: what the request WRITE carried, for application-level retries
+    #: what the request carried (a SEND adds its routing prefix), for
+    #: application-level retries
     payload: bytes = b""
-    raddr: int = 0
     last_sent: float = 0.0
     #: re-sends so far (bounded by the retry budget)
     attempts: int = 0
@@ -161,6 +167,8 @@ class HerdClientProcess:
         #: set instead of a connection when requests ride DC transport
         self.dct_ah: Optional[Tuple[str, int]] = None
         self.region: Optional[RequestRegion] = None
+        #: with UD requests, each server process's (machine, qpn) instead
+        self.request_ahs: List[Tuple[str, int]] = []
         # HA wiring (left inert with rf=1): per-replica request regions
         # and UC QPs, the partition->primary map, and failover counters.
         self.ha_map = None  # ReplicaMap, set by the cluster when rf > 1
@@ -180,10 +188,16 @@ class HerdClientProcess:
         #: one staging slot per (partition, window slot): an un-inlined
         #: request's bytes leave host memory only when the NIC fetches
         #: them, so no *other* op may restage there meanwhile — a retry
-        #: restages the same bytes, and a window slot holds one live op
-        self._staging = device.register_memory(
-            ns * config.window * SLOT_BYTES
-        )
+        #: restages the same bytes, and a window slot holds one live op.
+        #: A WRITE request fits its 1 KB region slot; a SEND request is
+        #: bounded by the largest value instead.
+        if config.request_transport == "UD":
+            self._request_wr = self._send_wr
+            self._stride = MAX_SEND_REQUEST
+        else:
+            self._request_wr = self._write_wr
+            self._stride = SLOT_BYTES
+        self._staging = device.register_memory(ns * config.window * self._stride)
         self._recv_token = 0
         #: per-lane issue sequence; at most W requests per partition are
         #: outstanding, so sequence mod ``_ring`` can never alias a live
@@ -290,7 +304,7 @@ class HerdClientProcess:
     # ------------------------------------------------------------------
 
     def start(self) -> None:
-        if self.uc_qp is None or self.region is None:
+        if self.region is None and not self.request_ahs:
             raise RuntimeError("client not wired to a cluster")
         if self.arrivals is not None:
             self.sim.process(
@@ -414,9 +428,6 @@ class HerdClientProcess:
             if op.op is OpType.GET
             else encode_put(op.key, op.value, framing, epoch)
         )
-        region = self.ha_regions[replica] if self._ha else self.region
-        slot_addr = region.slot_addr(server, self.client_id, window_slot)
-        raddr = slot_addr + SLOT_BYTES - len(payload)
 
         # Atomic bookkeeping: the QP post, the posting-order mirror,
         # and (with retries) the pending record all land in one
@@ -428,8 +439,8 @@ class HerdClientProcess:
         # same instant so the RECV-accounting invariant
         # (len(recv_order) == len(pending) + len(quarantined)) holds
         # at every yield point; no response can match it before the
-        # WRITE below is posted because matching requires this slot
-        # epoch, and the deadline stays infinite until the WRITE is
+        # request below is posted because matching requires this slot
+        # epoch, and the deadline stays infinite until the request is
         # out so the retry watchdog ignores the half-sent op.
         self._arm_recv(lane)
         now = self.sim.now
@@ -439,7 +450,6 @@ class HerdClientProcess:
             server,
             window_slot,
             payload=payload,
-            raddr=raddr,
             last_sent=now,
             deadline=float("inf"),
             epoch=epoch,
@@ -453,19 +463,20 @@ class HerdClientProcess:
         yield self.sim.timeout(self.device.profile.post_recv_ns)
         yield self.device.machine.pcie.doorbell()
 
-        # 2. WRITE the request into the server's request region.
-        uc_qp, wr = self._request_wr(record)
+        # 2. WRITE the request into the server's request region (or
+        #    SEND it to the server process).
+        qp, wr = self._request_wr(record)
         if not wr.inline:
-            yield self.sim.timeout(len(payload) / self.profile.memcpy_bytes_per_ns)
-        yield from self.device.post_send_timed(uc_qp, wr)
+            yield self.sim.timeout(wr.local[2] / self.profile.memcpy_bytes_per_ns)
+        yield from self.device.post_send_timed(qp, wr)
         now = self.sim.now
-        # The WRITE is on the wire: start the retry clock.
+        # The request is on the wire: start the retry clock.
         record.sent_at = now
         record.last_sent = now
         record.deadline = now + (self._rto() or 0.0)
         if not framing:
             # Without retries completions pop the pending queue FIFO,
-            # so the record joins in WRITE-posting order, not issue
+            # so the record joins in request-posting order, not issue
             # order.
             self._pending[server].append(record)
         if self.ha_event_hook is not None:
@@ -579,9 +590,9 @@ class HerdClientProcess:
                 record.last_sent = self.sim.now
                 yield from self.device.post_send_timed(*self._request_wr(record))
 
-    def _request_wr(self, record: _Pending) -> Tuple[QueuePair, WorkRequest]:
+    def _write_wr(self, record: _Pending) -> Tuple[QueuePair, WorkRequest]:
         """The QP and WRITE that (re-)send a pending record's request
-        bytes to its replica.
+        bytes into its slot of its replica's request region.
 
         Above the inline limit the bytes go out of the op's own staging
         slot (see __init__), written here; a first send charges that
@@ -590,18 +601,40 @@ class HerdClientProcess:
         cfg = self.config
         region = self.ha_regions[record.replica] if self._ha else self.region
         uc_qp = self.ha_uc_qps[record.replica] if self._ha else self.uc_qp
-        if len(record.payload) <= self.profile.max_inline:
+        payload = record.payload
+        raddr = (
+            region.slot_addr(record.server, self.client_id, record.window_slot)
+            + SLOT_BYTES
+            - len(payload)
+        )
+        if len(payload) <= self.profile.max_inline:
             return uc_qp, WorkRequest.write(
-                raddr=record.raddr, rkey=region.mr.rkey,
-                payload=record.payload, inline=True, signaled=False,
+                raddr=raddr, rkey=region.mr.rkey,
+                payload=payload, inline=True, signaled=False,
                 ah=self.dct_ah,
             )
         offset = (record.server * cfg.window + record.window_slot) * SLOT_BYTES
-        self._staging.write(offset, record.payload)
+        self._staging.write(offset, payload)
         return uc_qp, WorkRequest.write(
-            raddr=record.raddr, rkey=region.mr.rkey,
-            local=(self._staging, offset, len(record.payload)),
+            raddr=raddr, rkey=region.mr.rkey,
+            local=(self._staging, offset, len(payload)),
             signaled=False, ah=self.dct_ah,
+        )
+
+    def _send_wr(self, record: _Pending) -> Tuple[QueuePair, WorkRequest]:
+        """The QP and SEND that (re-)send a pending record's request to
+        its server process: routed, from the lane its response takes."""
+        server = record.server
+        payload = route_request(self.client_id, record.window_slot, record.payload)
+        ah = self.request_ahs[server]
+        if len(payload) <= self.profile.max_inline:
+            return self.ud_qps[server], WorkRequest.send(
+                payload=payload, inline=True, signaled=False, ah=ah
+            )
+        offset = (server * self.config.window + record.window_slot) * self._stride
+        self._staging.write(offset, payload)
+        return self.ud_qps[server], WorkRequest.send(
+            local=(self._staging, offset, len(payload)), signaled=False, ah=ah
         )
 
     # -- failover (replication only) -----------------------------------
@@ -655,12 +688,6 @@ class HerdClientProcess:
         # post_recv_timed's cost
         yield self.sim.timeout(self.device.profile.post_recv_ns)
         yield self.device.machine.pcie.doorbell()
-        region = self.ha_regions[replica]
-        record.raddr = (
-            region.slot_addr(server, self.client_id, record.window_slot)
-            + SLOT_BYTES
-            - len(record.payload)
-        )
         now = self.sim.now
         record.last_sent = now
         record.attempts = 0

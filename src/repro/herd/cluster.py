@@ -4,6 +4,8 @@ Mirrors the paper's setup (Section 5.1): one server machine running NS
 server processes (each on its own core), client processes spread over a
 set of client machines, one UC QP per client process at the server (the
 initializer's connections), and NS UD QPs per client for responses.
+With ``request_transport="UD"`` the server holds no UC QP and no
+request region: requests are SENDs between those same UD QPs.
 """
 
 from __future__ import annotations
@@ -18,9 +20,10 @@ from repro.sim import RateMeter
 from repro.verbs import Testbed, Transport
 from repro.workloads.ycsb import Workload, keyed_values
 from repro.herd.client import HerdClientProcess
-from repro.herd.config import HerdConfig, route_key
+from repro.herd.config import SLOT_BYTES, HerdConfig, route_key
 from repro.herd.region import RequestRegion
 from repro.herd.server import HerdServerProcess
+from repro.herd.wire import TRAILER_BYTES, framing_of
 
 
 class HaRuntime:
@@ -94,6 +97,13 @@ class HerdCluster(Testbed):
         """
         if self._wired:
             raise RuntimeError("cannot add clients after wiring")
+        # a WRITE request (value, epoch byte, LEN, keyhash) fits its slot
+        limit = SLOT_BYTES - TRAILER_BYTES - (1 if framing_of(self.config) else 0)
+        if self.config.request_transport != "UD" and workload.value_size > limit:
+            raise ValueError(
+                "a WRITE request's value is at most %d B here, to fit its %d B "
+                "slot; got value_size=%d" % (limit, SLOT_BYTES, workload.value_size)
+            )
         for i in range(n):
             cid = len(self.clients)
             stream = workload.stream(seed=self.seed * 1_000_003 + cid)
@@ -117,8 +127,10 @@ class HerdCluster(Testbed):
         if not self.clients:
             raise RuntimeError("add clients before wiring")
         nc = len(self.clients)
-        self.region = RequestRegion(self.sim, self.server_device, self.config, nc)
-        if self.config.request_transport == "DC":
+        transport = self.config.request_transport
+        if transport != "UD":
+            self.region = RequestRegion(self.sim, self.server_device, self.config, nc)
+        if transport == "DC":
             # Dynamically Connected: every client addresses one shared
             # DC target at the server, so the server NIC caches a
             # single responder context however many clients exist.
@@ -128,7 +140,7 @@ class HerdCluster(Testbed):
                 client.uc_qp = client_qp
                 client.dct_ah = ("server", dct.qpn)
                 client.region = self.region
-        else:
+        elif transport == "UC":
             qos = self.config.qos
             if qos is not None and qos.qp_pool is not None and qos.qp_pool < nc:
                 # Bounded QP pool (repro.qos): clients share a fixed set
@@ -168,6 +180,11 @@ class HerdCluster(Testbed):
             self.servers.append(
                 HerdServerProcess(s, self.server_device, self.region, self.config, ahs)
             )
+        if transport == "UD":
+            # SEND requests go straight to each server process's UD QP
+            request_ahs = [("server", server.ud_qp.qpn) for server in self.servers]
+            for client in self.clients:
+                client.request_ahs = request_ahs
         if self.config.qos is not None:
             from repro.qos import QosRuntime
 

@@ -33,9 +33,11 @@ class HerdConfig:
     log_bytes: int = 1 << 22
     #: enable the prefetch pipeline (Figure 7's ablation switch)
     prefetch: bool = True
-    #: transport carrying request WRITEs: "UC" (the paper's design) or
-    #: "DC" (the Connect-IB Dynamically Connected extension the paper
-    #: expects to lift the ~260-client scalability limit, Section 5.5)
+    #: how requests travel: WRITEs into the request region over "UC"
+    #: (the paper's design) or "DC" (the Connect-IB Dynamically
+    #: Connected extension the paper expects to lift the ~260-client
+    #: scalability limit), or SENDs over "UD" into each server
+    #: process's RECV ring (the SEND/SEND design; both Section 5.5)
     request_transport: str = "UC"
     #: application-level retry timeout in ns, or None to disable.
     #: UC/UD never retransmit (Section 2.2.3): HERD "sacrifices
@@ -79,25 +81,27 @@ class HerdConfig:
     qos: Optional["QosConfig"] = None
 
     def __post_init__(self) -> None:
-        if self.n_server_processes < 1:
-            raise ValueError("need at least one server process")
+        if not self.n_server_processes >= 1:  # also rejects NaN
+            raise ValueError(
+                "n_server_processes must be >= 1; got %r" % (self.n_server_processes,)
+            )
         if not 1 <= self.window <= 255:
             raise ValueError(
                 "window must be within [1, 255] (the response's slot-id "
                 "byte identifies the window slot); got %r" % (self.window,)
             )
-        if self.index_entries < 1:
+        if not self.index_entries >= 1:
             raise ValueError("index_entries must be >= 1; got %r" % (self.index_entries,))
-        if self.log_bytes < 1:
+        if not self.log_bytes >= 1:
             raise ValueError("log_bytes must be >= 1; got %r" % (self.log_bytes,))
-        if self.request_transport not in ("UC", "DC"):
-            raise ValueError("request transport must be UC or DC")
+        if self.request_transport not in ("UC", "DC", "UD"):
+            raise ValueError("request transport must be UC, DC or UD")
         if self.retry_timeout_ns is not None and not self.retry_timeout_ns > 0:
             raise ValueError(
                 "retry_timeout_ns must be > 0 (or None to disable retries); "
                 "got %r" % (self.retry_timeout_ns,)
             )
-        if self.retry_budget is not None and self.retry_budget < 1:
+        if self.retry_budget is not None and not self.retry_budget >= 1:
             raise ValueError(
                 "retry_budget must be >= 1 (or None for unlimited); got %r"
                 % (self.retry_budget,)

@@ -4,7 +4,8 @@ Each server process is pinned to one core, owns one MICA partition
 (EREW — exclusive read and write), and uses exactly one UD queue pair
 for every response it sends.  Its loop:
 
-1. poll the per-client request chunks for a non-zero keyhash;
+1. poll the per-client request chunks for a non-zero keyhash (or,
+   with ``request_transport="UD"``, its RECV ring's completion queue);
 2. issue a prefetch for the new request's index bucket, advance the
    request pipeline, and push the new request in;
 3. execute the pipeline's completed request against MICA (its memory
@@ -18,6 +19,7 @@ for every response it sends.  Its loop:
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Generator, List, Optional, Tuple
 
 from repro.kv.mica import MicaCache
@@ -26,7 +28,7 @@ from repro.verbs import QueuePair, RdmaDevice, StagingRing, Transport, WorkReque
 from repro.workloads.ycsb import Operation, OpType
 from repro.herd.config import HerdConfig
 from repro.herd.pipeline import RequestPipeline
-from repro.herd.region import RequestRegion
+from repro.herd.region import RecvRing, RequestRegion
 from repro.herd.wire import (
     RESP_NOT_OWNER,
     RESP_OK,
@@ -60,7 +62,7 @@ class HerdServerProcess:
         self,
         index: int,
         device: RdmaDevice,
-        region: RequestRegion,
+        region: Optional[RequestRegion],
         config: HerdConfig,
         client_ahs: List[Tuple[str, int]],
     ) -> None:
@@ -68,11 +70,36 @@ class HerdServerProcess:
         self.device = device
         self.sim: Simulator = device.sim
         self.profile = device.profile
-        self.region = region
         self.config = config
         #: response address handles, indexed by client id
         self.client_ahs = client_ahs
-        self.ud_qp: QueuePair = device.create_qp(Transport.UD)
+        # Where requests land, chosen once: the inbox the loop blocks on,
+        # the CPU cost of taking one request out of it, ``_take`` (an
+        # arrival -> (client, window slot, op, request epoch), or None),
+        # ``_release`` (after the response is posted), ``_drop`` (an
+        # arrival a crashed incarnation held) and ``_rescan`` (recovery).
+        if config.request_transport == "UD":
+            ring = RecvRing(device, config, len(client_ahs), "s%d.requests" % index)
+            self.ud_qp: QueuePair = ring.qp
+            self.inbox = ring.inbox
+            #: a CQ poll finds a SEND at once: no polling pass to wait out
+            self._poll_slots = 0
+            self._take_ns = self.profile.cq_poll_ns + self.profile.post_recv_ns
+            self._take = ring.take
+            self._release = ring.release
+            self._drop = ring.drop
+            self._rescan = ring.rescan
+        else:
+            self.ud_qp = device.create_qp(Transport.UD)
+            self.inbox = region.arrivals[index]
+            #: request-region slots one polling pass checks
+            self._poll_slots = region.n_clients * config.window
+            #: the poll iteration that found the slot, and the decode
+            self._take_ns = 4 * self.profile.poll_check_ns
+            self._take = partial(region.take, index)
+            self._release = partial(region.clear_slot, index)
+            self._drop = region.drop
+            self._rescan = partial(region.rescan, index)
         self.store = MicaCache(config.index_entries, config.log_bytes)
         self.pipeline: RequestPipeline[PipelineEntry] = RequestPipeline(PIPELINE_DEPTH)
         self._staging = StagingRing(device, 1 << 16)
@@ -148,7 +175,7 @@ class HerdServerProcess:
         self.epoch += 1
         self.crashes += 1
         if self._waiting_get is not None:
-            self.region.arrivals[self.index].cancel(self._waiting_get)
+            self.inbox.cancel(self._waiting_get)
             self._waiting_get = None
         if self.ha_role is not None:
             self.ha_role.on_crash()
@@ -167,7 +194,10 @@ class HerdServerProcess:
         process was down (RDMA WRITEs land without the CPU) — and is
         re-queued for service.  Re-execution is safe: GETs are
         read-only and HERD PUTs are idempotent, and the client dedups
-        the rare duplicate response by window slot.
+        the rare duplicate response by window slot.  SEND requests
+        still queued in the RECV ring's CQ are served the same way;
+        those the dead process had popped are lost, and re-sent by their
+        clients' retries.
         """
         if self.alive:
             return False
@@ -175,14 +205,10 @@ class HerdServerProcess:
         self.epoch += 1
         self.recoveries += 1
         self.pipeline = RequestPipeline(PIPELINE_DEPTH)
-        arrivals = self.region.arrivals[self.index]
-        arrivals.clear()  # superseded by the scan below
-        live = self.region.scan_partition(self.index)
-        self.recovered_slots += len(live)
-        for item in live:
-            arrivals.put(item)
+        live = self._rescan()
+        self.recovered_slots += live
         # Charge one full polling pass for the scan itself.
-        scan_ns = self.region.n_clients * self.config.window * self.profile.poll_check_ns
+        scan_ns = self._poll_slots * self.profile.poll_check_ns
         if self.ha_role is not None:
             self.ha_role.on_recover()
         self.sim.process(
@@ -193,7 +219,7 @@ class HerdServerProcess:
         if tracer is not None:
             tracer.mark(
                 "herd-server-%d" % self.index,
-                "recovered (%d live slots)" % len(live),
+                "recovered (%d live slots)" % live,
             )
         return True
 
@@ -201,7 +227,7 @@ class HerdServerProcess:
         """The polling loop (for one process incarnation)."""
         sim = self.sim
         p = self.profile
-        arrivals = self.region.arrivals[self.index]
+        arrivals = self.inbox
         flush_spin_ns = NOOP_AFTER_POLLS * p.poll_check_ns
         if warmup_ns:
             yield sim.timeout(warmup_ns)
@@ -226,37 +252,35 @@ class HerdServerProcess:
                 item = yield event
                 self._waiting_get = None
                 if self.epoch != epoch:
-                    return  # crashed while blocked; slot survives in shm
+                    self._drop(item)  # crashed while blocked
+                    return
                 yield sim.timeout(self._detect_delay_ns())
                 if self.epoch != epoch:
+                    self._drop(item)
                     return
             yield from self._serve(item, epoch)
 
     def _detect_delay_ns(self) -> float:
-        slots = self.region.n_clients * self.config.window
-        return slots * self.profile.poll_check_ns / 2.0
+        return self._poll_slots * self.profile.poll_check_ns / 2.0
 
     # ------------------------------------------------------------------
 
-    def _serve(
-        self, item: Tuple[int, int], epoch: int
-    ) -> Generator[Event, None, None]:
+    def _serve(self, item, epoch: int) -> Generator[Event, None, None]:
         sim = self.sim
         p = self.profile
-        # QoS-stamped arrivals are (client, window_slot, arrived_ns)
-        # 3-tuples; recovery re-scan items stay 2-tuples (sojourn 0).
-        client, window_slot = item[0], item[1]
-        # Cost of the poll iteration that found the slot + decode.
-        yield sim.timeout(4 * p.poll_check_ns)
+        yield sim.timeout(self._take_ns)
         if self.epoch != epoch:
-            return  # crashed mid-poll; the slot survives for the re-scan
-        request = self.region.read_slot(self.index, client, window_slot)
+            self._drop(item)  # crashed mid-poll
+            return
+        request = self._take(item)
         if request is None:
             return  # spurious wakeup: slot already consumed
-        op, req_epoch = request
+        client, window_slot, op, req_epoch = request
         if self.admission is not None:
+            # QoS-stamped arrivals are (client, window_slot, arrived_ns)
+            # 3-tuples; recovery re-scan items stay 2-tuples (sojourn 0).
             arrived = item[2] if len(item) > 2 else sim.now
-            backlog = len(self.region.arrivals[self.index]) + len(self.pipeline)
+            backlog = len(self.inbox) + len(self.pipeline)
             verdict = self.admission.on_request(
                 client, sim.now, sim.now - arrived, backlog
             )
@@ -330,7 +354,7 @@ class HerdServerProcess:
         yield from self._respond(client, payload, epoch)
         if self.epoch != epoch:
             return
-        self.region.clear_slot(self.index, client, window_slot)
+        self._release(client, window_slot)
 
     # -- replicated-partition serve path (repro.ha) --------------------
 
@@ -440,7 +464,7 @@ class HerdServerProcess:
         yield from self._respond(client, payload, epoch)
         if self.epoch != epoch:
             return
-        self.region.clear_slot(self.index, client, window_slot)
+        self._release(client, window_slot)
         self.responses += 1
         role = self.ha_role
         if role is not None and status == RESP_OK:

@@ -21,6 +21,11 @@ Keeping a 60-byte value's response WQE within two write-combining
 cachelines is what lets HERD sustain peak throughput through 60-byte
 items (Figure 10).
 
+With ``request_transport="UD"`` (the SEND/SEND design of Section 5.5)
+a request is a SEND into the server process's RECV ring instead: the
+same trailing bytes, behind a routing prefix naming the client and its
+window slot (:func:`route_request`), since no slot address says them.
+
 Application retries, replication and overload protection prefix a
 short header to that response.  :func:`framing_of` picks the framing
 from the deployment's config; the client, the server and the request
@@ -32,6 +37,7 @@ from __future__ import annotations
 import struct
 from typing import Optional, Tuple
 
+from repro.herd.config import SLOT_BYTES
 from repro.workloads.ycsb import Operation, OpType
 
 KEYHASH_BYTES = 16
@@ -45,6 +51,13 @@ GET_MARKER = 0xFFFF
 _LEN = struct.Struct("<H")
 
 PUT_OK = b"\x01"
+
+#: a SEND request's routing prefix: client id (u16), window slot (u8)
+_ROUTE = struct.Struct("<HB")
+ROUTE_BYTES = _ROUTE.size
+#: the largest SEND request: a 1 KB value (the largest item, Section
+#: 5.1) with the epoch byte, LEN and the keyhash, routed
+MAX_SEND_REQUEST = ROUTE_BYTES + SLOT_BYTES + 1 + TRAILER_BYTES
 
 
 #: response framings, each named by its header's length in bytes.
@@ -92,6 +105,18 @@ def encode_put(
         raise ValueError("value too large for the LEN field")
     prefix = bytes((epoch & 0xFF,)) if framing else b""
     return value + prefix + _LEN.pack(len(value)) + keyhash
+
+
+def route_request(client: int, window_slot: int, request: bytes) -> bytes:
+    """A SEND request: the routing prefix, then the bytes a WRITE
+    request would carry (:func:`encode_get` / :func:`encode_put`)."""
+    return _ROUTE.pack(client, window_slot) + request
+
+
+def request_route(buf, start: int = 0) -> Tuple[int, int]:
+    """``(client, window_slot)`` of the SEND request at ``buf[start:]``;
+    its :func:`decode_request` body starts ``ROUTE_BYTES`` later."""
+    return _ROUTE.unpack_from(buf, start)
 
 
 def request_write_offset(slot_bytes: int, payload: bytes) -> int:

@@ -20,24 +20,25 @@ class CompletionQueue:
     def __init__(self, sim: Simulator, name: str = "cq") -> None:
         self.sim = sim
         self.name = name
-        self._store = Store(sim, name)
+        #: the CQE mailbox; a process may block on it like any Store
+        self.store = Store(sim, name)
         self.pushed = 0
 
     def push(self, cqe: Cqe) -> None:
         """Called by the device when a completion lands (post-DMA)."""
         cqe.timestamp = self.sim.now
         self.pushed += 1
-        self._store.put(cqe)
+        self.store.put(cqe)
 
     def pop(self) -> Event:
         """Event firing with the next CQE (blocks a sim process)."""
-        return self._store.get()
+        return self.store.get()
 
     def poll(self, max_entries: int = 16) -> List[Cqe]:
         """Drain up to ``max_entries`` CQEs without waiting."""
         out: List[Cqe] = []
         while len(out) < max_entries:
-            cqe = self._store.try_get()
+            cqe = self.store.try_get()
             if cqe is None:
                 break
             out.append(cqe)
@@ -45,7 +46,7 @@ class CompletionQueue:
 
     def try_pop(self) -> Optional[Cqe]:
         """Pop a single CQE if one is pending."""
-        return self._store.try_get()
+        return self.store.try_get()
 
     def __len__(self) -> int:
-        return len(self._store)
+        return len(self.store)

@@ -31,7 +31,6 @@ from repro.baselines.pilaf import (
     PilafFullConfig,
 )
 from repro.herd import HerdCluster, HerdConfig
-from repro.herd.ud_variant import SendSendHerdCluster
 from repro.qos import QosConfig
 from repro.txn import QueueConfig, TxnCluster, TxnConfig, TxnQueueCluster
 from repro.workloads import Workload
@@ -56,8 +55,8 @@ def _workload(value_size=32, get_fraction=0.9):
     return Workload(get_fraction=get_fraction, value_size=value_size, n_keys=N_KEYS)
 
 
-def _herd(cls=HerdCluster, **cfg):
-    cluster = cls(
+def _herd(**cfg):
+    cluster = HerdCluster(
         HerdConfig(n_server_processes=2, window=2, **cfg), n_client_machines=3, seed=11
     )
     cluster.add_clients(5, _workload(get_fraction=0.5))
@@ -124,7 +123,7 @@ CASES = {
     "herd-qp-pool": lambda: _herd(
         qos=QosConfig(qp_pool=2), retry_timeout_ns=40_000.0
     ),
-    "herd-send-send": lambda: _herd(SendSendHerdCluster),
+    "herd-send-send": lambda: _herd(request_transport="UD"),
     "echo-write": lambda: _echo(EchoConfig.wr_send()),
     "echo-send": lambda: _echo(EchoConfig.send_send()),
     "pilaf": lambda: _kv_baseline(PilafCluster, PilafConfig()),
@@ -178,7 +177,7 @@ GOLDEN = {
     "farm-var": "b629fe60cea31680f7101aff4dceedd1b8f03280d4520c3ef896475ae9065343",
     "herd-dc": "19c30fd95abb4347056ea1a720b67057eda8d058f1350ec9e367b9b527e2fdbd",
     "herd-qp-pool": "bb82bedf8c81b6f84c05bf67fc762015c116d8c5856da08845d92c0d0de33122",
-    "herd-send-send": "47c44dd4ae67c1f6fd602ce80c86c0da3c0a3640fad64a297ff1afd1b9230eef",
+    "herd-send-send": "22974f8bff6a05f22d5ba9af8a2258db4150c1ffcd61d858f49c05cde1ab8722",
     "herd-uc": "9c6c236f10e896a48536ccc4cb087c419360cc75e65a6172f3ca85706a66a9eb",
     # re-pinned by the datapath fusion: two client ports admitting at the
     # same instant (t = 665.5 ns) swap order; 251 ops, 4.18 Mops, p50 and

@@ -346,3 +346,57 @@ def test_steady_state_event_allocation_budget(kind):
     _calls, events_200, _entries = _calls_events_and_entries(kind, 200)
     _calls, events_100, _entries = _calls_events_and_entries(kind, 100)
     assert (events_200 - events_100) / 100 == EVENT_BUDGET
+
+
+# ---------------------------------------------------------------------------
+# (e) per-op budgets of a steady-state HERD GET and PUT (WRITE requests)
+# ---------------------------------------------------------------------------
+
+
+def _herd_calls_entries_ops(get_fraction, measure_ns):
+    """The golden HERD cell (2 partitions, W = 2, 5 clients, seed 11),
+    run through ``measure_ns``: Python-level calls, calendar entries and
+    completed operations."""
+    from repro.herd import HerdCluster, HerdConfig
+    from repro.workloads import Workload
+
+    cluster = HerdCluster(
+        HerdConfig(n_server_processes=2, window=2), n_client_machines=3, seed=11
+    )
+    cluster.add_clients(5, Workload(get_fraction=get_fraction, n_keys=512))
+    cluster.preload(range(512), 32)
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    gc.collect()
+    gc.disable()
+    sys.setprofile(count)
+    try:
+        cluster.run(warmup_ns=5_000.0, measure_ns=measure_ns)
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    return calls, cluster.sim._seq, sum(c.completed for c in cluster.clients)
+
+
+#: (Python-level calls, calendar entries) per HERD operation, client and
+#: server together, with WRITE requests over UC: the numbers before the
+#: SEND/SEND request path joined the same client and server.  A run cut
+#: at the window's end holds a fraction of an op in flight, so a count
+#: moves by a few hundredths with the cut; one call more per op is 1.0.
+HERD_OP_BUDGET = {"GET": (185.03, 21.41), "PUT": (185.11, 21.45)}
+
+
+@pytest.mark.parametrize("kind", sorted(HERD_OP_BUDGET))
+def test_steady_state_herd_op_budget(kind):
+    get_fraction = 1.0 if kind == "GET" else 0.0
+    calls_60, entries_60, ops_60 = _herd_calls_entries_ops(get_fraction, 60_000.0)
+    calls_120, entries_120, ops_120 = _herd_calls_entries_ops(get_fraction, 120_000.0)
+    ops = ops_120 - ops_60
+    calls, entries = HERD_OP_BUDGET[kind]
+    assert ops > 200
+    assert (calls_120 - calls_60) / ops == pytest.approx(calls, abs=0.05)
+    assert (entries_120 - entries_60) / ops == pytest.approx(entries, abs=0.005)

@@ -132,3 +132,31 @@ def test_cluster_with_large_values_wraps_and_releases():
     for server in cluster.servers:
         assert server._staging.in_flight == 0
         assert server._staging.waits == 0
+
+
+@pytest.mark.parametrize(
+    "config, limit",
+    [
+        (HerdConfig(n_server_processes=2, window=2), 1006),
+        # the epoch byte of the retry framing takes one more
+        (HerdConfig(n_server_processes=2, window=2, retry_timeout_ns=40_000.0), 1005),
+    ],
+    ids=["plain", "epoch"],
+)
+def test_a_write_request_fits_its_slot_or_is_refused_before_the_run(config, limit):
+    """A WRITE request is its value, LEN and the keyhash (and the epoch
+    byte) at the end of a 1 KB region slot.  One byte more used to run
+    into the neighbouring staging slot and start inside the previous
+    region slot, and failed mid-run (``MrAccessError``: write [3072,
+    4100) outside the 4 KiB staging MR); the cluster now refuses such a
+    value before anything runs, naming the limit."""
+    cluster = HerdCluster(config, n_client_machines=4, seed=5)
+    with pytest.raises(ValueError, match="at most %d B" % limit):
+        cluster.add_clients(64, Workload(get_fraction=0.5, value_size=limit + 1))
+    assert cluster.clients == []
+    cluster.add_clients(64, Workload(get_fraction=0.5, value_size=limit, n_keys=256))
+    cluster.preload(range(256), limit)
+    result = cluster.run(warmup_ns=0, measure_ns=40_000)
+    assert result.ops > 100
+    assert sum(c.failures for c in cluster.clients) == 0
+    assert result.extra["get_misses"] == 0

@@ -1,23 +1,33 @@
-"""Tests for the SEND/SEND HERD variant (Section 5.5)."""
+"""Tests for HERD's SEND/SEND requests (Section 5.5):
+``HerdConfig(request_transport="UD")``."""
 
 import pytest
 
-from repro.herd import HerdConfig, ud_variant
-from repro.herd.ud_variant import (
-    SendSendHerdCluster,
-    decode_ud_request,
-    encode_ud_request,
+from repro.herd import HerdCluster, HerdConfig
+from repro.herd.config import partition_of
+from repro.herd.wire import (
+    FRAME_EPOCH,
+    FRAME_PLAIN,
+    MAX_SEND_REQUEST,
+    ROUTE_BYTES,
+    decode_request,
+    encode_get,
+    encode_put,
+    request_route,
+    route_request,
 )
 from repro.verbs import Transport
 from repro.workloads import OpType, Workload
-from repro.workloads.ycsb import Operation, keyhash, value_for
+from repro.workloads.ycsb import keyhash, value_for
 
 pytestmark = pytest.mark.usefixtures("staging_checked")
 
 
 def small_cluster(ns=2, clients=4, get_fraction=0.5, value_size=32, n_keys=256):
-    cluster = SendSendHerdCluster(
-        HerdConfig(n_server_processes=ns, window=2), n_client_machines=2, seed=5
+    cluster = HerdCluster(
+        HerdConfig(n_server_processes=ns, window=2, request_transport="UD"),
+        n_client_machines=2,
+        seed=5,
     )
     cluster.add_clients(
         clients, Workload(get_fraction=get_fraction, value_size=value_size, n_keys=n_keys)
@@ -26,25 +36,41 @@ def small_cluster(ns=2, clients=4, get_fraction=0.5, value_size=32, n_keys=256):
     return cluster
 
 
+def rnr_drops(cluster):
+    """SENDs dropped for want of a posted RECV, at the server and the
+    clients."""
+    return sum(s.ud_qp.rnr_drops for s in cluster.servers) + sum(
+        qp.rnr_drops for c in cluster.clients for qp in c.ud_qps
+    )
+
+
 # ---------------------------------------------------------------------------
-# wire format
+# wire format: a WRITE request's bytes behind a routing prefix
 # ---------------------------------------------------------------------------
 
 
 def test_ud_request_roundtrip_get():
-    op = Operation(OpType.GET, keyhash(7), None)
-    decoded, qpn = decode_ud_request(encode_ud_request(op, reply_qpn=42))
-    assert decoded.op is OpType.GET
-    assert decoded.key == keyhash(7)
-    assert qpn == 42
+    for framing in (FRAME_PLAIN, FRAME_EPOCH):
+        request = route_request(41, 3, encode_get(keyhash(7), framing, 9))
+        assert request_route(request) == (41, 3)
+        op, epoch = decode_request(request, framing, start=ROUTE_BYTES)
+        assert op.op is OpType.GET
+        assert op.key == keyhash(7)
+        assert epoch == (9 if framing else 0)
 
 
 def test_ud_request_roundtrip_put():
-    op = Operation(OpType.PUT, keyhash(9), b"value-bytes")
-    decoded, qpn = decode_ud_request(encode_ud_request(op, reply_qpn=3))
-    assert decoded.op is OpType.PUT
-    assert decoded.value == b"value-bytes"
-    assert qpn == 3
+    value = bytes(range(256)) * 4
+    for framing in (FRAME_PLAIN, FRAME_EPOCH):
+        request = route_request(2, 0, encode_put(keyhash(9), value, framing, 5))
+        assert len(request) == MAX_SEND_REQUEST - (0 if framing else 1)
+        # the RECV buffer holds other bytes past the request's end
+        buf = b"\xa5" * 40 + request + b"\xa5" * 64
+        assert request_route(buf, 40) == (2, 0)
+        op, epoch = decode_request(buf, framing, 40 + ROUTE_BYTES, 40 + len(request))
+        assert op.op is OpType.PUT
+        assert op.value == value
+        assert epoch == (5 if framing else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -61,9 +87,6 @@ def test_progress_and_correctness():
 
 
 def test_puts_reach_the_store():
-    from repro.herd.config import partition_of
-    from repro.workloads.ycsb import value_for
-
     cluster = small_cluster(get_fraction=0.0, value_size=24, n_keys=32)
     result = cluster.run(warmup_ns=0, measure_ns=100_000)
     assert result.ops > 50
@@ -74,55 +97,63 @@ def test_puts_reach_the_store():
 
 
 @pytest.mark.parametrize("value_size", [1010, 1024])
-def test_values_up_to_1_kib_travel_intact(value_size, monkeypatch):
-    """A request is 22 B of header plus the value.  Requests used to be
-    staged at ``slot * 1024``: above 1 002 B neighbouring slots
-    overlapped, and at 1 010 B the last slot ran off the MR
-    (``MrAccessError``).  Through the staging ring every size up to the
-    1 KiB value limit goes out intact."""
-    seen = []
-
-    def spy(op_type, payload):
-        success, value = decode(op_type, payload)
-        if op_type is OpType.GET and success:
-            seen.append(value)
-        return success, value
-
-    decode = ud_variant.decode_response
-    monkeypatch.setattr(ud_variant, "decode_response", spy)
+def test_values_up_to_1_kib_travel_intact(value_size):
+    """A SEND request is not bounded by the 1 KB request slot: with the
+    routing prefix, the epoch byte, LEN and the keyhash a 1 KB value
+    makes a 1 046 B request.  The client's staging stride fits the
+    largest, so neighbouring window slots never overlap and the last
+    stays inside its MR (a 1 KB stride overlapped above 1 002 B and ran
+    off the MR at 1 010 B)."""
     n_keys = 256
-    cluster = SendSendHerdCluster(
-        HerdConfig(n_server_processes=2, window=2), n_client_machines=4, seed=5
+    cluster = HerdCluster(
+        HerdConfig(n_server_processes=2, window=2, request_transport="UD"),
+        n_client_machines=4,
+        seed=5,
     )
     cluster.add_clients(
         64, Workload(get_fraction=0.5, value_size=value_size, n_keys=n_keys)
     )
     cluster.preload(range(n_keys), value_size)
+    seen = []
+
+    def spy(op, success, value, now):
+        if op.op is OpType.GET and success:
+            seen.append(value)
+
+    for client in cluster.clients:
+        client.payload_hook = spy
     result = cluster.run(warmup_ns=0, measure_ns=60_000)
     assert result.ops > 100
     assert sum(c.failures for c in cluster.clients) == 0
     assert result.extra["get_misses"] == 0
+    assert rnr_drops(cluster) == 0
     values = {value_for(item, value_size) for item in range(n_keys)}
     assert seen and all(value in values for value in seen)
+    for server in cluster.servers:
+        assert server.puts > 0
 
 
 def test_recv_rings_never_underflow():
-    """The server's deep pre-posted RECV ring plus per-request client
-    RECVs mean no SEND is ever dropped."""
+    """Each server process's RECV ring holds one buffer per request the
+    clients can have outstanding at it, and each client posts a RECV
+    per request: no SEND is ever dropped."""
     cluster = small_cluster()
     result = cluster.run(warmup_ns=0, measure_ns=100_000)
-    assert result.extra["rnr_drops"] == 0
-    for client in cluster.clients:
-        assert client.qp.rnr_drops == 0
+    assert result.ops > 100
+    assert rnr_drops(cluster) == 0
 
 
 def test_server_uses_only_ns_ud_qps():
-    """The entire client population shares NS unconnected QPs."""
+    """The entire client population shares NS unconnected QPs, the ones
+    the server processes answer on."""
     cluster = small_cluster(ns=3, clients=8)
+    cluster.wire()
     uc = [q for q in cluster.server_device.qps.values() if q.transport is Transport.UC]
     ud = [q for q in cluster.server_device.qps.values() if q.transport is Transport.UD]
     assert uc == []
+    assert sorted(ud, key=id) == sorted((s.ud_qp for s in cluster.servers), key=id)
     assert len(ud) == 3
+    assert cluster.region is None
 
 
 @pytest.mark.slow
@@ -133,14 +164,17 @@ def test_send_send_costs_a_few_mops_but_scales():
     from repro.bench.figures import run_herd
 
     def ss_run(n, machines):
-        cluster = SendSendHerdCluster(
-            HerdConfig(n_server_processes=6), n_client_machines=machines
+        cluster = HerdCluster(
+            HerdConfig(n_server_processes=6, request_transport="UD"),
+            n_client_machines=machines,
         )
         cluster.add_clients(
             n, Workload(get_fraction=0.95, value_size=32, n_keys=1 << 12)
         )
         cluster.preload(range(1 << 12), 32)
-        return cluster.run(measure_ns=120_000.0).mops
+        result = cluster.run(measure_ns=120_000.0)
+        assert rnr_drops(cluster) == 0
+        return result.mops
 
     hybrid_small = run_herd(n_clients=51, measure_ns=120_000.0).mops
     ss_small = ss_run(51, 17)

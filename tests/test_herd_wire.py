@@ -89,7 +89,7 @@ def test_free_slot_decodes_to_none():
     "value", [None, b"v", b"hello-world", b"\x00" * 40, bytes(range(256)) * 3 + b"tail"]
 )
 def test_decoding_in_place_equals_decoding_a_copy(value, epoch):
-    """``RequestRegion.read_slot`` decodes inside the region's ``mmap``
+    """``RequestRegion.take`` decodes inside the region's ``mmap``
     at the slot's bounds; the answer is the one the slot's own bytes
     give — loss-mode epoch byte included, neighbours ignored."""
     region = mmap.mmap(-1, 3 * 1024, access=mmap.ACCESS_COPY)
@@ -214,9 +214,9 @@ def test_clear_slot_zeroes_only_keyhash():
     offset = region.slot_offset(0, 1, 1)
     payload = encode_put(KH, b"data")
     region.mr.write(offset + SLOT_BYTES - len(payload), payload)
-    assert region.read_slot(0, 1, 1) is not None
+    assert region.take(0, (1, 1)) is not None
     region.clear_slot(0, 1, 1)
-    assert region.read_slot(0, 1, 1) is None
+    assert region.take(0, (1, 1)) is None
     # The value bytes are untouched; only the keyhash was zeroed.
     tail = region.mr.read(offset + SLOT_BYTES - len(payload), 4)
     assert tail == b"data"

@@ -28,7 +28,9 @@ from repro.faults.plan import (
     QpErrorRule,
     RnrRule,
 )
+from repro.herd import HerdConfig
 from repro.kv import MicaCache
+from repro.qos import QosConfig
 from repro.txn import TxnCluster, TxnConfig
 from repro.txn.client import VALUE_TAG_BYTES
 from repro.txn.queue import QueueConfig, TxnQueueCluster
@@ -97,6 +99,37 @@ def test_mica_index_entries_must_be_at_least_one(entries):
     else:
         with pytest.raises(ValueError, match="index_entries"):
             MicaCache(index_entries=entries)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(n_server_processes=math.nan), "n_server_processes"),
+        (dict(index_entries=math.nan), "index_entries"),
+        (dict(log_bytes=math.nan), "log_bytes"),
+        (dict(retry_budget=math.nan), "retry_budget"),
+        # replication and qos ride WRITE requests over UC only
+        (
+            dict(request_transport="DC", replication_factor=2, retry_timeout_ns=1e4),
+            "UC request transport only",
+        ),
+        (
+            dict(request_transport="UD", replication_factor=2, retry_timeout_ns=1e4),
+            "UC request transport only",
+        ),
+        (
+            dict(request_transport="DC", qos=QosConfig(), retry_timeout_ns=1e4),
+            "UC request transport only",
+        ),
+        (
+            dict(request_transport="UD", qos=QosConfig(), retry_timeout_ns=1e4),
+            "UC request transport only",
+        ),
+    ],
+)
+def test_herd_config_rejects_nan_and_transports_it_cannot_serve(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        HerdConfig(**kwargs)
 
 
 def test_the_smallest_accepted_configs_run():
